@@ -3,7 +3,6 @@ harness that checks them exhaustively up to a degree bound."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -24,7 +23,7 @@ from .qsym import (
     schur_f,
     skew_schur_f,
 )
-from .shapes import SkewShape, disjoint_union, enumerate_skew_shapes
+from .shapes import SkewShape, enumerate_skew_shapes
 from .young import SkewTableau
 
 THEOREMS = ("schur", "skew", "qs-components", "two-part", "families")
@@ -70,26 +69,28 @@ def predict_schur(lam: Partition) -> bool:
     return _schur_listed(lam) or _schur_listed(conjugate(lam))
 
 
-def _hook_unions(n: int) -> set[SkewShape]:
-    return {
-        disjoint_union(SkewShape((n - k,)), SkewShape((1,) * k))
-        for k in range(1, n)
-    }
+def _row_below_left_of_column(shape: SkewShape) -> bool:
+    """True iff ``shape`` is a row of m >= 1 cells with a column of k >= 1
+    cells placed disjointly above-right of it: k rows (m, m+1] over a last
+    row (0, m].  In basic form the last row always starts in column 1."""
+    ivs = shape.row_intervals()
+    if len(ivs) < 2:
+        return False
+    m = ivs[-1][1]
+    return all(iv == (m, m + 1) for iv in ivs[:-1])
 
 
 def predict_skew(shape: SkewShape) -> bool:
     """Multiplicity-freeness of the skew Schur function of ``shape``: some
     variant under transpose and rotation is a listed straight shape or a
     row placed disjointly below-left of a column."""
-    n = shape.size
     transposed = shape.transpose()
     variants = {shape, transposed, shape.rotate180(), transposed.rotate180()}
-    unions = _hook_unions(n)
     for v in variants:
         if not v.inner:
             if _schur_listed(v.outer):
                 return True
-        elif v in unions:
+        elif _row_below_left_of_column(v):
             return True
     return False
 
@@ -332,28 +333,14 @@ def verify(
     theorem: str,
     max_n: int,
     max_tableaux: int | None = DEFAULT_MAX_TABLEAUX,
-    threads: int = 1,
 ) -> VerificationReport:
     """Compare a classification predicate against brute-force truth on every
-    instance of degree at most ``max_n``.
-
-    Instances are checked independently (optionally on a thread pool) but
-    the report is assembled in canonical instance order, so the result is
-    identical for any thread count.
-    """
+    instance of degree at most ``max_n``, in canonical instance order."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances = list(_instances(theorem, max_n))
-
-    def check(inst: Instance) -> Disagreement | None:
-        return _check_instance(theorem, inst, max_tableaux)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, instances))
-    else:
-        results = [check(inst) for inst in instances]
+    results = (_check_instance(theorem, inst, max_tableaux) for inst in instances)
     disagreements = tuple(d for d in results if d is not None)
     return VerificationReport(theorem, max_n, len(instances), disagreements)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -229,21 +228,13 @@ witnesses = _with(_index_options, witnesses)
 @click.option("--theorem", type=click.Choice(list(THEOREMS)), required=True)
 @click.option("--max-n", "max_n", type=int, required=True)
 @_budget_option
-@click.option(
-    "--threads",
-    type=int,
-    default=lambda: os.cpu_count() or 1,
-    help="worker threads (default: available parallelism)",
-)
 @_format_option
 @_budget_guarded
-def verify(theorem, max_n, budget, threads, fmt) -> None:
+def verify(theorem, max_n, budget, fmt) -> None:
     """Exhaustively compare a classification predicate with brute force."""
     if max_n < 1:
         raise click.UsageError("--max-n must be at least 1")
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
-    report = classify.verify(theorem, max_n, budget, threads)
+    report = classify.verify(theorem, max_n, budget)
     if fmt == "json":
         _emit_json(report.to_json_obj())
     else:

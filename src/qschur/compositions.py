@@ -126,8 +126,26 @@ def sort_to_partition(alpha: Composition) -> Partition:
 
 
 def rearrangements(lam: Partition) -> list[Composition]:
-    """All distinct orderings of the parts of ``lam``, sorted lexicographically."""
-    return sorted(set(itertools.permutations(lam)))
+    """All distinct orderings of the parts of ``lam``, sorted lexicographically.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) visits each multiset
+    permutation once, in lexicographic order, starting from the sorted one.
+    """
+    a = sorted(lam)
+    n = len(a)
+    out = [tuple(a)]
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = n - 1
+        while a[k] <= a[j]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[: j : -1]
+        out.append(tuple(a))
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -1,14 +1,14 @@
 """Expansions in the fundamental quasisymmetric basis.
 
 Three generators feed everything else: the quasisymmetric expansion of a
-composition shape (by composition-tableau enumeration), the expansion of a
-skew shape (by a memoized distribution over standard-tableau descent sets),
-and the Schur case as the straight-shape specialization.
+composition shape (by a level-by-level distribution of descent sets over the
+cover chains that define composition tableaux), the expansion of a skew
+shape (by a memoized distribution over standard-tableau descent sets), and
+the Schur case as the straight-shape specialization.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Union
 
@@ -21,7 +21,7 @@ from .compositions import (
     refinements,
     reverse,
 )
-from .ctableaux import com_c, des_c, enumerate_sct
+from .ctableaux import _down_moves, des_c, enumerate_sct
 from .errors import BudgetExceededError, capped
 from .expansion import Expansion
 from .shapes import SkewShape
@@ -30,13 +30,51 @@ from .young import des_p, enumerate_syt
 TableauSource = Union[Composition, SkewShape]
 
 
+def _qs_f_profile(alpha: Composition, max_tableaux: int | None) -> Expansion:
+    """Count standard composition tableaux of shape ``alpha`` by descent set,
+    one level of the cover chain at a time.
+
+    Removing the cells 1, 2, ..., n in order walks an inverse cover chain
+    down to the empty composition.  After removing cell i, a frontier state
+    is the remaining composition with the column of cell i, and its value
+    maps the descent bitmask of entries 1..i-1 to the number of chains that
+    reach the state with it; entry i-1 is a descent when cell i sits weakly
+    right of cell i-1.  Every nonempty composition has a down move, so the
+    frontier's count never drops and ends at the number of tableaux.
+    """
+    n = sum(alpha)
+    if n == 0:
+        return Expansion("F", 0, {(): 1})
+    # No column exceeds n, so the first removal never records a descent.
+    frontier: dict[tuple[Composition, int], dict[int, int]] = {(alpha, n + 1): {0: 1}}
+    for entry in range(1, n + 1):
+        bit = 1 << (entry - 2) if entry > 1 else 0
+        nxt: dict[tuple[Composition, int], dict[int, int]] = {}
+        for (shape, last), masks in frontier.items():
+            for col, child in _down_moves(shape):
+                descent = bit if col >= last else 0
+                into = nxt.setdefault((child, col), {})
+                for mask, cnt in masks.items():
+                    mask |= descent
+                    into[mask] = into.get(mask, 0) + cnt
+        frontier = nxt
+        if max_tableaux is not None and (
+            sum(sum(masks.values()) for masks in frontier.values()) > max_tableaux
+        ):
+            raise BudgetExceededError(
+                f"composition tableaux of shape {alpha}", max_tableaux
+            )
+    by_mask: dict[int, int] = {}
+    for masks in frontier.values():
+        for mask, cnt in masks.items():
+            by_mask[mask] = by_mask.get(mask, 0) + cnt
+    terms = {_mask_to_composition(mask, n): cnt for mask, cnt in by_mask.items()}
+    return Expansion("F", n, terms)
+
+
 @lru_cache(maxsize=None)
 def _qs_f_cached(alpha: Composition) -> Expansion:
-    counts: dict[Composition, int] = {}
-    for t in enumerate_sct(alpha):
-        beta = com_c(t)
-        counts[beta] = counts.get(beta, 0) + 1
-    return Expansion("F", sum(alpha), counts)
+    return _qs_f_profile(alpha, None)
 
 
 def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
@@ -44,16 +82,11 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     ``alpha``: the coefficient of a composition beta counts the standard
     composition tableaux of shape alpha with descent composition beta."""
     alpha = tuple(alpha)
+    if any(p < 1 for p in alpha):
+        raise ValueError(f"not a composition: {alpha}")
     if max_tableaux is None:
         return _qs_f_cached(alpha)
-    counts: dict[Composition, int] = {}
-    stream = capped(
-        enumerate_sct(alpha), max_tableaux, f"composition tableaux of shape {alpha}"
-    )
-    for t in stream:
-        beta = com_c(t)
-        counts[beta] = counts.get(beta, 0) + 1
-    return Expansion("F", sum(alpha), counts)
+    return _qs_f_profile(alpha, max_tableaux)
 
 
 def _mask_to_composition(mask: int, n: int) -> Composition:
@@ -212,29 +245,3 @@ def multiplicity_witnesses(
         (d, a, b)
         for d, (a, b) in sorted(pairs.items(), key=lambda kv: tuple(kv[0]))
     ]
-
-
-def qs_f_fast_12(alpha: Composition) -> Expansion:
-    """Product-formula fast path for compositions with all parts in {1, 2}.
-
-    Runs of 1s pass through unchanged; each run of e twos contributes the
-    distribution of qs_f((2,)*e), and keys concatenate blockwise.
-    """
-    alpha = tuple(alpha)
-    if any(p not in (1, 2) for p in alpha):
-        raise ValueError(f"parts must all be 1 or 2: {alpha}")
-    terms: dict[Composition, int] = {(): 1}
-    for value, block in itertools.groupby(alpha):
-        run = len(list(block))
-        if value == 1:
-            tail = (1,) * run
-            terms = {key + tail: c for key, c in terms.items()}
-        else:
-            factor = qs_f((2,) * run)
-            merged: dict[Composition, int] = {}
-            for key, c in terms.items():
-                for gamma, d in factor.terms.items():
-                    joined = key + gamma
-                    merged[joined] = merged.get(joined, 0) + c * d
-            terms = merged
-    return Expansion("F", sum(alpha), terms)

@@ -4,10 +4,19 @@ Everything here is deliberately written from first principles, without
 going through the code paths it is used to check.
 """
 
+import itertools
 from math import factorial
 from typing import Iterator
 
-from qschur import DescentSet, SkewShape, composition_of, conjugate, covers_up
+from qschur import (
+    DescentSet,
+    Expansion,
+    SkewShape,
+    composition_of,
+    conjugate,
+    covers_up,
+    qs_f,
+)
 
 
 def hook_length_count(lam: tuple[int, ...]) -> int:
@@ -116,8 +125,6 @@ def two_part_closed_form(a: int, b: int) -> dict[tuple[int, ...], int] | None:
 
 def schur_hook_form(n: int, k: int) -> dict[tuple[int, ...], int]:
     """F-expansion of the hook (n-k, 1^k): one term per k-subset of [n-1]."""
-    import itertools
-
     return {
         _key(n, set(R)): 1 for R in itertools.combinations(range(1, n), k)
     }
@@ -130,3 +137,29 @@ def schur_two_row_form(n: int) -> dict[tuple[int, ...], int]:
         {_key(n, {i, j}): 1 for j in range(3, n) for i in range(1, j - 1)}
     )
     return terms
+
+
+def qs_f_fast_12(alpha: tuple[int, ...]) -> Expansion:
+    """Product-formula fast path for compositions with all parts in {1, 2}.
+
+    Runs of 1s pass through unchanged; each run of e twos contributes the
+    distribution of qs_f((2,)*e), and keys concatenate blockwise.
+    """
+    alpha = tuple(alpha)
+    if any(p not in (1, 2) for p in alpha):
+        raise ValueError(f"parts must all be 1 or 2: {alpha}")
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    for value, block in itertools.groupby(alpha):
+        run = len(list(block))
+        if value == 1:
+            tail = (1,) * run
+            terms = {key + tail: c for key, c in terms.items()}
+        else:
+            factor = qs_f((2,) * run)
+            merged: dict[tuple[int, ...], int] = {}
+            for key, c in terms.items():
+                for gamma, d in factor.terms.items():
+                    joined = key + gamma
+                    merged[joined] = merged.get(joined, 0) + c * d
+            terms = merged
+    return Expansion("F", sum(alpha), terms)

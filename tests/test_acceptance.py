@@ -10,6 +10,7 @@ from oracles import (
     chain_counts_by_level,
     compositions_with_parts_12,
     hook_length_count,
+    qs_f_fast_12,
     schur_hook_form,
     two_part_closed_form,
 )
@@ -31,7 +32,6 @@ from qschur import (
     omega_f,
     predict_family,
     qs_f,
-    qs_f_fast_12,
     schur_f,
     schur_via_qs,
     skew_schur_f,

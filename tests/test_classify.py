@@ -8,6 +8,7 @@ from qschur import (
     brute_family_fmf,
     disjoint_union,
     enumerate_compositions,
+    enumerate_skew_shapes,
     f_component_count,
     in_c2,
     in_c2_prime,
@@ -20,6 +21,7 @@ from qschur import (
     qs_f,
     verify,
 )
+from qschur.classify import _row_below_left_of_column
 
 
 def test_in_c2():
@@ -58,6 +60,16 @@ def test_predict_skew_examples():
     assert predict_skew(SkewShape((3, 2)).rotate180())
     assert predict_skew(SkewShape((3, 3), (1,)))  # rotation of (3, 2)
     assert not predict_skew(disjoint_union(SkewShape((2,)), SkewShape((2,))))
+
+
+def test_row_below_left_of_column_matches_disjoint_unions():
+    for n in range(0, 10):
+        unions = {
+            disjoint_union(SkewShape((n - k,)), SkewShape((1,) * k))
+            for k in range(1, n)
+        }
+        for shape in enumerate_skew_shapes(n):
+            assert _row_below_left_of_column(shape) == (shape in unions)
 
 
 def test_predict_qs_components_examples():
@@ -143,11 +155,9 @@ def test_verify_budget_aborts_loudly():
         verify("schur", 6, max_tableaux=1)
 
 
-def test_verify_deterministic_across_threads():
-    one = verify("schur", 7, threads=1)
-    four = verify("schur", 7, threads=4)
-    assert json.dumps(one.to_json_obj()) == json.dumps(four.to_json_obj())
-    again = verify("schur", 7, threads=1)
+def test_verify_deterministic_across_runs():
+    one = verify("schur", 7)
+    again = verify("schur", 7)
     assert json.dumps(one.to_json_obj()) == json.dumps(again.to_json_obj())
 
 

@@ -89,8 +89,7 @@ def test_verify_command():
 
 def test_verify_json_roundtrip():
     result = run(
-        "verify", "--theorem", "schur", "--max-n", "6", "--format", "json",
-        "--threads", "2",
+        "verify", "--theorem", "schur", "--max-n", "6", "--format", "json"
     )
     assert result.exit_code == 0
     obj = json.loads(result.output)
@@ -109,6 +108,7 @@ def test_usage_errors_exit_2():
     assert run("expand", "--kind", "schur", "--partition", "1,2").exit_code == 2
     assert run("expand", "--kind", "skew", "--outer", "2,1", "--inner", "3").exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "0").exit_code == 2
+    assert run("verify", "--theorem", "schur", "--max-n", "4", "--threads", "2").exit_code == 2
 
 
 def test_budget_exit_3():

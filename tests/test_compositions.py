@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +84,19 @@ def test_rearrangements():
     ]
     assert rearrangements((4,)) == [(4,)]
     assert len(rearrangements((2, 1, 1))) == 3
+
+
+def test_rearrangements_match_distinct_permutations():
+    for n in range(0, 9):
+        for lam in enumerate_partitions(n):
+            assert rearrangements(lam) == sorted(set(itertools.permutations(lam)))
+
+
+def test_rearrangements_never_visit_repeated_orderings():
+    # Both inputs have astronomically many permutations but few distinct ones.
+    assert rearrangements((1,) * 20) == [(1,) * 20]
+    multinomial = factorial(13) // (factorial(2) * factorial(10))
+    assert len(rearrangements((3, 2, 2) + (1,) * 10)) == multinomial
 
 
 def test_conjugate():

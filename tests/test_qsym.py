@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import compositions_with_parts_12
+from oracles import compositions_with_parts_12, qs_f_fast_12
 from qschur import (
     CompositionTableau,
     DescentSet,
@@ -25,7 +25,6 @@ from qschur import (
     multiplicity_witnesses,
     omega_f,
     qs_f,
-    qs_f_fast_12,
     schur_f,
     schur_via_qs,
     skew_schur_f,
@@ -63,10 +62,12 @@ def test_schur_f_matches_tableau_tally():
 
 
 def test_qs_f_matches_tableau_tally():
-    for n in range(0, 8):
+    for n in range(0, 11):
         for alpha in enumerate_compositions(n):
             tally = Counter(com_c(t) for t in enumerate_sct(alpha))
             assert qs_f(alpha) == F(n, tally)
+            total = sum(tally.values())
+            assert qs_f(alpha, max_tableaux=total) == F(n, tally)
 
 
 def test_coefficient_totals_count_tableaux():
@@ -236,6 +237,15 @@ def test_budget_paths():
         multiplicity_witnesses((2, 2), max_tableaux=1)
     assert qs_f((2, 2), max_tableaux=10) == qs_f((2, 2))
     assert skew_schur_f(SkewShape((2, 2)), max_tableaux=10) == schur_f((2, 2))
+
+
+def test_qs_f_budget_aborts_early():
+    from qschur import BudgetExceededError
+
+    # 87,516 tableaux; the frontier passes 10 partial chains within a few
+    # levels, so the full profile is never built.
+    with pytest.raises(BudgetExceededError, match="tableau budget of 10"):
+        qs_f((6, 6, 6), max_tableaux=10)
 
 
 def test_expansion_serialization_roundtrip():
