@@ -51,6 +51,19 @@ class Expansion:
         self.degree = degree
         self._terms = dict(sorted(clean.items()))
 
+    @classmethod
+    def _trusted(
+        cls, basis: str, degree: int, terms: dict[Composition, int]
+    ) -> "Expansion":
+        """Wrap terms that are already valid, with positive coefficients (as
+        the expansion engines produce them), skipping the checks of
+        ``__init__`` but still ordering the keys."""
+        obj = cls.__new__(cls)
+        obj.basis = basis
+        obj.degree = degree
+        obj._terms = dict(sorted(terms.items()))
+        return obj
+
     @property
     def terms(self) -> Mapping[Composition, int]:
         return MappingProxyType(self._terms)

@@ -1,16 +1,26 @@
 """Expansions in the fundamental quasisymmetric basis.
 
-Three generators feed everything else: the quasisymmetric expansion of a
-composition shape (by a level-by-level distribution of descent sets over the
-cover chains that define composition tableaux), the expansion of a skew
-shape (by a memoized distribution over standard-tableau descent sets), and
-the Schur case as the straight-shape specialization.
+Three generators feed everything else, and none lists tableaux:
+
+- ``qs_f``, the quasisymmetric expansion of a composition shape, distributes
+  descent sets level by level over the cover chains that define composition
+  tableaux;
+- ``skew_schur_f``, the expansion of a skew shape, counts standard tableaux
+  by descent set on the shape left after removing the cell holding 1
+  (Stanley's transfer-matrix method, EC1 section 4.7).  That memo is shared
+  by every call and split by size; a call on a shape of size n keeps no
+  level below n - 1, so an upward sweep over all shapes computes each one
+  once from the level below and keeps two levels between calls;
+- ``schur_f`` is the straight-shape case of ``skew_schur_f``.
+
+Both engines hand a count per descent bitmask to one function,
+``_f_expansion``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 from .compositions import (
     Composition,
@@ -28,6 +38,33 @@ from .shapes import SkewShape
 from .young import des_p, enumerate_syt
 
 TableauSource = Union[Composition, SkewShape]
+
+
+# Unbounded: it holds one entry per descent set the engines produced, and an
+# LRU's per-entry bookkeeping cost more memory than it would ever evict.
+@lru_cache(maxsize=None)
+def _composition_of_mask(key: int) -> Composition:
+    """Decode ``mask | 1 << (n - 1)``, a descent bitmask of degree n (bit t
+    set = descent at t + 1) whose top bit carries n: it closes the last part."""
+    parts = []
+    prev = 0
+    pos = 1
+    while key:
+        if key & 1:
+            parts.append(pos - prev)
+            prev = pos
+        key >>= 1
+        pos += 1
+    return tuple(parts)
+
+
+def _f_expansion(by_mask: dict[int, int], n: int) -> Expansion:
+    """The F-expansion of degree ``n`` >= 1 with the given count per descent
+    mask, built without re-validating the engine's output."""
+    top = 1 << (n - 1)
+    return Expansion._trusted(
+        "F", n, {_composition_of_mask(mask | top): cnt for mask, cnt in by_mask.items()}
+    )
 
 
 def _qs_f_profile(alpha: Composition, max_tableaux: int | None) -> Expansion:
@@ -68,8 +105,7 @@ def _qs_f_profile(alpha: Composition, max_tableaux: int | None) -> Expansion:
     for masks in frontier.values():
         for mask, cnt in masks.items():
             by_mask[mask] = by_mask.get(mask, 0) + cnt
-    terms = {_mask_to_composition(mask, n): cnt for mask, cnt in by_mask.items()}
-    return Expansion("F", n, terms)
+    return _f_expansion(by_mask, n)
 
 
 @lru_cache(maxsize=None)
@@ -89,76 +125,152 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     return _qs_f_profile(alpha, max_tableaux)
 
 
-def _mask_to_composition(mask: int, n: int) -> Composition:
-    """Decode a descent bitmask (bit t set = descent at t+1) of degree n."""
-    parts = []
-    prev = 0
-    pos = 1
-    while mask:
-        if mask & 1:
-            parts.append(pos - prev)
-            prev = pos
-        mask >>= 1
-        pos += 1
-    parts.append(n - prev)
-    return tuple(parts)
+# A basic-form skew shape as its row intervals (a, b], top row first.
+Intervals = tuple[tuple[int, int], ...]
+# One entry per inner-corner row i of a shape: the descent masks of its
+# standard fillings with 1 in row i, and how many fillings have each mask.
+Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
+Profile = tuple[Entry, ...]
+
+# Shared across calls: _PROFILES[m] maps the shapes with m cells to their
+# profiles.  A call on a shape with n cells keeps no level below n - 1.
+_PROFILES: dict[int, dict[Intervals, Profile]] = {}
+_SINGLE_CELL: Profile = ((0, (0,), (1,)),)
+
+
+def _corners(ivs: Intervals) -> list[int]:
+    """Rows whose leftmost cell has no cell above it: where 1 can sit."""
+    return [i for i in range(len(ivs)) if not i or ivs[i - 1][0] != ivs[i][0]]
+
+
+def _remove_first(ivs: Intervals, i: int) -> Intervals:
+    """Row intervals, in basic form, left after removing the leftmost cell
+    of the inner-corner row ``i``."""
+    a, b = ivs[i]
+    if i + 1 == len(ivs) or ivs[i + 1][1] <= a:
+        # Column a + 1 empties; the rows above i lie wholly right of it.
+        head = tuple((x - 1, y - 1) for x, y in ivs[:i])
+        row = (a, b - 1)
+    else:
+        head = ivs[:i]
+        row = (a + 1, b)
+    if row[0] < row[1]:
+        return head + (row,) + ivs[i + 1 :]
+    return head + ivs[i + 1 :]
+
+
+def _merged(entries: Sequence[Entry]) -> tuple:
+    """Masks and counts of the sum of some profile entries."""
+    _, masks, counts = entries[0]
+    if len(entries) == 1:
+        return masks, counts
+    acc = dict(zip(masks, counts))
+    for _, ms, cs in entries[1:]:
+        for m, c in zip(ms, cs):
+            acc[m] = acc.get(m, 0) + c
+    return acc.keys(), acc.values()
+
+
+def _profile_of(ivs: Intervals, below: dict[Intervals, Profile]) -> Profile:
+    """Profile of a shape from the profiles of the shapes one cell smaller.
+
+    Removing the cell holding 1 from row i leaves a child whose entry 1 is
+    the parent's entry 2; entry 1 is a descent when that cell lies in a
+    lower row.  Those are the child's rows from t on: from i + 1, or from i
+    when row i empties.  The masks of the two groups differ in bit 0, so
+    only entries within a group need merging.
+    """
+    out = []
+    for i in _corners(ivs):
+        a, b = ivs[i]
+        t = i if a + 1 == b else i + 1
+        entries = below[_remove_first(ivs, i)]
+        groups = ([e for e in entries if e[0] < t], [e for e in entries if e[0] >= t])
+        keys: list[int] = []
+        counts: list[int] = []
+        for d, group in enumerate(groups):
+            if group:
+                ms, cs = _merged(group)
+                keys += [m << 1 | d for m in ms]
+                counts += cs
+        out.append((i, tuple(keys), tuple(counts)))
+    return tuple(out)
+
+
+def _evict_below(m: int) -> None:
+    """Drop the memo's levels below ``m``, and empty ones an abort left."""
+    for level in [k for k, v in _PROFILES.items() if k < m or not v]:
+        del _PROFILES[level]
+
+
+def _skew_profile(
+    ivs: Intervals, n: int, max_tableaux: int | None, what: str
+) -> Profile:
+    """Profile of the shape ``ivs`` with ``n`` >= 1 cells, through the shared
+    memo.  The shapes it still lacks are found top-down, level by level,
+    then computed bottom-up; with a budget, the first one with more fillings
+    than the budget aborts the call, since every filling of a shape left
+    after removing cells extends to one of ``ivs``."""
+    _evict_below(n - 1)
+    try:
+        # Hold each level here, so that another thread's eviction cannot
+        # pull one from under this call.
+        levels = {n: _PROFILES.setdefault(n, {})}
+        missing: list[list[Intervals]] = []
+        frontier = [] if ivs in levels[n] else [ivs]
+        m = n
+        while frontier:
+            missing.append(frontier)
+            m -= 1
+            if m == 0:
+                break
+            known = levels[m] = _PROFILES.setdefault(m, {})
+            frontier = list(
+                {
+                    child
+                    for state in frontier
+                    for i in _corners(state)
+                    if (child := _remove_first(state, i)) not in known
+                }
+            )
+        for depth in range(len(missing) - 1, -1, -1):
+            m = n - depth
+            level, below = levels[m], levels.get(m - 1)
+            for state in missing[depth]:
+                prof = _SINGLE_CELL if m == 1 else _profile_of(state, below)
+                if max_tableaux is not None and (
+                    sum(sum(counts) for _, _, counts in prof) > max_tableaux
+                ):
+                    raise BudgetExceededError(what, max_tableaux)
+                level[state] = prof
+        return levels[n][ivs]
+    finally:
+        _evict_below(n - 1)
 
 
 def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion:
     """Fundamental expansion of the skew Schur function of ``shape``.
 
     The coefficient of beta counts standard Young tableaux whose descent
-    composition is beta.  Rather than materializing tableaux, this shares
-    fill states: a state is the per-row frontier of filled cells, and its
-    value is the distribution of (row of next entry, descent pattern of the
-    remaining entries) over all completions.
+    composition is beta (Gessel).  Rather than listing tableaux, this counts
+    them by descent set on the shape that remains after removing the cell
+    holding 1, memoised across calls: every skew shape ``verify`` meets is
+    computed once from the shapes one cell smaller.  The memo is split by
+    size, and a call on a shape of size n first and last evicts every level
+    below n - 1, so an upward sweep, whose children were all computed at the
+    previous degree, loses nothing.  With ``max_tableaux``, any remaining
+    shape with more tableaux than the budget raises
+    :class:`BudgetExceededError` before larger ones are built.
     """
     n = shape.size
     if n == 0:
         return Expansion("F", 0, {(): 1})
-    ivs = shape.row_intervals()
-    r = len(ivs)
-    ends = tuple(b for _, b in ivs)
-    memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-
-    def moves(ptr: tuple[int, ...]) -> list[int]:
-        out = []
-        for i in range(r):
-            p = ptr[i]
-            if p > ends[i]:
-                continue
-            if i:
-                a_up, b_up = ivs[i - 1]
-                if a_up < p <= b_up and ptr[i - 1] <= p:
-                    continue
-            out.append(i)
-        return out
-
-    def profiles(ptr: tuple[int, ...], remaining: int) -> dict[tuple[int, int], int]:
-        cached = memo.get(ptr)
-        if cached is not None:
-            return cached
-        out: dict[tuple[int, int], int] = {}
-        for i in moves(ptr):
-            if remaining == 1:
-                key = (i, 0)
-                out[key] = out.get(key, 0) + 1
-                continue
-            child = ptr[:i] + (ptr[i] + 1,) + ptr[i + 1 :]
-            for (first, mask), cnt in profiles(child, remaining - 1).items():
-                key = (i, (mask << 1) | (first > i))
-                out[key] = out.get(key, 0) + cnt
-        memo[ptr] = out
-        return out
-
-    top = profiles(tuple(a + 1 for a, _ in ivs), n)
-    by_mask: dict[int, int] = {}
-    for (_, mask), cnt in top.items():
-        by_mask[mask] = by_mask.get(mask, 0) + cnt
+    what = f"tableaux of shape {shape}"
+    profile = _skew_profile(tuple(shape.row_intervals()), n, max_tableaux, what)
+    by_mask = dict(zip(*_merged(profile)))
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
-        raise BudgetExceededError(f"tableaux of shape {shape}", max_tableaux)
-    terms = {_mask_to_composition(mask, n): cnt for mask, cnt in by_mask.items()}
-    return Expansion("F", n, terms)
+        raise BudgetExceededError(what, max_tableaux)
+    return _f_expansion(by_mask, n)
 
 
 @lru_cache(maxsize=None)

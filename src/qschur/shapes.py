@@ -94,15 +94,23 @@ class SkewShape:
         return list(zip(pad, self.outer))
 
     def transpose(self) -> "SkewShape":
-        return SkewShape.from_cells((j, i) for i, j in self.cells)
+        # As a and b weakly decrease, the rows of column j form an interval:
+        # below the rows with a >= j, down to the last row with b >= j.
+        ivs = self.row_intervals()
+        ncols = self.outer[0] if self.outer else 0
+        return _from_intervals(
+            [
+                (sum(1 for a, _ in ivs if a >= j), sum(1 for _, b in ivs if b >= j))
+                for j in range(1, ncols + 1)
+            ]
+        )
 
     def rotate180(self) -> "SkewShape":
         if not self.outer:
             return self
-        nrows = len(self.outer)
         ncols = self.outer[0]
-        return SkewShape.from_cells(
-            (nrows + 1 - i, ncols + 1 - j) for i, j in self.cells
+        return _from_intervals(
+            [(ncols - b, ncols - a) for a, b in reversed(self.row_intervals())]
         )
 
     def is_connected(self) -> bool:
@@ -141,6 +149,14 @@ class SkewShape:
         if not self.inner:
             return out or "()"
         return f"{out}/{','.join(map(str, self.inner))}"
+
+
+def _from_intervals(ivs: list[tuple[int, int]]) -> SkewShape:
+    """The shape with these row intervals (a, b], already in basic form."""
+    shape = SkewShape.__new__(SkewShape)
+    shape.outer = tuple(b for _, b in ivs)
+    shape.inner = tuple(a for a, _ in ivs if a)
+    return shape
 
 
 def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:

@@ -76,6 +76,72 @@ def skew_shapes_by_pairs(n: int) -> set[SkewShape]:
     return found
 
 
+def transpose_by_cells(shape: SkewShape) -> SkewShape:
+    """Transpose by reflecting every cell in the main diagonal."""
+    return SkewShape.from_cells((j, i) for i, j in shape.cells)
+
+
+def rotate180_by_cells(shape: SkewShape) -> SkewShape:
+    """Rotate by a half turn of every cell inside the bounding box."""
+    if not shape.outer:
+        return shape
+    nrows = len(shape.outer)
+    ncols = shape.outer[0]
+    return SkewShape.from_cells(
+        (nrows + 1 - i, ncols + 1 - j) for i, j in shape.cells
+    )
+
+
+def skew_schur_f_pointer(shape: SkewShape) -> Expansion:
+    """F-expansion of a skew shape by a memo private to the shape.
+
+    A state is the per-row pointer to the next cell to fill, and its value
+    maps (row of the next entry, descent mask of the remaining entries) to
+    the number of completions.  Bit t of a mask is a descent at t + 1.
+    """
+    n = shape.size
+    if n == 0:
+        return Expansion("F", 0, {(): 1})
+    ivs = shape.row_intervals()
+    r = len(ivs)
+    memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+
+    def moves(ptr: tuple[int, ...]) -> list[int]:
+        out = []
+        for i in range(r):
+            p = ptr[i]
+            if p > ivs[i][1]:
+                continue
+            if i:
+                a_up, b_up = ivs[i - 1]
+                if a_up < p <= b_up and ptr[i - 1] <= p:
+                    continue
+            out.append(i)
+        return out
+
+    def profiles(ptr: tuple[int, ...], remaining: int) -> dict[tuple[int, int], int]:
+        if ptr in memo:
+            return memo[ptr]
+        out: dict[tuple[int, int], int] = {}
+        for i in moves(ptr):
+            if remaining == 1:
+                out[(i, 0)] = out.get((i, 0), 0) + 1
+                continue
+            child = ptr[:i] + (ptr[i] + 1,) + ptr[i + 1 :]
+            for (first, mask), cnt in profiles(child, remaining - 1).items():
+                key = (i, (mask << 1) | (first > i))
+                out[key] = out.get(key, 0) + cnt
+        memo[ptr] = out
+        return out
+
+    terms: dict[tuple[int, ...], int] = {}
+    for (_, mask), cnt in profiles(tuple(a + 1 for a, _ in ivs), n).items():
+        cuts = [0] + [t + 1 for t in range(n - 1) if mask >> t & 1] + [n]
+        key = tuple(cuts[k + 1] - cuts[k] for k in range(len(cuts) - 1))
+        terms[key] = terms.get(key, 0) + cnt
+    return Expansion("F", n, terms)
+
+
 def compositions_with_parts_12(n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()

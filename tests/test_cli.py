@@ -120,3 +120,6 @@ def test_budget_exit_3():
         "check", "--kind", "qs", "--composition", "2,2,2", "--budget", "1"
     )
     assert result.exit_code == 3
+    # Aborts on a small remaining shape, before the 2^38-mask profile.
+    result = run("expand", "--kind", "skew", "--outer", "20,19", "--budget", "10")
+    assert result.exit_code == 3

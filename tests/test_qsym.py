@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 
-from oracles import compositions_with_parts_12, qs_f_fast_12
+import qschur.qsym
+from oracles import compositions_with_parts_12, qs_f_fast_12, skew_schur_f_pointer
 from qschur import (
     CompositionTableau,
     DescentSet,
@@ -55,10 +57,60 @@ def test_schur_f_small():
 
 
 def test_schur_f_matches_tableau_tally():
-    for n in range(0, 7):
+    for n in range(0, 8):
         for shape in enumerate_skew_shapes(n):
             tally = Counter(com_p(t) for t in enumerate_syt(shape))
             assert skew_schur_f(shape) == F(n, tally)
+    for n in range(0, 11):
+        for lam in enumerate_partitions(n):
+            tally = Counter(com_p(t) for t in enumerate_syt(SkewShape(lam)))
+            assert schur_f(lam) == F(n, tally)
+
+
+def test_shared_engine_matches_per_shape_memo():
+    for shape in enumerate_skew_shapes(8):
+        assert skew_schur_f(shape) == skew_schur_f_pointer(shape)
+    for n in range(0, 14):
+        for lam in enumerate_partitions(n):
+            assert schur_f(lam, 10**7) == skew_schur_f_pointer(SkewShape(lam))
+
+
+def test_shared_memo_is_order_independent():
+    shapes = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    ascending = list(range(len(shapes)))
+    shuffled = ascending[:]
+    random.Random(7).shuffle(shuffled)
+    memo = qschur.qsym._PROFILES
+    results = []
+    for order in (ascending, ascending[::-1], shuffled):
+        memo.clear()
+        got = {}
+        for k in order:
+            got[k] = skew_schur_f(shapes[k])
+            assert all(level >= shapes[k].size - 1 for level in memo)
+        results.append(got)
+    assert results[0] == results[1] == results[2]
+
+
+def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
+    memo = qschur.qsym._PROFILES
+    memo.clear()
+    for n in range(0, 7):
+        for shape in enumerate_skew_shapes(n):
+            skew_schur_f(shape)
+    # While a row of 9 cells is built, the levels below 8 hold only rows.
+    stale = []
+    profile_of = qschur.qsym._profile_of
+
+    def watched(ivs, below):
+        stale.extend(
+            s for m, level in memo.items() if m < 8 for s in level if len(s) > 1
+        )
+        return profile_of(ivs, below)
+
+    monkeypatch.setattr(qschur.qsym, "_profile_of", watched)
+    assert skew_schur_f(SkewShape((9,))) == F(9, {(9,): 1})
+    assert stale == []
 
 
 def test_qs_f_matches_tableau_tally():
@@ -246,6 +298,26 @@ def test_qs_f_budget_aborts_early():
     # levels, so the full profile is never built.
     with pytest.raises(BudgetExceededError, match="tableau budget of 10"):
         qs_f((6, 6, 6), max_tableaux=10)
+
+
+def test_skew_budget_aborts_early(monkeypatch):
+    from qschur import BudgetExceededError
+
+    # The profile of (20, 19) has 2^38 possible masks; its small remaining
+    # shapes pass 10 tableaux after a few profiles, so it is never built.
+    built = []
+    profile_of = qschur.qsym._profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
+    )
+    message = "tableaux of shape 20,19 exceeded the tableau budget of 10"
+    with pytest.raises(BudgetExceededError, match=message):
+        skew_schur_f(SkewShape((20, 19)), max_tableaux=10)
+    assert len(built) < 100
+    # A memo hit at the root still meets the budget.
+    skew_schur_f(SkewShape((3, 2)))
+    with pytest.raises(BudgetExceededError):
+        skew_schur_f(SkewShape((3, 2)), max_tableaux=4)
 
 
 def test_expansion_serialization_roundtrip():

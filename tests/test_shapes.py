@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import skew_shapes_by_pairs
+from oracles import rotate180_by_cells, skew_shapes_by_pairs, transpose_by_cells
 from qschur import SkewShape, disjoint_union, enumerate_skew_shapes
 
 # Shape counts of sizes 0..8, cross-checked against the pair oracle below
@@ -62,6 +62,13 @@ def test_rotate180():
     assert SkewShape((2, 1)).rotate180() == SkewShape((2, 2), (1,))
     assert SkewShape((2, 2)).rotate180() == SkewShape((2, 2))
     assert SkewShape((1,)).rotate180() == SkewShape((1,))
+
+
+def test_interval_symmetries_match_cell_sets():
+    for n in range(0, 10):
+        for shape in enumerate_skew_shapes(n):
+            assert shape.transpose() == transpose_by_cells(shape)
+            assert shape.rotate180() == rotate180_by_cells(shape)
 
 
 def test_disjoint_union():
