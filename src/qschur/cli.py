@@ -94,7 +94,10 @@ _format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
 )
 _budget_option = click.option(
-    "--budget", type=int, default=DEFAULT_MAX_TABLEAUX, show_default=True
+    "--budget",
+    type=click.IntRange(min=1),
+    default=DEFAULT_MAX_TABLEAUX,
+    show_default=True,
 )
 
 

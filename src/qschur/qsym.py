@@ -2,25 +2,27 @@
 
 Three generators feed everything else, and none lists tableaux:
 
-- ``qs_f``, the quasisymmetric expansion of a composition shape, distributes
-  descent sets level by level over the cover chains that define composition
-  tableaux;
+- ``qs_f``, the quasisymmetric expansion of a composition shape, counts the
+  cover chains that define composition tableaux (Haglund, Luoto, Mason and
+  van Willigenburg) by descent set;
 - ``skew_schur_f``, the expansion of a skew shape, counts standard tableaux
-  by descent set on the shape left after removing the cell holding 1
-  (Stanley's transfer-matrix method, EC1 section 4.7).  That memo is shared
-  by every call and split by size; a call on a shape of size n keeps no
-  level below n - 1, so an upward sweep over all shapes computes each one
-  once from the level below and keeps two levels between calls;
+  by descent set (Gessel);
 - ``schur_f`` is the straight-shape case of ``skew_schur_f``.
 
-Both engines hand a count per descent bitmask to one function,
-``_f_expansion``.
+All three run one engine, Stanley's transfer-matrix method (EC1 section
+4.7): the descent profile of a state is built from the profiles of the
+states left after removing the cell holding 1.  The engine takes a set of
+moves, one for compositions and one for skew shapes, and keeps one memo for
+both, shared by every call and split by size.  A call on a state of size n
+keeps only levels n - 1 and n, so an upward sweep computes each state once
+from the level below.  Every expansion is built from a count per descent
+bitmask by one function, ``_f_expansion``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .compositions import (
     Composition,
@@ -67,75 +69,34 @@ def _f_expansion(by_mask: dict[int, int], n: int) -> Expansion:
     )
 
 
-def _qs_f_profile(alpha: Composition, max_tableaux: int | None) -> Expansion:
-    """Count standard composition tableaux of shape ``alpha`` by descent set,
-    one level of the cover chain at a time.
-
-    Removing the cells 1, 2, ..., n in order walks an inverse cover chain
-    down to the empty composition.  After removing cell i, a frontier state
-    is the remaining composition with the column of cell i, and its value
-    maps the descent bitmask of entries 1..i-1 to the number of chains that
-    reach the state with it; entry i-1 is a descent when cell i sits weakly
-    right of cell i-1.  Every nonempty composition has a down move, so the
-    frontier's count never drops and ends at the number of tableaux.
-    """
-    n = sum(alpha)
-    if n == 0:
-        return Expansion("F", 0, {(): 1})
-    # No column exceeds n, so the first removal never records a descent.
-    frontier: dict[tuple[Composition, int], dict[int, int]] = {(alpha, n + 1): {0: 1}}
-    for entry in range(1, n + 1):
-        bit = 1 << (entry - 2) if entry > 1 else 0
-        nxt: dict[tuple[Composition, int], dict[int, int]] = {}
-        for (shape, last), masks in frontier.items():
-            for col, child in _down_moves(shape):
-                descent = bit if col >= last else 0
-                into = nxt.setdefault((child, col), {})
-                for mask, cnt in masks.items():
-                    mask |= descent
-                    into[mask] = into.get(mask, 0) + cnt
-        frontier = nxt
-        if max_tableaux is not None and (
-            sum(sum(masks.values()) for masks in frontier.values()) > max_tableaux
-        ):
-            raise BudgetExceededError(
-                f"composition tableaux of shape {alpha}", max_tableaux
-            )
-    by_mask: dict[int, int] = {}
-    for masks in frontier.values():
-        for mask, cnt in masks.items():
-            by_mask[mask] = by_mask.get(mask, 0) + cnt
-    return _f_expansion(by_mask, n)
-
-
-@lru_cache(maxsize=None)
-def _qs_f_cached(alpha: Composition) -> Expansion:
-    return _qs_f_profile(alpha, None)
-
-
-def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
-    """Fundamental expansion of the quasisymmetric Schur function of shape
-    ``alpha``: the coefficient of a composition beta counts the standard
-    composition tableaux of shape alpha with descent composition beta."""
-    alpha = tuple(alpha)
-    if any(p < 1 for p in alpha):
-        raise ValueError(f"not a composition: {alpha}")
-    if max_tableaux is None:
-        return _qs_f_cached(alpha)
-    return _qs_f_profile(alpha, max_tableaux)
-
-
-# A basic-form skew shape as its row intervals (a, b], top row first.
+# A state is a composition or a basic-form skew shape, as its row intervals
+# (a, b], top row first.  A move removes the cell holding 1: it is
+# (key, child, threshold), where the key locates that cell (its column in a
+# composition, its row in a skew shape), the child is the state left, and
+# entry 1 is a descent when the child's cell holding 1 has key >= threshold.
 Intervals = tuple[tuple[int, int], ...]
-# One entry per inner-corner row i of a shape: the descent masks of its
-# standard fillings with 1 in row i, and how many fillings have each mask.
+State = Union[Composition, Intervals]
+Move = tuple[int, State, int]
+Moves = Callable[[State], list[Move]]
+# One entry per move of a state: the key of the cell holding 1, the descent
+# masks (bit t set = descent at t + 1) of the fillings that put 1 there, and
+# how many fillings have each mask.  Composition states may repeat a key.
 Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
 Profile = tuple[Entry, ...]
 
-# Shared across calls: _PROFILES[m] maps the shapes with m cells to their
-# profiles.  A call on a shape with n cells keeps no level below n - 1.
-_PROFILES: dict[int, dict[Intervals, Profile]] = {}
-_SINGLE_CELL: Profile = ((0, (0,), (1,)),)
+# Shared across calls and across both kinds of state: _PROFILES[m] maps the
+# states with m cells to their profiles.  A call on a state with n cells
+# keeps only levels n - 1 and n.
+_PROFILES: dict[int, dict[State, Profile]] = {}
+# The empty state has one filling; its key lies below every threshold, so
+# entry 1 of a one-cell state is never a descent.
+_EMPTY_LEVEL: dict[State, Profile] = {(): ((-1, (0,), (1,)),)}
+
+
+def _qs_moves(alpha: Composition) -> list[Move]:
+    """Inverse cover moves of a composition; entry 1 is a descent when
+    entry 2 sits weakly right of it."""
+    return [(col, child, col) for col, child in _down_moves(alpha)]
 
 
 def _corners(ivs: Intervals) -> list[int]:
@@ -159,6 +120,15 @@ def _remove_first(ivs: Intervals, i: int) -> Intervals:
     return head + ivs[i + 1 :]
 
 
+def _skew_moves(ivs: Intervals) -> list[Move]:
+    """Moves of a skew shape; entry 1 is a descent when entry 2 lies in a
+    lower row: the child's rows from i + 1 on, or from i when row i empties."""
+    return [
+        (i, _remove_first(ivs, i), i if ivs[i][0] + 1 == ivs[i][1] else i + 1)
+        for i in _corners(ivs)
+    ]
+
+
 def _merged(entries: Sequence[Entry]) -> tuple:
     """Masks and counts of the sum of some profile entries."""
     _, masks, counts = entries[0]
@@ -171,20 +141,15 @@ def _merged(entries: Sequence[Entry]) -> tuple:
     return acc.keys(), acc.values()
 
 
-def _profile_of(ivs: Intervals, below: dict[Intervals, Profile]) -> Profile:
-    """Profile of a shape from the profiles of the shapes one cell smaller.
-
-    Removing the cell holding 1 from row i leaves a child whose entry 1 is
-    the parent's entry 2; entry 1 is a descent when that cell lies in a
-    lower row.  Those are the child's rows from t on: from i + 1, or from i
-    when row i empties.  The masks of the two groups differ in bit 0, so
-    only entries within a group need merging.
+def _profile_of(moves: list[Move], below: dict[State, Profile]) -> Profile:
+    """Profile of a state from its moves and the profiles of the states one
+    cell smaller.  A child's entry 1 is the parent's entry 2, so the child's
+    entries split into those below the threshold and those at or above it;
+    their masks differ in bit 0, so only entries within a group need merging.
     """
     out = []
-    for i in _corners(ivs):
-        a, b = ivs[i]
-        t = i if a + 1 == b else i + 1
-        entries = below[_remove_first(ivs, i)]
+    for key, child, t in moves:
+        entries = below[child]
         groups = ([e for e in entries if e[0] < t], [e for e in entries if e[0] >= t])
         keys: list[int] = []
         counts: list[int] = []
@@ -193,31 +158,32 @@ def _profile_of(ivs: Intervals, below: dict[Intervals, Profile]) -> Profile:
                 ms, cs = _merged(group)
                 keys += [m << 1 | d for m in ms]
                 counts += cs
-        out.append((i, tuple(keys), tuple(counts)))
+        out.append((key, tuple(keys), tuple(counts)))
     return tuple(out)
 
 
-def _evict_below(m: int) -> None:
-    """Drop the memo's levels below ``m``, and empty ones an abort left."""
-    for level in [k for k, v in _PROFILES.items() if k < m or not v]:
-        del _PROFILES[level]
+def _evict(n: int) -> None:
+    """Drop every level of the memo but ``n - 1`` and ``n``."""
+    for level in list(_PROFILES):
+        if level != n and level != n - 1:
+            _PROFILES.pop(level, None)
 
 
-def _skew_profile(
-    ivs: Intervals, n: int, max_tableaux: int | None, what: str
+def _profile(
+    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
 ) -> Profile:
-    """Profile of the shape ``ivs`` with ``n`` >= 1 cells, through the shared
-    memo.  The shapes it still lacks are found top-down, level by level,
-    then computed bottom-up; with a budget, the first one with more fillings
-    than the budget aborts the call, since every filling of a shape left
-    after removing cells extends to one of ``ivs``."""
-    _evict_below(n - 1)
+    """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo.
+    The states it still lacks are found top-down, level by level, then
+    computed bottom-up; with a budget, the first one with more fillings than
+    the budget aborts the call, since every filling of a state left after
+    removing cells extends to one of ``state``."""
+    _evict(n)
     try:
         # Hold each level here, so that another thread's eviction cannot
         # pull one from under this call.
-        levels = {n: _PROFILES.setdefault(n, {})}
-        missing: list[list[Intervals]] = []
-        frontier = [] if ivs in levels[n] else [ivs]
+        levels = {n: _PROFILES.setdefault(n, {}), 0: _EMPTY_LEVEL}
+        missing: list[list[State]] = []
+        frontier = [] if state in levels[n] else [state]
         m = n
         while frontier:
             missing.append(frontier)
@@ -226,26 +192,53 @@ def _skew_profile(
                 break
             known = levels[m] = _PROFILES.setdefault(m, {})
             frontier = list(
-                {
-                    child
-                    for state in frontier
-                    for i in _corners(state)
-                    if (child := _remove_first(state, i)) not in known
-                }
+                {child for s in frontier for _, child, _ in moves(s) if child not in known}
             )
         for depth in range(len(missing) - 1, -1, -1):
             m = n - depth
-            level, below = levels[m], levels.get(m - 1)
-            for state in missing[depth]:
-                prof = _SINGLE_CELL if m == 1 else _profile_of(state, below)
+            level, below = levels[m], levels[m - 1]
+            for s in missing[depth]:
+                prof = _profile_of(moves(s), below)
                 if max_tableaux is not None and (
                     sum(sum(counts) for _, _, counts in prof) > max_tableaux
                 ):
                     raise BudgetExceededError(what, max_tableaux)
-                level[state] = prof
-        return levels[n][ivs]
+                level[s] = prof
+        return levels[n][state]
     finally:
-        _evict_below(n - 1)
+        _evict(n)
+
+
+def _expand(
+    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
+) -> Expansion:
+    """The F-expansion of ``state``, with ``n`` cells, from its profile."""
+    if n == 0:
+        return Expansion("F", 0, {(): 1})
+    by_mask = dict(zip(*_merged(_profile(state, n, moves, max_tableaux, what))))
+    # The root may be a memo hit, so it meets the budget here.
+    if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
+        raise BudgetExceededError(what, max_tableaux)
+    return _f_expansion(by_mask, n)
+
+
+def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
+    """Fundamental expansion of the quasisymmetric Schur function of shape
+    ``alpha``: the coefficient of a composition beta counts the standard
+    composition tableaux of shape alpha with descent composition beta.
+
+    Removing the cells 1, 2, ..., n in order walks an inverse cover chain
+    down to the empty composition, so this counts chains by descent set on
+    the composition left after removing the cell holding 1, through the memo
+    that :func:`skew_schur_f` uses.  With ``max_tableaux``, any remaining
+    composition with more tableaux than the budget raises
+    :class:`BudgetExceededError` before larger ones are built.
+    """
+    alpha = tuple(alpha)
+    if any(p < 1 for p in alpha):
+        raise ValueError(f"not a composition: {alpha}")
+    what = f"composition tableaux of shape {alpha}"
+    return _expand(alpha, sum(alpha), _qs_moves, max_tableaux, what)
 
 
 def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion:
@@ -257,33 +250,19 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
     holding 1, memoised across calls: every skew shape ``verify`` meets is
     computed once from the shapes one cell smaller.  The memo is split by
     size, and a call on a shape of size n first and last evicts every level
-    below n - 1, so an upward sweep, whose children were all computed at the
-    previous degree, loses nothing.  With ``max_tableaux``, any remaining
+    but n - 1 and n, so an upward sweep, whose children were all computed at
+    the previous degree, loses nothing.  With ``max_tableaux``, any remaining
     shape with more tableaux than the budget raises
     :class:`BudgetExceededError` before larger ones are built.
     """
-    n = shape.size
-    if n == 0:
-        return Expansion("F", 0, {(): 1})
     what = f"tableaux of shape {shape}"
-    profile = _skew_profile(tuple(shape.row_intervals()), n, max_tableaux, what)
-    by_mask = dict(zip(*_merged(profile)))
-    if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
-        raise BudgetExceededError(what, max_tableaux)
-    return _f_expansion(by_mask, n)
-
-
-@lru_cache(maxsize=None)
-def _schur_f_cached(lam: Partition) -> Expansion:
-    return skew_schur_f(SkewShape(lam))
+    ivs = tuple(shape.row_intervals())
+    return _expand(ivs, shape.size, _skew_moves, max_tableaux, what)
 
 
 def schur_f(lam: Partition, max_tableaux: int | None = None) -> Expansion:
     """Fundamental expansion of the Schur function of the partition ``lam``."""
-    lam = tuple(lam)
-    if max_tableaux is None:
-        return _schur_f_cached(lam)
-    return skew_schur_f(SkewShape(lam), max_tableaux)
+    return skew_schur_f(SkewShape(tuple(lam)), max_tableaux)
 
 
 def schur_via_qs(lam: Partition) -> Expansion:

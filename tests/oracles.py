@@ -14,6 +14,7 @@ from qschur import (
     SkewShape,
     composition_of,
     conjugate,
+    covers_down,
     covers_up,
     qs_f,
 )
@@ -139,6 +140,46 @@ def skew_schur_f_pointer(shape: SkewShape) -> Expansion:
         cuts = [0] + [t + 1 for t in range(n - 1) if mask >> t & 1] + [n]
         key = tuple(cuts[k + 1] - cuts[k] for k in range(len(cuts) - 1))
         terms[key] = terms.get(key, 0) + cnt
+    return Expansion("F", n, terms)
+
+
+def qs_f_frontier(alpha: tuple[int, ...]) -> Expansion:
+    """F-expansion of a composition shape by a forward frontier over its
+    inverse cover chains, private to the shape.
+
+    Removing the cells 1, 2, ..., n in order walks a chain down to the empty
+    composition.  After removing cell i, a frontier state is the remaining
+    composition with the column of cell i, and its value maps the descent
+    mask of entries 1..i-1 to the number of chains that reach the state with
+    it; entry i-1 is a descent when cell i sits weakly right of cell i-1.
+    """
+    n = sum(alpha)
+    if n == 0:
+        return Expansion("F", 0, {(): 1})
+
+    def removed_column(shape, child):
+        if len(child) < len(shape):
+            return 1
+        return next(p for p, q in zip(shape, child) if p != q)
+
+    # No column exceeds n, so the first removal never records a descent.
+    frontier = {(alpha, n + 1): {0: 1}}
+    for entry in range(1, n + 1):
+        nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+        for (shape, last), masks in frontier.items():
+            for child in covers_down(shape):
+                col = removed_column(shape, child)
+                descent = 1 << (entry - 2) if entry > 1 and col >= last else 0
+                into = nxt.setdefault((child, col), {})
+                for mask, cnt in masks.items():
+                    into[mask | descent] = into.get(mask | descent, 0) + cnt
+        frontier = nxt
+    terms: dict[tuple[int, ...], int] = {}
+    for masks in frontier.values():
+        for mask, cnt in masks.items():
+            cuts = [0] + [t + 1 for t in range(n - 1) if mask >> t & 1] + [n]
+            key = tuple(cuts[k + 1] - cuts[k] for k in range(len(cuts) - 1))
+            terms[key] = terms.get(key, 0) + cnt
     return Expansion("F", n, terms)
 
 

@@ -109,6 +109,11 @@ def test_usage_errors_exit_2():
     assert run("expand", "--kind", "skew", "--outer", "2,1", "--inner", "3").exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "0").exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "4", "--threads", "2").exit_code == 2
+    for budget in ("0", "-1"):
+        assert run(
+            "check", "--kind", "qs", "--composition", "2,2", "--budget", budget
+        ).exit_code == 2
+    assert run("verify", "--theorem", "schur", "--max-n", "4", "--budget", "-1").exit_code == 2
 
 
 def test_budget_exit_3():

@@ -1,10 +1,18 @@
+import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
 import qschur.qsym
-from oracles import compositions_with_parts_12, qs_f_fast_12, skew_schur_f_pointer
+from oracles import (
+    compositions_with_parts_12,
+    qs_f_fast_12,
+    qs_f_frontier,
+    skew_schur_f_pointer,
+)
 from qschur import (
     CompositionTableau,
     DescentSet,
@@ -77,19 +85,36 @@ def test_shared_engine_matches_per_shape_memo():
 
 def test_shared_memo_is_order_independent():
     shapes = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    comps = [a for n in range(0, 8) for a in enumerate_compositions(n)]
+    calls = [(skew_schur_f, s, s.size) for s in shapes]
+    calls += [(qs_f, a, sum(a)) for a in comps]
     ascending = list(range(len(shapes)))
     shuffled = ascending[:]
     random.Random(7).shuffle(shuffled)
+    # Skew shapes and compositions alternate, so both kinds of state share
+    # every level of the memo.
+    interleaved = [
+        k
+        for pair in itertools.zip_longest(ascending, range(len(shapes), len(calls)))
+        for k in pair
+        if k is not None
+    ]
     memo = qschur.qsym._PROFILES
     results = []
-    for order in (ascending, ascending[::-1], shuffled):
+    for order in (ascending, ascending[::-1], shuffled, interleaved):
         memo.clear()
         got = {}
         for k in order:
-            got[k] = skew_schur_f(shapes[k])
-            assert all(level >= shapes[k].size - 1 for level in memo)
+            f, arg, n = calls[k]
+            got[k] = f(arg)
+            # A call on the empty state does not touch the memo.
+            if n:
+                assert set(memo) <= {n - 1, n}
         results.append(got)
     assert results[0] == results[1] == results[2]
+    assert {k: results[3][k] for k in ascending} == results[0]
+    for k in range(len(shapes), len(calls)):
+        assert results[3][k] == qs_f_frontier(calls[k][1])
 
 
 def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
@@ -102,15 +127,45 @@ def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
     stale = []
     profile_of = qschur.qsym._profile_of
 
-    def watched(ivs, below):
+    def watched(moves, below):
         stale.extend(
             s for m, level in memo.items() if m < 8 for s in level if len(s) > 1
         )
-        return profile_of(ivs, below)
+        return profile_of(moves, below)
 
     monkeypatch.setattr(qschur.qsym, "_profile_of", watched)
     assert skew_schur_f(SkewShape((9,))) == F(9, {(9,): 1})
     assert stale == []
+
+
+def test_shared_memo_survives_concurrent_calls():
+    shapes = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    expected = {s: skew_schur_f(s) for s in shapes}
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(20_000):
+                shape = rng.choice(shapes)
+                if skew_schur_f(shape) != expected[shape]:
+                    errors.append(f"wrong expansion of {shape}")
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    # A tiny switch interval lets one thread's eviction land inside the
+    # other's walk over the memo.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_qs_f_matches_tableau_tally():
@@ -120,6 +175,15 @@ def test_qs_f_matches_tableau_tally():
             assert qs_f(alpha) == F(n, tally)
             total = sum(tally.values())
             assert qs_f(alpha, max_tableaux=total) == F(n, tally)
+
+
+def test_qs_f_matches_frontier_oracle():
+    for n in range(0, 13):
+        for alpha in enumerate_compositions(n):
+            assert qs_f(alpha) == qs_f_frontier(alpha)
+    for n in range(2, 19):
+        for a in range(1, n):
+            assert qs_f((a, n - a)) == qs_f_frontier((a, n - a))
 
 
 def test_coefficient_totals_count_tableaux():
@@ -291,13 +355,19 @@ def test_budget_paths():
     assert skew_schur_f(SkewShape((2, 2)), max_tableaux=10) == schur_f((2, 2))
 
 
-def test_qs_f_budget_aborts_early():
+def test_qs_f_budget_aborts_early(monkeypatch):
     from qschur import BudgetExceededError
 
-    # 87,516 tableaux; the frontier passes 10 partial chains within a few
-    # levels, so the full profile is never built.
+    # 87,516 tableaux from 258 profiles; the small remaining compositions
+    # pass 10 tableaux after a few dozen, so the full profile is never built.
+    built = []
+    profile_of = qschur.qsym._profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
+    )
     with pytest.raises(BudgetExceededError, match="tableau budget of 10"):
         qs_f((6, 6, 6), max_tableaux=10)
+    assert len(built) < 100
 
 
 def test_skew_budget_aborts_early(monkeypatch):
