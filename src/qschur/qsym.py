@@ -85,8 +85,7 @@ Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
 Profile = tuple[Entry, ...]
 
 # Shared across calls and across both kinds of state: _PROFILES[m] maps the
-# states with m cells to their profiles.  A call on a state with n cells
-# keeps only levels n - 1 and n.
+# states with m cells to their profiles.  See _evict for what a call keeps.
 _PROFILES: dict[int, dict[State, Profile]] = {}
 # The empty state has one filling; its key lies below every threshold, so
 # entry 1 of a one-cell state is never a descent.
@@ -174,9 +173,10 @@ def _profile(
 ) -> Profile:
     """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo.
     The states it still lacks are found top-down, level by level, then
-    computed bottom-up; with a budget, the first one with more fillings than
-    the budget aborts the call, since every filling of a state left after
-    removing cells extends to one of ``state``."""
+    computed bottom-up.  With a budget, a level with more missing states than
+    the budget, or a state with more fillings than it, aborts the call: every
+    filling of a state left after removing cells extends to one of ``state``.
+    """
     _evict(n)
     try:
         # Hold each level here, so that another thread's eviction cannot
@@ -186,6 +186,11 @@ def _profile(
         frontier = [] if state in levels[n] else [state]
         m = n
         while frontier:
+            # Distinct states of one level are left by distinct runs of
+            # moves, and each run starts a distinct filling of ``state``; so
+            # the budget also caps the walk at about n * max_tableaux states.
+            if max_tableaux is not None and len(frontier) > max_tableaux:
+                raise BudgetExceededError(what, max_tableaux)
             missing.append(frontier)
             m -= 1
             if m == 0:
@@ -228,11 +233,11 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     composition tableaux of shape alpha with descent composition beta.
 
     Removing the cells 1, 2, ..., n in order walks an inverse cover chain
-    down to the empty composition, so this counts chains by descent set on
-    the composition left after removing the cell holding 1, through the memo
-    that :func:`skew_schur_f` uses.  With ``max_tableaux``, any remaining
-    composition with more tableaux than the budget raises
-    :class:`BudgetExceededError` before larger ones are built.
+    down to the empty composition, so this counts chains by descent set
+    through the shared memo described in the module docstring.  With
+    ``max_tableaux``, a shape with more tableaux than the budget raises
+    :class:`BudgetExceededError` at a cost that grows with the budget times
+    the size, not with the number of tableaux.
     """
     alpha = tuple(alpha)
     if any(p < 1 for p in alpha):
@@ -246,14 +251,10 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
 
     The coefficient of beta counts standard Young tableaux whose descent
     composition is beta (Gessel).  Rather than listing tableaux, this counts
-    them by descent set on the shape that remains after removing the cell
-    holding 1, memoised across calls: every skew shape ``verify`` meets is
-    computed once from the shapes one cell smaller.  The memo is split by
-    size, and a call on a shape of size n first and last evicts every level
-    but n - 1 and n, so an upward sweep, whose children were all computed at
-    the previous degree, loses nothing.  With ``max_tableaux``, any remaining
-    shape with more tableaux than the budget raises
-    :class:`BudgetExceededError` before larger ones are built.
+    them by descent set through the shared memo described in the module
+    docstring.  With ``max_tableaux``, a shape with more tableaux than the
+    budget raises :class:`BudgetExceededError` at a cost that grows with the
+    budget times the size, not with the number of tableaux.
     """
     what = f"tableaux of shape {shape}"
     ivs = tuple(shape.row_intervals())

@@ -139,14 +139,15 @@ def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
 
 
 def test_shared_memo_survives_concurrent_calls():
-    shapes = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    # Small shapes are cheap, so levels come and go often.
+    shapes = [s for n in range(0, 4) for s in enumerate_skew_shapes(n)]
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
 
     def worker(seed):
         rng = random.Random(seed)
         try:
-            for _ in range(20_000):
+            for _ in range(50_000):
                 shape = rng.choice(shapes)
                 if skew_schur_f(shape) != expected[shape]:
                     errors.append(f"wrong expansion of {shape}")
@@ -358,32 +359,63 @@ def test_budget_paths():
 def test_qs_f_budget_aborts_early(monkeypatch):
     from qschur import BudgetExceededError
 
-    # 87,516 tableaux from 258 profiles; the small remaining compositions
-    # pass 10 tableaux after a few dozen, so the full profile is never built.
+    # 87,516 tableaux from 258 profiles.  Under a budget of 10, one level of
+    # the walk down holds more than 10 missing compositions, so no profile
+    # is built; under 100 the walk ends, and the remaining compositions pass
+    # 100 tableaux before half of the profiles are built.
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(
         qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
     )
-    with pytest.raises(BudgetExceededError, match="tableau budget of 10"):
-        qs_f((6, 6, 6), max_tableaux=10)
-    assert len(built) < 100
+    for budget in (10, 100):
+        qschur.qsym._PROFILES.clear()
+        built.clear()
+        with pytest.raises(BudgetExceededError, match=f"tableau budget of {budget}$"):
+            qs_f((6, 6, 6), max_tableaux=budget)
+        assert len(built) < 129
+
+
+def test_budget_caps_the_walk_down(monkeypatch):
+    from qschur import BudgetExceededError
+
+    # Any set of parts of (2,)*25 can drop to 1 and leading 1s can go, so
+    # its downset has about 2^26 compositions; the walk down must stop at
+    # the first level with more missing ones than the budget.
+    calls = []
+    moves = qschur.qsym._qs_moves
+
+    def counted(alpha):
+        calls.append(1)
+        assert len(calls) < 2_000, "the walk down outgrew the budget"
+        return moves(alpha)
+
+    monkeypatch.setattr(qschur.qsym, "_qs_moves", counted)
+    for budget in (10, 1000):
+        qschur.qsym._PROFILES.clear()
+        calls.clear()
+        with pytest.raises(BudgetExceededError, match=f"tableau budget of {budget}$"):
+            qs_f((2,) * 25, max_tableaux=budget)
 
 
 def test_skew_budget_aborts_early(monkeypatch):
     from qschur import BudgetExceededError
 
-    # The profile of (20, 19) has 2^38 possible masks; its small remaining
-    # shapes pass 10 tableaux after a few profiles, so it is never built.
+    # The profile of (20, 19) has 2^38 possible masks.  Under a budget of 10
+    # the walk down stops at a level with more than 10 missing shapes; under
+    # 100 it ends, and the small remaining shapes pass 100 tableaux after a
+    # few profiles.  Either way the full profile is never built.
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(
         qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
     )
-    message = "tableaux of shape 20,19 exceeded the tableau budget of 10"
-    with pytest.raises(BudgetExceededError, match=message):
-        skew_schur_f(SkewShape((20, 19)), max_tableaux=10)
-    assert len(built) < 100
+    for budget in (10, 100):
+        built.clear()
+        message = f"tableaux of shape 20,19 exceeded the tableau budget of {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            skew_schur_f(SkewShape((20, 19)), max_tableaux=budget)
+        assert len(built) < 100
     # A memo hit at the root still meets the budget.
     skew_schur_f(SkewShape((3, 2)))
     with pytest.raises(BudgetExceededError):
