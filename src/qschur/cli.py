@@ -134,7 +134,7 @@ def expand(kind, basis, fmt, budget, composition, partition, outer, inner) -> No
         else:
             result = skew_schur_f(source, budget)
         if basis == "m":
-            result = f_to_m(result)
+            result = f_to_m(result, budget)
     if fmt == "json":
         _emit_json(result.to_json_obj())
     else:

@@ -25,6 +25,14 @@ class CompositionTableau:
             raise ValueError("rows must be nonempty")
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, rows: list[list[int]]) -> "CompositionTableau":
+        """Snapshot nonempty rows, as the tableau walk produces them, without
+        re-checking them."""
+        obj = cls.__new__(cls)
+        obj.rows = tuple(map(tuple, rows))
+        return obj
+
     @property
     def shape(self) -> Composition:
         return tuple(len(r) for r in self.rows)
@@ -93,35 +101,78 @@ def covers_down(alpha: Composition) -> list[Composition]:
     return [child for _, child in _down_moves(alpha)]
 
 
+def _sct_walk(alpha: Composition) -> Iterator[tuple[int, list[list[int]]]]:
+    """Depth-first walk over the standard composition tableaux of ``alpha``,
+    in the order of :func:`enumerate_sct`.  Yields each tableau's descent
+    mask (bit t set = descent at t + 1) and the live rows, which the walk
+    overwrites.
+
+    Only a leading part can be deleted, so the deleted rows are always a
+    prefix and every row keeps its index in ``alpha``: an entry removed from
+    a row of current length s sits in column s.  Entry i is a descent when
+    i + 1 is placed in a weakly later column.
+    """
+    grid = [[0] * p for p in alpha]
+    n = sum(alpha)
+    if n == 0:
+        yield 0, grid
+        return
+    r = len(alpha)
+    sizes = list(alpha)
+    lead = 0  # first row not yet deleted
+    placed: list[int] = []  # row of each entry but the last
+    cols: list[int] = []  # its column
+    masks = [0]  # descent mask of the first k entries
+    j = 0
+    while True:
+        while j < r:
+            s = sizes[j]
+            # Delete the leading part when it is 1, or decrement a part with
+            # no earlier part one smaller.
+            if s == 1 and j == lead or s >= 2 and s - 1 not in sizes[lead:j]:
+                break
+            j += 1
+        else:
+            if not placed:
+                return
+            j = placed.pop()
+            cols.pop()
+            masks.pop()
+            sizes[j] += 1
+            if sizes[j] == 1:
+                lead = j
+            j += 1
+            continue
+        e = len(placed)  # entries placed so far
+        grid[j][s - 1] = e + 1
+        m = masks[-1]
+        if e and s >= cols[-1]:
+            m |= 1 << (e - 1)
+        if e + 1 == n:
+            yield m, grid
+            j += 1
+            continue
+        sizes[j] = s - 1
+        if s == 1:
+            lead = j + 1
+        placed.append(j)
+        cols.append(s)
+        masks.append(m)
+        j = lead
+
+
 def enumerate_sct(alpha: Composition) -> Iterator[CompositionTableau]:
     """All standard composition tableaux of shape ``alpha``.
 
-    Chains are walked downward; removing a leading 1-part shifts the
-    remaining rows up, so each row carries its index in the final shape and
-    entries are written at final-shape coordinates.
+    Chains are walked downward, one inverse cover move per entry: deleting
+    a leading 1 first, then decrementing rows from the top.  Entries are
+    written at final-shape coordinates.
     """
     alpha = tuple(alpha)
     if any(p < 1 for p in alpha):
         raise ValueError(f"not a composition: {alpha}")
-    if not alpha:
-        yield CompositionTableau(())
-        return
-    grid = [[0] * p for p in alpha]
-
-    def rec(entry: int, state: tuple[tuple[int, int], ...]) -> Iterator[CompositionTableau]:
-        if not state:
-            yield CompositionTableau(grid)
-            return
-        if state[0][1] == 1:
-            grid[state[0][0]][0] = entry
-            yield from rec(entry + 1, state[1:])
-        for idx, (orig, s) in enumerate(state):
-            if s >= 2 and all(t[1] != s - 1 for t in state[:idx]):
-                grid[orig][s - 1] = entry
-                child = state[:idx] + ((orig, s - 1),) + state[idx + 1 :]
-                yield from rec(entry + 1, child)
-
-    yield from rec(1, tuple(enumerate(alpha)))
+    for _, grid in _sct_walk(alpha):
+        yield CompositionTableau._trusted(grid)
 
 
 def des_c(t: CompositionTableau) -> DescentSet:

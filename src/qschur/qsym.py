@@ -17,11 +17,24 @@ both, shared by every call and split by size.  A call on a state of size n
 keeps only levels n - 1 and n, so an upward sweep computes each state once
 from the level below.  Every expansion is built from a count per descent
 bitmask by one function, ``_f_expansion``.
+
+The queries on top work on the same bitmasks (bit t set = descent at
+t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
+refinements beta of alpha; the refinements of alpha are the supersets of
+its mask, so the M-coefficient of a mask is the sum of the F-coefficients
+of its subsets (the zeta transform of the Boolean lattice, EC1 section
+3.8).  It is taken one bit at a time over the masks reached so far: for
+each bit, every mask without it adds its sum into the mask with it.  That
+costs at most n - 1 dict operations per M-term, and the masks no F-term
+lies under are never allocated.  ``multiplicity_witnesses`` reads the
+repeated masks off the engine's counts, then walks the tableaux, which
+yield their masks as they are filled, and stops when each repeated mask
+has been met twice.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Union
 
 from .compositions import (
@@ -30,14 +43,13 @@ from .compositions import (
     Partition,
     complement,
     rearrangements,
-    refinements,
     reverse,
 )
-from .ctableaux import _down_moves, des_c, enumerate_sct
-from .errors import BudgetExceededError, capped
+from .ctableaux import CompositionTableau, _down_moves, _sct_walk
+from .errors import BudgetExceededError
 from .expansion import Expansion
 from .shapes import SkewShape
-from .young import des_p, enumerate_syt
+from .young import SkewTableau, _syt_walk
 
 TableauSource = Union[Composition, SkewShape]
 
@@ -214,16 +226,37 @@ def _profile(
         _evict(n)
 
 
-def _expand(
-    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
-) -> Expansion:
-    """The F-expansion of ``state``, with ``n`` cells, from its profile."""
+def _counts(
+    source: TableauSource, max_tableaux: int | None
+) -> tuple[int, dict[int, int]]:
+    """Degree of ``source`` and its number of tableaux per descent mask.
+    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`."""
+    if isinstance(source, SkewShape):
+        state: State = tuple(source.row_intervals())
+        n, moves = source.size, _skew_moves
+        what = f"tableaux of shape {source}"
+    else:
+        state = tuple(source)
+        if any(p < 1 for p in state):
+            raise ValueError(f"not a composition: {state}")
+        n, moves = sum(state), _qs_moves
+        what = f"composition tableaux of shape {state}"
     if n == 0:
-        return Expansion("F", 0, {(): 1})
-    by_mask = dict(zip(*_merged(_profile(state, n, moves, max_tableaux, what))))
+        by_mask = {0: 1}
+    else:
+        profile = _profile(state, n, moves, max_tableaux, what)
+        by_mask = dict(zip(*_merged(profile)))
     # The root may be a memo hit, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
+    return n, by_mask
+
+
+def _expand(source: TableauSource, max_tableaux: int | None) -> Expansion:
+    """The F-expansion of ``source`` from its descent counts."""
+    n, by_mask = _counts(source, max_tableaux)
+    if n == 0:
+        return Expansion("F", 0, {(): 1})
     return _f_expansion(by_mask, n)
 
 
@@ -239,11 +272,7 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     :class:`BudgetExceededError` at a cost that grows with the budget times
     the size, not with the number of tableaux.
     """
-    alpha = tuple(alpha)
-    if any(p < 1 for p in alpha):
-        raise ValueError(f"not a composition: {alpha}")
-    what = f"composition tableaux of shape {alpha}"
-    return _expand(alpha, sum(alpha), _qs_moves, max_tableaux, what)
+    return _expand(tuple(alpha), max_tableaux)
 
 
 def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion:
@@ -256,9 +285,7 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
     budget raises :class:`BudgetExceededError` at a cost that grows with the
     budget times the size, not with the number of tableaux.
     """
-    what = f"tableaux of shape {shape}"
-    ivs = tuple(shape.row_intervals())
-    return _expand(ivs, shape.size, _skew_moves, max_tableaux, what)
+    return _expand(shape, max_tableaux)
 
 
 def schur_f(lam: Partition, max_tableaux: int | None = None) -> Expansion:
@@ -277,15 +304,43 @@ def schur_via_qs(lam: Partition) -> Expansion:
     return total
 
 
-def f_to_m(e: Expansion) -> Expansion:
-    """Change of basis: each F-term contributes to every refinement of its key."""
+def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
+    """Change of basis: F_alpha is the sum of M_beta over the refinements
+    beta of alpha.
+
+    Computed as a sparse subset sum over descent masks, described in the
+    module docstring.  With ``max_terms``, an M-expansion of more terms
+    raises :class:`BudgetExceededError` as soon as the terms found pass it.
+    """
     if e.basis != "F":
         raise ValueError("f_to_m expects an F-expansion")
-    terms: dict[Composition, int] = {}
+    n = e.degree
+    if n == 0:
+        return Expansion._trusted("M", 0, dict(e.terms))
+    acc: dict[int, int] = {}
     for key, coeff in e.terms.items():
-        for beta in refinements(key):
-            terms[beta] = terms.get(beta, 0) + coeff
-    return Expansion("M", e.degree, terms)
+        mask = total = 0
+        for part in key[:-1]:
+            total += part
+            mask |= 1 << (total - 1)
+        acc[mask] = coeff
+    for t in range(n - 1):
+        bit = 1 << t
+        # Masks without the bit add their sums into masks with it; the
+        # first are only read and the second only written in this pass.
+        for low in [m for m in acc if not m & bit]:
+            high = low | bit
+            if high in acc:
+                acc[high] += acc[low]
+            else:
+                acc[high] = acc[low]
+                # The dict only grows, so the result has at least this many.
+                if max_terms is not None and len(acc) > max_terms:
+                    raise BudgetExceededError(f"M-terms of degree {n}", max_terms)
+    top = 1 << (n - 1)
+    return Expansion._trusted(
+        "M", n, {_composition_of_mask(mask | top): c for mask, c in acc.items()}
+    )
 
 
 def omega_f(e: Expansion) -> Expansion:
@@ -312,28 +367,36 @@ def multiplicity_witnesses(
     source: TableauSource, max_tableaux: int | None = None
 ) -> list[tuple[DescentSet, object, object]]:
     """One witness pair of tableaux for every descent set hit at least
-    twice; the empty list is equivalent to the expansion being
-    multiplicity-free."""
+    twice, in ascending order of descent set; the empty list is equivalent
+    to the expansion being multiplicity-free.  Each pair is the first two
+    tableaux with that descent set in enumeration order.
+
+    The descent counts come from the shared engine, which also enforces the
+    budget, so a multiplicity-free source lists no tableau.  Otherwise one
+    walk over the tableaux stops as soon as every repeated descent set has
+    its pair, and only the tableaux it keeps are built.
+    """
+    n, counts = _counts(source, max_tableaux)
+    repeated = {mask for mask, c in counts.items() if c > 1}
+    if not repeated:
+        return []
     if isinstance(source, SkewShape):
-        stream = enumerate_syt(source)
-        stat = des_p
-        what = f"tableaux of shape {source}"
+        walk = _syt_walk(source)
+        snapshot = partial(SkewTableau._trusted, source)
     else:
-        source = tuple(source)
-        stream = enumerate_sct(source)
-        stat = des_c
-        what = f"composition tableaux of shape {source}"
-    first: dict[DescentSet, object] = {}
-    pairs: dict[DescentSet, tuple[object, object]] = {}
-    for t in capped(stream, max_tableaux, what):
-        d = stat(t)
-        if d in pairs:
+        walk = _sct_walk(tuple(source))
+        snapshot = CompositionTableau._trusted
+    first: dict[int, object] = {}
+    found = []
+    for mask, rows in walk:
+        if mask not in repeated:
             continue
-        if d in first:
-            pairs[d] = (first[d], t)
-        else:
-            first[d] = t
-    return [
-        (d, a, b)
-        for d, (a, b) in sorted(pairs.items(), key=lambda kv: tuple(kv[0]))
-    ]
+        if mask not in first:
+            first[mask] = snapshot(rows)
+            continue
+        d = DescentSet(n, [t + 1 for t in range(n - 1) if mask >> t & 1])
+        found.append((d, first[mask], snapshot(rows)))
+        repeated.discard(mask)
+        if not repeated:
+            break
+    return sorted(found, key=lambda w: tuple(w[0]))

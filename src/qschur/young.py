@@ -27,6 +27,15 @@ class SkewTableau:
         self.shape = shape
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, shape: SkewShape, rows: list[list[int]]) -> "SkewTableau":
+        """Snapshot rows that already fit ``shape``, as the tableau walks
+        produce them, without re-checking them."""
+        obj = cls.__new__(cls)
+        obj.shape = shape
+        obj.rows = tuple(map(tuple, rows))
+        return obj
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SkewTableau)
@@ -93,43 +102,65 @@ def content(t: SkewTableau) -> tuple[int, ...]:
     return tuple(counts[1:])
 
 
+def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, list[list[int]]]]:
+    """Depth-first walk over the standard fillings of ``shape``, in the
+    order of :func:`enumerate_syt`.  Yields each filling's descent mask (bit
+    t set = descent at t + 1) and the live rows, which the walk overwrites.
+    Entry i is a descent when i + 1 is placed in a lower row.
+    """
+    ivs = shape.row_intervals()
+    n = shape.size
+    rows = [[0] * (b - a) for a, b in ivs]
+    if n == 0:
+        yield 0, rows
+        return
+    r = len(ivs)
+    ptr = [a + 1 for a, _ in ivs]  # column of the next cell of each row
+    ends = [b for _, b in ivs]
+    # Row i's next cell is free of the row above when it lies right of that
+    # row's last cell, or left of its next cell; the top row has none above.
+    above = [-1] + ends[:-1]
+    placed: list[int] = []  # row of each entry but the last
+    masks = [0]  # descent mask of the first k entries
+    i = 0
+    while True:
+        while i < r:
+            p = ptr[i]
+            if p <= ends[i] and (p > above[i] or p < ptr[i - 1]):
+                break
+            i += 1
+        else:
+            if not placed:
+                return
+            i = placed.pop()
+            masks.pop()
+            ptr[i] -= 1
+            i += 1
+            continue
+        e = len(placed)  # entries placed so far
+        rows[i][p - ivs[i][0] - 1] = e + 1
+        m = masks[-1]
+        if e and i > placed[-1]:
+            m |= 1 << (e - 1)
+        if e + 1 == n:
+            yield m, rows
+            i += 1
+            continue
+        ptr[i] = p + 1
+        placed.append(i)
+        masks.append(m)
+        i = 0
+
+
 def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
     """All standard Young tableaux of ``shape``, deterministically ordered.
 
     Entries 1..n are placed in increasing order; the cells available for the
-    next entry are those with no unfilled cell above or to the left.
+    next entry are those with no unfilled cell above or to the left, tried
+    top row first.
     """
-    n = shape.size
-    if n == 0:
-        yield SkewTableau(shape, ())
-        return
-    ivs = shape.row_intervals()
-    r = len(ivs)
-    rows = [[0] * (b - a) for a, b in ivs]
-    ptr = [a + 1 for a, _ in ivs]
-    ends = [b for _, b in ivs]
-
-    def available(i: int) -> bool:
-        p = ptr[i]
-        if p > ends[i]:
-            return False
-        if i == 0:
-            return True
-        a_up, b_up = ivs[i - 1]
-        return not (a_up < p <= b_up and ptr[i - 1] <= p)
-
-    def rec(entry: int) -> Iterator[SkewTableau]:
-        if entry > n:
-            yield SkewTableau(shape, rows)
-            return
-        for i in range(r):
-            if available(i):
-                rows[i][ptr[i] - ivs[i][0] - 1] = entry
-                ptr[i] += 1
-                yield from rec(entry + 1)
-                ptr[i] -= 1
-
-    yield from rec(1)
+    for _, rows in _syt_walk(shape):
+        yield SkewTableau._trusted(shape, rows)
 
 
 def des_p(t: SkewTableau) -> DescentSet:

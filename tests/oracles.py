@@ -9,15 +9,21 @@ from math import factorial
 from typing import Iterator
 
 from qschur import (
+    CompositionTableau,
     DescentSet,
     Expansion,
     SkewShape,
+    SkewTableau,
     composition_of,
     conjugate,
     covers_down,
     covers_up,
+    des_c,
+    des_p,
     qs_f,
+    refinements,
 )
+from qschur.errors import capped
 
 
 def hook_length_count(lam: tuple[int, ...]) -> int:
@@ -181,6 +187,98 @@ def qs_f_frontier(alpha: tuple[int, ...]) -> Expansion:
             key = tuple(cuts[k + 1] - cuts[k] for k in range(len(cuts) - 1))
             terms[key] = terms.get(key, 0) + cnt
     return Expansion("F", n, terms)
+
+
+def syt_by_recursion(shape: SkewShape) -> Iterator[SkewTableau]:
+    """Standard Young tableaux of ``shape``: entries 1..n are placed in
+    increasing order, each in every row whose next cell has no unfilled cell
+    above it, top row first."""
+    n = shape.size
+    ivs = shape.row_intervals()
+    rows = [[0] * (b - a) for a, b in ivs]
+    ptr = [a + 1 for a, _ in ivs]
+
+    def available(i: int) -> bool:
+        p = ptr[i]
+        if p > ivs[i][1]:
+            return False
+        if i == 0:
+            return True
+        a_up, b_up = ivs[i - 1]
+        return not (a_up < p <= b_up and ptr[i - 1] <= p)
+
+    def rec(entry: int) -> Iterator[SkewTableau]:
+        if entry > n:
+            yield SkewTableau(shape, rows)
+            return
+        for i in range(len(ivs)):
+            if available(i):
+                rows[i][ptr[i] - ivs[i][0] - 1] = entry
+                ptr[i] += 1
+                yield from rec(entry + 1)
+                ptr[i] -= 1
+
+    yield from rec(1)
+
+
+def sct_by_recursion(alpha: tuple[int, ...]) -> Iterator[CompositionTableau]:
+    """Standard composition tableaux of ``alpha``: cover chains walked
+    downward, deleting a leading 1 before decrementing rows top to bottom.
+    Each row carries its index in ``alpha``, so entries land at final-shape
+    coordinates."""
+    grid = [[0] * p for p in alpha]
+
+    def rec(entry: int, state: tuple) -> Iterator[CompositionTableau]:
+        if not state:
+            yield CompositionTableau(grid)
+            return
+        if state[0][1] == 1:
+            grid[state[0][0]][0] = entry
+            yield from rec(entry + 1, state[1:])
+        for idx, (orig, s) in enumerate(state):
+            if s >= 2 and all(t[1] != s - 1 for t in state[:idx]):
+                grid[orig][s - 1] = entry
+                child = state[:idx] + ((orig, s - 1),) + state[idx + 1 :]
+                yield from rec(entry + 1, child)
+
+    yield from rec(1, tuple(enumerate(alpha)))
+
+
+def multiplicity_witnesses_by_enumeration(source, max_tableaux=None) -> list:
+    """Witness pairs by listing every tableau and tallying ``des_p`` or
+    ``des_c``: for each descent set hit at least twice, the first two
+    tableaux that hit it, in ascending order of descent set."""
+    if isinstance(source, SkewShape):
+        stream, stat = syt_by_recursion(source), des_p
+        what = f"tableaux of shape {source}"
+    else:
+        source = tuple(source)
+        stream, stat = sct_by_recursion(source), des_c
+        what = f"composition tableaux of shape {source}"
+    first: dict = {}
+    pairs: dict = {}
+    for t in capped(stream, max_tableaux, what):
+        d = stat(t)
+        if d in pairs:
+            continue
+        if d in first:
+            pairs[d] = (first[d], t)
+        else:
+            first[d] = t
+    return [
+        (d, a, b)
+        for d, (a, b) in sorted(pairs.items(), key=lambda kv: tuple(kv[0]))
+    ]
+
+
+def f_to_m_by_refinements(e: Expansion) -> Expansion:
+    """M-expansion of an F-expansion: each F-term adds its coefficient to
+    every refinement of its key."""
+    terms: dict[tuple[int, ...], int] = {}
+    for key, coeff in e.terms.items():
+        for beta in refinements(key):
+            terms[beta] = terms.get(beta, 0) + coeff
+    return Expansion("M", e.degree, terms)
 
 
 def compositions_with_parts_12(n: int) -> Iterator[tuple[int, ...]]:

@@ -128,3 +128,15 @@ def test_budget_exit_3():
     # Aborts on a small remaining shape, before the 2^38-mask profile.
     result = run("expand", "--kind", "skew", "--outer", "20,19", "--budget", "10")
     assert result.exit_code == 3
+    # One tableau but 2^15 M-terms: the budget caps the M-expansion too.
+    args = ("expand", "--kind", "qs", "--composition", "16", "--basis", "m")
+    result = run(*args, "--budget", "1000")
+    assert result.exit_code == 3
+    assert "M-terms of degree 16 exceeded the tableau budget of 1000" in result.output
+    assert run(*args, "--budget", str(2**15), "--format", "json").exit_code == 0
+    # (3,2,1) has 16 tableaux: the witness search passes at 16, not at 15.
+    args = ("witnesses", "--kind", "schur", "--partition", "3,2,1")
+    assert run(*args, "--budget", "16").exit_code == 1
+    result = run(*args, "--budget", "15")
+    assert result.exit_code == 3
+    assert "tableaux of shape 3,2,1 exceeded the tableau budget of 15" in result.output

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -9,11 +10,16 @@ import pytest
 import qschur.qsym
 from oracles import (
     compositions_with_parts_12,
+    f_to_m_by_refinements,
+    multiplicity_witnesses_by_enumeration,
     qs_f_fast_12,
     qs_f_frontier,
+    sct_by_recursion,
     skew_schur_f_pointer,
+    syt_by_recursion,
 )
 from qschur import (
+    BudgetExceededError,
     CompositionTableau,
     DescentSet,
     Expansion,
@@ -22,6 +28,8 @@ from qschur import (
     com_c,
     com_p,
     conjugate,
+    des_c,
+    des_p,
     disjoint_union,
     enumerate_compositions,
     enumerate_partitions,
@@ -224,6 +232,42 @@ def test_f_to_m():
         f_to_m(Expansion("M", 2, {(2,): 1}))
 
 
+def test_f_to_m_matches_refinement_oracle():
+    expansions = [qs_f(a) for n in range(0, 10) for a in enumerate_compositions(n)]
+    expansions += [
+        skew_schur_f(s) for n in range(0, 8) for s in enumerate_skew_shapes(n)
+    ]
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        pool = list(enumerate_compositions(n))
+        keys = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        expansions.append(F(n, {key: rng.randint(1, 5) for key in keys}))
+    expansions += [F(0, {(): 1}), F(0, {(): 3}), F(0, {}), F(4, {})]
+    for e in expansions:
+        assert f_to_m(e) == f_to_m_by_refinements(e)
+
+
+def test_f_to_m_is_sparse():
+    start = time.perf_counter()
+    assert f_to_m(F(25, {(1,) * 25: 1})) == Expansion("M", 25, {(1,) * 25: 1})
+    assert time.perf_counter() - start < 0.5
+    full = f_to_m(F(16, {(16,): 1}))
+    assert full.terms == {alpha: 1 for alpha in enumerate_compositions(16)}
+
+
+def test_f_to_m_term_budget():
+    e = F(16, {(16,): 1})
+    assert len(f_to_m(e, max_terms=2**15)) == 2**15
+    for cap in (1, 1000, 2**15 - 1):
+        message = f"M-terms of degree 16 exceeded the tableau budget of {cap}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            f_to_m(e, max_terms=cap)
+    # A one-row shape of 40 cells has 2^39 M-terms; the cap stops it at once.
+    with pytest.raises(BudgetExceededError):
+        f_to_m(qs_f((40,)), max_terms=10)
+
+
 def test_omega_f():
     assert omega_f(F(3, {(3,): 1})) == F(3, {(1, 1, 1): 1})
     e = schur_f((3, 1))
@@ -282,6 +326,68 @@ def test_multiplicity_witnesses_compositions():
         assert isinstance(a, CompositionTableau)
         assert com_c(a) == com_c(b)
         assert a != b
+
+
+def test_walks_track_descent_statistics():
+    from qschur.ctableaux import _sct_walk
+    from qschur.young import _syt_walk
+
+    for n in range(0, 8):
+        for shape in enumerate_skew_shapes(n):
+            for mask, rows in _syt_walk(shape):
+                t = SkewTableau(shape, rows)
+                assert mask == sum(1 << (i - 1) for i in des_p(t))
+            if n <= 6:
+                assert list(enumerate_syt(shape)) == list(syt_by_recursion(shape))
+    for n in range(0, 9):
+        for alpha in enumerate_compositions(n):
+            tableaux = list(enumerate_sct(alpha))
+            assert tableaux == list(sct_by_recursion(alpha))
+            masks = [mask for mask, _ in _sct_walk(alpha)]
+            assert masks == [sum(1 << (i - 1) for i in des_c(t)) for t in tableaux]
+
+
+def test_witnesses_match_enumeration_oracle():
+    sources = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    sources += [SkewShape(lam) for n in range(0, 11) for lam in enumerate_partitions(n)]
+    sources += [a for n in range(0, 10) for a in enumerate_compositions(n)]
+    for source in sources:
+        got = multiplicity_witnesses(source)
+        assert got == multiplicity_witnesses_by_enumeration(source)
+        for _, a, b in got:
+            assert type(a.rows[0][0]) is int and type(b.rows) is tuple
+
+
+def test_witnesses_of_multiplicity_free_sources_walk_nothing(monkeypatch):
+    def refuse(source):
+        raise AssertionError(f"walked the tableaux of {source}")
+
+    monkeypatch.setattr(qschur.qsym, "_syt_walk", refuse)
+    monkeypatch.setattr(qschur.qsym, "_sct_walk", refuse)
+    assert multiplicity_witnesses((1, 3)) == []
+    assert multiplicity_witnesses(SkewShape((5, 1))) == []
+    assert multiplicity_witnesses(SkewShape((3, 3), (1,))) == []
+
+
+def test_witness_budget_counts_tableaux():
+    for source, what in [
+        ((2, 2, 4), "composition tableaux of shape (2, 2, 4)"),
+        (SkewShape((3, 2, 1)), "tableaux of shape 3,2,1"),
+        (SkewShape((4, 3, 1), (2,)), "tableaux of shape 4,3,1/2"),
+    ]:
+        if isinstance(source, SkewShape):
+            count = sum(1 for _ in syt_by_recursion(source))
+        else:
+            count = sum(1 for _ in sct_by_recursion(source))
+        expected = multiplicity_witnesses_by_enumeration(source)
+        assert expected
+        assert multiplicity_witnesses(source, max_tableaux=count) == expected
+        message = f"{what} exceeded the tableau budget of {count - 1}"
+        with pytest.raises(BudgetExceededError) as new:
+            multiplicity_witnesses(source, max_tableaux=count - 1)
+        with pytest.raises(BudgetExceededError) as old:
+            multiplicity_witnesses_by_enumeration(source, max_tableaux=count - 1)
+        assert str(new.value) == str(old.value) == message
 
 
 def test_witnesses_empty_iff_fmf():
