@@ -15,14 +15,7 @@ from .compositions import (
     rearrangements,
 )
 from .ctableaux import CompositionTableau
-from .qsym import (
-    f_component_count,
-    is_fmf,
-    multiplicity_witnesses,
-    qs_f,
-    schur_f,
-    skew_schur_f,
-)
+from .qsym import _counts, _descent_mask, _f_expansion, multiplicity_witnesses
 from .shapes import SkewShape, enumerate_skew_shapes
 from .young import SkewTableau
 
@@ -169,10 +162,18 @@ def predict_family(lam: Partition) -> bool:
     return False
 
 
+def _multiplicity_free(
+    source: Instance, budget: int | None, final_degree: int | None = None
+) -> bool:
+    """True iff no descent set has two tableaux of shape ``source``."""
+    _, counts = _counts(source, budget, final_degree=final_degree)
+    return all(c == 1 for c in counts.values())
+
+
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     """Ground truth for :func:`predict_family` by direct enumeration."""
     return all(
-        is_fmf(qs_f(alpha, max_tableaux)) for alpha in rearrangements(tuple(lam))
+        _multiplicity_free(alpha, max_tableaux) for alpha in rearrangements(tuple(lam))
     )
 
 
@@ -274,39 +275,44 @@ def _instance_label(theorem: str, inst: Instance) -> dict:
 
 
 def _check_instance(
-    theorem: str, inst: Instance, budget: int | None
+    theorem: str, inst: Instance, budget: int | None, final_degree: int
 ) -> Disagreement | None:
+    """The disagreement at ``inst``, or None.  The truth comes from the
+    engine's counts; witnesses are searched only for a disagreement."""
     if theorem == "schur":
         predicted = predict_schur(inst)
-        truth = is_fmf(schur_f(inst, budget))
+        # The rotation has the same expansion; see the qsym docstring.
+        truth = _multiplicity_free(SkewShape(inst).rotate180(), budget, final_degree)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(SkewShape(inst), budget)
     elif theorem == "skew":
         predicted = predict_skew(inst)
-        truth = is_fmf(skew_schur_f(inst, budget))
+        truth = _multiplicity_free(inst, budget, final_degree)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(inst, budget)
     elif theorem == "two-part":
         predicted = predict_two_part(inst)
-        truth = is_fmf(qs_f(inst, budget))
+        truth = _multiplicity_free(inst, budget, final_degree)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(inst, budget)
     elif theorem == "qs-components":
         predicted = predict_qs_components(inst)
-        expansion = qs_f(inst, budget)
-        count = f_component_count(expansion)
+        n, counts = _counts(inst, budget, final_degree=final_degree)
+        count = len(counts)
         truth = "one" if count == 1 else "two" if count == 2 else "more"
         # The one- and two-term statements also pin the terms themselves.
+        own = _descent_mask(inst)
         structurally_ok = True
         if truth == "one":
-            structurally_ok = expansion.terms == {inst: 1}
+            structurally_ok = counts == {own: 1}
         elif truth == "two":
-            structurally_ok = expansion.coefficient(inst) == 1
+            structurally_ok = counts.get(own) == 1
         if predicted == truth and structurally_ok:
             return None
+        expansion = _f_expansion(counts, n)
         if not structurally_ok:
             truth = f"{truth} (terms: {sorted(expansion.terms)})"
         witnesses = _witnesses_json(inst, budget)
@@ -316,7 +322,10 @@ def _check_instance(
             )
     elif theorem == "families":
         predicted = predict_family(inst)
-        truth = brute_family_fmf(inst, budget)
+        truth = all(
+            _multiplicity_free(alpha, budget, final_degree)
+            for alpha in rearrangements(inst)
+        )
         if predicted == truth:
             return None
         witnesses = ()
@@ -335,12 +344,17 @@ def verify(
     max_tableaux: int | None = DEFAULT_MAX_TABLEAUX,
 ) -> VerificationReport:
     """Compare a classification predicate against brute-force truth on every
-    instance of degree at most ``max_n``, in canonical instance order."""
+    instance of degree at most ``max_n``, in canonical instance order.
+
+    The instances go up by degree, so each degree's engine calls find the
+    degree below in the shared memo; the last degree's are not stored."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances = list(_instances(theorem, max_n))
-    results = (_check_instance(theorem, inst, max_tableaux) for inst in instances)
+    results = (
+        _check_instance(theorem, inst, max_tableaux, max_n) for inst in instances
+    )
     disagreements = tuple(d for d in results if d is not None)
     return VerificationReport(theorem, max_n, len(instances), disagreements)

@@ -18,6 +18,17 @@ keeps only levels n - 1 and n, so an upward sweep computes each state once
 from the level below.  Every expansion is built from a count per descent
 bitmask by one function, ``_f_expansion``.
 
+``classify.verify`` runs such sweeps and reads the counts (``_counts``)
+without building expansions.  It passes its last degree to the engine as
+``final_degree``: no later call reads the roots of that degree, so each is
+built from the level below and returned without entering the memo.  It also
+reads each partition as its rotation by 180 degrees, which has the same
+expansion.  Removing the cell holding 1 from a rotated partition leaves a
+rotated partition, which the degree below has stored; a straight shape
+leaves a skew shape that no earlier degree built.  ``schur_f`` keeps the
+straight shape: a one-off call has no level below to reuse, and there the
+single place for 1 in a straight shape beats the several in a rotated one.
+
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
 refinements beta of alpha; the refinements of alpha are the supersets of
@@ -70,6 +81,16 @@ def _composition_of_mask(key: int) -> Composition:
         key >>= 1
         pos += 1
     return tuple(parts)
+
+
+def _descent_mask(alpha: Composition) -> int:
+    """Descent bitmask of a nonempty composition: bit t is set when a part
+    ends at t + 1 before the last part."""
+    mask = total = 0
+    for part in alpha[:-1]:
+        total += part
+        mask |= 1 << (total - 1)
+    return mask
 
 
 def _f_expansion(by_mask: dict[int, int], n: int) -> Expansion:
@@ -181,19 +202,30 @@ def _evict(n: int) -> None:
 
 
 def _profile(
-    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
+    state: State,
+    n: int,
+    moves: Moves,
+    max_tableaux: int | None,
+    what: str,
+    *,
+    final_degree: int | None = None,
 ) -> Profile:
     """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo.
     The states it still lacks are found top-down, level by level, then
     computed bottom-up.  With a budget, a level with more missing states than
     the budget, or a state with more fillings than it, aborts the call: every
     filling of a state left after removing cells extends to one of ``state``.
+    When ``n`` is ``final_degree``, the root is built into a level of its
+    own and never enters the memo.
     """
     _evict(n)
     try:
         # Hold each level here, so that another thread's eviction cannot
-        # pull one from under this call.
-        levels = {n: _PROFILES.setdefault(n, {}), 0: _EMPTY_LEVEL}
+        # pull one from under this call.  A root that another call found in
+        # the memo may still be read by that call, so a root that is not to
+        # be kept is never put there.
+        root_level = {} if n == final_degree else _PROFILES.setdefault(n, {})
+        levels = {n: root_level, 0: _EMPTY_LEVEL}
         missing: list[list[State]] = []
         frontier = [] if state in levels[n] else [state]
         m = n
@@ -227,10 +259,15 @@ def _profile(
 
 
 def _counts(
-    source: TableauSource, max_tableaux: int | None
+    source: TableauSource,
+    max_tableaux: int | None,
+    *,
+    final_degree: int | None = None,
 ) -> tuple[int, dict[int, int]]:
     """Degree of ``source`` and its number of tableaux per descent mask.
-    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`."""
+    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`.
+    A sweep passes its last degree as ``final_degree``; see the module
+    docstring."""
     if isinstance(source, SkewShape):
         state: State = tuple(source.row_intervals())
         n, moves = source.size, _skew_moves
@@ -244,7 +281,9 @@ def _counts(
     if n == 0:
         by_mask = {0: 1}
     else:
-        profile = _profile(state, n, moves, max_tableaux, what)
+        profile = _profile(
+            state, n, moves, max_tableaux, what, final_degree=final_degree
+        )
         by_mask = dict(zip(*_merged(profile)))
     # The root may be a memo hit, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
@@ -317,13 +356,7 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
     n = e.degree
     if n == 0:
         return Expansion._trusted("M", 0, dict(e.terms))
-    acc: dict[int, int] = {}
-    for key, coeff in e.terms.items():
-        mask = total = 0
-        for part in key[:-1]:
-            total += part
-            mask |= 1 << (total - 1)
-        acc[mask] = coeff
+    acc = {_descent_mask(key): coeff for key, coeff in e.terms.items()}
     for t in range(n - 1):
         bit = 1 << t
         # Masks without the bit add their sums into masks with it; the

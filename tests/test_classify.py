@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import qschur.classify
+import qschur.qsym
 from qschur import (
     BudgetExceededError,
     SkewShape,
@@ -171,3 +173,171 @@ def test_report_serialization():
     text = report.to_text()
     assert "disagreements: 0" in text
     assert "verdict: verified" in text
+
+
+def _flip(monkeypatch, name, wrong):
+    """Make the predicate ``name`` answer ``wrong[x]`` on the listed inputs."""
+    right = getattr(qschur.classify, name)
+    monkeypatch.setattr(
+        qschur.classify, name, lambda x: wrong[x] if x in wrong else right(x)
+    )
+
+
+def _doctored_counts(real):
+    """The engine's counts, with the own-shape term of (1,3) dropped and
+    that of (2,3) doubled, so that the structural checks fail."""
+
+    def counts(source, max_tableaux, **kwargs):
+        n, by_mask = real(source, max_tableaux, **kwargs)
+        if source == (1, 3):
+            by_mask = {m: c for m, c in by_mask.items() if m != 0b1}
+        elif source == (2, 3):
+            by_mask = {m: c + (m == 0b10) for m, c in by_mask.items()}
+        return n, by_mask
+
+    return counts
+
+
+def _report(theorem, max_n):
+    return json.loads(json.dumps(verify(theorem, max_n).to_json_obj()))
+
+
+def _disagreement(label, predicted, truth, witnesses=()):
+    return {
+        "instance": label,
+        "predicted": predicted,
+        "truth": truth,
+        "witnesses": list(witnesses),
+    }
+
+
+def _witness(degree, descents, first, second):
+    return {"degree": degree, "descents": descents, "first": first, "second": second}
+
+
+def test_disagreement_reports(monkeypatch):
+    _flip(monkeypatch, "predict_schur", {(3, 2, 1): True, (2, 2): False})
+    _flip(
+        monkeypatch,
+        "predict_skew",
+        {SkewShape((3, 2, 1), (2, 1)): True, SkewShape((2, 1)): False},
+    )
+    _flip(monkeypatch, "predict_two_part", {(3, 5): True, (2, 2): False})
+    _flip(
+        monkeypatch,
+        "predict_qs_components",
+        {(1, 3): "two", (2, 3): "two", (2, 2): "more", (1, 3, 3): "one"},
+    )
+    _flip(monkeypatch, "predict_family", {(3, 3, 1): True, (2, 2): False})
+
+    schur = _report("schur", 6)
+    assert schur["checked"] == 29
+    assert schur["disagreements"] == [
+        _disagreement({"partition": [2, 2]}, False, True),
+        _disagreement(
+            {"partition": [3, 2, 1]},
+            True,
+            False,
+            [
+                _witness(6, [1, 3, 5], [[1, 3, 5], [2, 4], [6]], [[1, 3, 5], [2, 6], [4]]),
+                _witness(6, [2, 4], [[1, 2, 4], [3, 6], [5]], [[1, 2, 6], [3, 4], [5]]),
+            ],
+        ),
+    ]
+
+    skew = _report("skew", 3)
+    assert skew["checked"] == 13
+    assert skew["disagreements"] == [
+        _disagreement({"outer": [2, 1], "inner": []}, False, True),
+        _disagreement(
+            {"outer": [3, 2, 1], "inner": [2, 1]},
+            True,
+            False,
+            [
+                _witness(
+                    3,
+                    [1],
+                    [[None, None, 1], [None, 3], [2]],
+                    [[None, None, 3], [None, 1], [2]],
+                ),
+                _witness(
+                    3,
+                    [2],
+                    [[None, None, 2], [None, 1], [3]],
+                    [[None, None, 2], [None, 3], [1]],
+                ),
+            ],
+        ),
+    ]
+
+    two_part = _report("two-part", 8)
+    assert two_part["checked"] == 28
+    assert two_part["disagreements"] == [
+        _disagreement({"composition": [2, 2]}, False, True),
+        _disagreement(
+            {"composition": [3, 5]},
+            True,
+            False,
+            [_witness(8, [2, 5], [[5, 2, 1], [8, 7, 6, 4, 3]], [[5, 4, 2], [8, 7, 6, 3, 1]])],
+        ),
+    ]
+
+    # A disagreement with no witness pair lists the terms instead; a wrong
+    # set of terms is spelled out in the truth.
+    with monkeypatch.context() as m:
+        for module in (qschur.qsym, qschur.classify):
+            m.setattr(
+                module, "_counts", _doctored_counts(qschur.qsym._counts), raising=False
+            )
+        components = _report("qs-components", 7)
+    assert components["checked"] == 127
+    assert components["disagreements"] == [
+        _disagreement(
+            {"composition": [1, 3]}, "two", "one (terms: [(2, 2)])", [{"terms": [[2, 2]]}]
+        ),
+        _disagreement(
+            {"composition": [2, 2]}, "more", "two", [{"terms": [[1, 2, 1], [2, 2]]}]
+        ),
+        _disagreement(
+            {"composition": [2, 3]},
+            "two",
+            "two (terms: [(1, 2, 2), (2, 3)])",
+            [{"terms": [[1, 2, 2], [2, 3]]}],
+        ),
+        _disagreement(
+            {"composition": [1, 3, 3]},
+            "one",
+            "more",
+            [_witness(7, [1, 3, 5], [[1], [5, 3, 2], [7, 6, 4]], [[3], [5, 4, 2], [7, 6, 1]])],
+        ),
+    ]
+
+    families = _report("families", 7)
+    assert families["checked"] == 44
+    assert families["disagreements"] == [
+        _disagreement({"partition": [2, 2]}, False, True),
+        _disagreement(
+            {"partition": [3, 3, 1]},
+            True,
+            False,
+            [_witness(7, [1, 3, 5], [[1], [5, 3, 2], [7, 6, 4]], [[3], [5, 4, 2], [7, 6, 1]])],
+        ),
+    ]
+
+
+def test_verify_schur_builds_each_partition_once(monkeypatch):
+    built = []
+    profile_of = qschur.qsym._profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
+    )
+    assert verify("schur", 13).verified
+    # 372 partitions of size at most 13; an unrotated straight shape's
+    # children are skew shapes no earlier degree built.
+    assert len(built) <= 500
+
+
+def test_verify_keeps_no_final_degree_roots():
+    assert verify("skew", 8).checked == 3909
+    # Level 8 is read by no later degree of this sweep.
+    assert len(qschur.qsym._PROFILES.get(8, {})) == 0

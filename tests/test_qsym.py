@@ -46,6 +46,7 @@ from qschur import (
     schur_f,
     schur_via_qs,
     skew_schur_f,
+    verify,
 )
 
 
@@ -176,6 +177,48 @@ def test_shared_memo_survives_concurrent_calls():
         sys.setswitchinterval(interval)
     assert errors == []
 
+
+
+def test_sweep_roots_stay_out_of_the_shared_memo():
+    # verify builds the roots of its final degree without storing them.  A
+    # call that found such a root in the memo during its walk would read it
+    # again in its build phase, so removing it afterwards would fail there.
+    shapes = list(enumerate_skew_shapes(5))
+    expected = {s: skew_schur_f(s) for s in shapes}
+    errors = []
+    done = threading.Event()
+
+    def sweeps():
+        try:
+            while not done.is_set():
+                verify("skew", 4)
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    def calls():
+        try:
+            for _ in range(100):
+                for shape in shapes:
+                    if skew_schur_f(shape) != expected[shape]:
+                        errors.append(f"wrong expansion of {shape}")
+        except Exception as exc:
+            errors.append(repr(exc))
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=f) for f in (sweeps, calls)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 def test_qs_f_matches_tableau_tally():
     for n in range(0, 11):
