@@ -15,7 +15,13 @@ from .compositions import (
     rearrangements,
 )
 from .ctableaux import CompositionTableau
-from .qsym import _counts, _descent_mask, _f_expansion, multiplicity_witnesses
+from .qsym import (
+    _counts,
+    _descent_mask,
+    _f_expansion,
+    _tally,
+    multiplicity_witnesses,
+)
 from .shapes import SkewShape, enumerate_skew_shapes
 from .young import SkewTableau
 
@@ -165,9 +171,11 @@ def predict_family(lam: Partition) -> bool:
 def _multiplicity_free(
     source: Instance, budget: int | None, final_degree: int | None = None
 ) -> bool:
-    """True iff no descent set has two tableaux of shape ``source``."""
-    _, counts = _counts(source, budget, final_degree=final_degree)
-    return all(c == 1 for c in counts.values())
+    """True iff no descent set has two tableaux of shape ``source``: every
+    descent set met has at least one, so iff there are as many tableaux as
+    descent sets."""
+    tableaux, masks = _tally(source, budget, final_degree=final_degree)
+    return tableaux == masks
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:

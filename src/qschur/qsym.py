@@ -18,16 +18,24 @@ keeps only levels n - 1 and n, so an upward sweep computes each state once
 from the level below.  Every expansion is built from a count per descent
 bitmask by one function, ``_f_expansion``.
 
-``classify.verify`` runs such sweeps and reads the counts (``_counts``)
-without building expansions.  It passes its last degree to the engine as
-``final_degree``: no later call reads the roots of that degree, so each is
-built from the level below and returned without entering the memo.  It also
-reads each partition as its rotation by 180 degrees, which has the same
-expansion.  Removing the cell holding 1 from a rotated partition leaves a
-rotated partition, which the degree below has stored; a straight shape
-leaves a skew shape that no earlier degree built.  ``schur_f`` keeps the
-straight shape: a one-off call has no level below to reuse, and there the
-single place for 1 in a straight shape beats the several in a rotated one.
+``classify.verify`` runs such sweeps without building expansions.  Most of
+its questions are answered by ``_tally``: the number of tableaux and the
+number of distinct descent masks, which are equal iff no mask has two
+tableaux.  The component counts read ``_counts``, the count per mask.
+``verify`` passes its last degree to the engine as ``final_degree``: no
+later call reads the roots of that degree, so none is profiled or stored.
+Each is read straight off level n - 1, which holds all its children.
+``_tally`` sums the children's counts and takes the union of their masks in
+two groups split by bit 0, all in C; ``_counts`` sums their entries into one
+dict in a single pass.  Never storing these roots also keeps the memo
+thread-safe: a root that another call found in the memo may still be read
+by that call.  ``verify`` also reads each partition as its rotation by 180
+degrees, which has the same expansion.  Removing the cell holding 1 from a
+rotated partition leaves a rotated partition, which the degree below has
+stored; a straight shape leaves a skew shape that no earlier degree built.
+``schur_f`` keeps the straight shape: a one-off call has no level below to
+reuse, and there the single place for 1 in a straight shape beats the
+several in a rotated one.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
@@ -46,7 +54,7 @@ has been met twice.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .compositions import (
     Composition,
@@ -65,9 +73,10 @@ from .young import SkewTableau, _syt_walk
 TableauSource = Union[Composition, SkewShape]
 
 
-# Unbounded: it holds one entry per descent set the engines produced, and an
-# LRU's per-entry bookkeeping cost more memory than it would ever evict.
-@lru_cache(maxsize=None)
+# Bounded: repeated expansions decode the same keys, but one M-expansion of
+# degree n decodes up to 2^(n - 1) of them, which an unbounded cache would
+# keep for the life of the process.
+@lru_cache(maxsize=2**16)
 def _composition_of_mask(key: int) -> Composition:
     """Decode ``mask | 1 << (n - 1)``, a descent bitmask of degree n (bit t
     set = descent at t + 1) whose top bit carries n: it closes the last part."""
@@ -201,50 +210,39 @@ def _evict(n: int) -> None:
             _PROFILES.pop(level, None)
 
 
-def _profile(
-    state: State,
-    n: int,
-    moves: Moves,
-    max_tableaux: int | None,
-    what: str,
-    *,
-    final_degree: int | None = None,
-) -> Profile:
-    """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo.
-    The states it still lacks are found top-down, level by level, then
-    computed bottom-up.  With a budget, a level with more missing states than
-    the budget, or a state with more fillings than it, aborts the call: every
-    filling of a state left after removing cells extends to one of ``state``.
-    When ``n`` is ``final_degree``, the root is built into a level of its
-    own and never enters the memo.
+def _level_below(
+    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
+) -> dict[State, Profile]:
+    """The memo level holding the children of ``state``, which has ``n`` >= 1
+    cells, after building the states it still lacks below ``state``: they
+    are found top-down, level by level, then computed bottom-up.  With a
+    budget, a level with more missing states than the budget, or a state
+    with more fillings than it, aborts the call: every filling of a state
+    left after removing cells extends to one of ``state``.  ``state`` itself
+    is not built.
     """
     _evict(n)
     try:
         # Hold each level here, so that another thread's eviction cannot
-        # pull one from under this call.  A root that another call found in
-        # the memo may still be read by that call, so a root that is not to
-        # be kept is never put there.
-        root_level = {} if n == final_degree else _PROFILES.setdefault(n, {})
-        levels = {n: root_level, 0: _EMPTY_LEVEL}
+        # pull one from under this call.
+        levels = {0: _EMPTY_LEVEL}
         missing: list[list[State]] = []
-        frontier = [] if state in levels[n] else [state]
-        m = n
-        while frontier:
+        frontier = [state]
+        for m in range(n - 1, 0, -1):
+            known = levels[m] = _PROFILES.setdefault(m, {})
+            frontier = list(
+                {child for s in frontier for _, child, _ in moves(s) if child not in known}
+            )
+            if not frontier:
+                break
             # Distinct states of one level are left by distinct runs of
             # moves, and each run starts a distinct filling of ``state``; so
             # the budget also caps the walk at about n * max_tableaux states.
             if max_tableaux is not None and len(frontier) > max_tableaux:
                 raise BudgetExceededError(what, max_tableaux)
             missing.append(frontier)
-            m -= 1
-            if m == 0:
-                break
-            known = levels[m] = _PROFILES.setdefault(m, {})
-            frontier = list(
-                {child for s in frontier for _, child, _ in moves(s) if child not in known}
-            )
         for depth in range(len(missing) - 1, -1, -1):
-            m = n - depth
+            m = n - 1 - depth
             level, below = levels[m], levels[m - 1]
             for s in missing[depth]:
                 prof = _profile_of(moves(s), below)
@@ -253,9 +251,49 @@ def _profile(
                 ):
                     raise BudgetExceededError(what, max_tableaux)
                 level[s] = prof
-        return levels[n][state]
+        return levels[n - 1]
     finally:
         _evict(n)
+
+
+def _profile(
+    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
+) -> Profile:
+    """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo,
+    which keeps it.  The caller checks it against the budget, as the root
+    may be a memo hit.  A sweep never profiles the roots of its final
+    degree: it tallies them from :func:`_level_below`; see the module
+    docstring."""
+    _evict(n)
+    level = _PROFILES.setdefault(n, {})
+    prof = level.get(state)
+    if prof is None:
+        below = _level_below(state, n, moves, max_tableaux, what)
+        prof = level[state] = _profile_of(moves(state), below)
+    return prof
+
+
+def _root(source: TableauSource) -> tuple[State, int, Moves, str]:
+    """The state of ``source``, its size, its moves and its budget label."""
+    if isinstance(source, SkewShape):
+        what = f"tableaux of shape {source}"
+        return tuple(source.row_intervals()), source.size, _skew_moves, what
+    state = tuple(source)
+    if any(p < 1 for p in state):
+        raise ValueError(f"not a composition: {state}")
+    what = f"composition tableaux of shape {state}"
+    return state, sum(state), _qs_moves, what
+
+
+def _child_entries(
+    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
+) -> Iterator[tuple[Entry, int]]:
+    """Each entry of each child of ``state``, with 1 when the entry's cell
+    holding 1 makes the parent's entry 1 a descent and 0 otherwise."""
+    below = _level_below(state, n, moves, max_tableaux, what)
+    for _, child, t in moves(state):
+        for entry in below[child]:
+            yield entry, entry[0] >= t
 
 
 def _counts(
@@ -268,27 +306,50 @@ def _counts(
     More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`.
     A sweep passes its last degree as ``final_degree``; see the module
     docstring."""
-    if isinstance(source, SkewShape):
-        state: State = tuple(source.row_intervals())
-        n, moves = source.size, _skew_moves
-        what = f"tableaux of shape {source}"
-    else:
-        state = tuple(source)
-        if any(p < 1 for p in state):
-            raise ValueError(f"not a composition: {state}")
-        n, moves = sum(state), _qs_moves
-        what = f"composition tableaux of shape {state}"
+    state, n, moves, what = _root(source)
     if n == 0:
         by_mask = {0: 1}
+    elif n == final_degree:
+        by_mask = {}
+        for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
+            for m, c in zip(ms, cs):
+                m = m << 1 | d
+                by_mask[m] = by_mask.get(m, 0) + c
     else:
-        profile = _profile(
-            state, n, moves, max_tableaux, what, final_degree=final_degree
-        )
+        profile = _profile(state, n, moves, max_tableaux, what)
         by_mask = dict(zip(*_merged(profile)))
     # The root may be a memo hit, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
     return n, by_mask
+
+
+def _tally(
+    source: TableauSource,
+    max_tableaux: int | None,
+    *,
+    final_degree: int | None = None,
+) -> tuple[int, int]:
+    """Number of tableaux of ``source`` and of their distinct descent masks;
+    the two are equal iff no descent set has two tableaux.  The budget and
+    ``final_degree`` are those of :func:`_counts`."""
+    state, n, moves, what = _root(source)
+    if n == 0:
+        tableaux, groups = 1, [[(0,)]]
+    elif n == final_degree:
+        # Masks of the two groups differ in bit 0, so each group's masks
+        # are counted unshifted.
+        tableaux, groups = 0, ([], [])
+        for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
+            tableaux += sum(cs)
+            groups[d].append(ms)
+    else:
+        profile = _profile(state, n, moves, max_tableaux, what)
+        tableaux = sum(sum(cs) for _, _, cs in profile)
+        groups = [[ms for _, ms, _ in profile]]
+    if max_tableaux is not None and tableaux > max_tableaux:
+        raise BudgetExceededError(what, max_tableaux)
+    return tableaux, sum(len(set().union(*group)) for group in groups)
 
 
 def _expand(source: TableauSource, max_tableaux: int | None) -> Expansion:

@@ -95,15 +95,20 @@ class SkewShape:
 
     def transpose(self) -> "SkewShape":
         # As a and b weakly decrease, the rows of column j form an interval:
-        # below the rows with a >= j, down to the last row with b >= j.
+        # below the rows with a >= j, down to the last row with b >= j.  Both
+        # counts only grow as j falls, so two pointers find them all.
         ivs = self.row_intervals()
-        ncols = self.outer[0] if self.outer else 0
-        return _from_intervals(
-            [
-                (sum(1 for a, _ in ivs if a >= j), sum(1 for _, b in ivs if b >= j))
-                for j in range(1, ncols + 1)
-            ]
-        )
+        rows = len(ivs)
+        above = last = 0
+        cols = []
+        for j in range(self.outer[0] if self.outer else 0, 0, -1):
+            while above < rows and ivs[above][0] >= j:
+                above += 1
+            while last < rows and ivs[last][1] >= j:
+                last += 1
+            cols.append((above, last))
+        cols.reverse()
+        return _from_intervals(cols)
 
     def rotate180(self) -> "SkewShape":
         if not self.outer:
@@ -189,11 +194,7 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     def rec(acc: list[tuple[int, int]], remaining: int) -> None:
         if remaining == 0:
             if acc[-1][0] == 0:
-                outer = tuple(b for _, b in acc)
-                inner = tuple(a for a, _ in acc)
-                while inner and inner[-1] == 0:
-                    inner = inner[:-1]
-                found.append(SkewShape(outer, inner))
+                found.append(_from_intervals(acc))
             return
         if acc:
             prev_a, prev_b = acc[-1]

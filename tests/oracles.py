@@ -20,6 +20,8 @@ from qschur import (
     covers_up,
     des_c,
     des_p,
+    enumerate_sct,
+    enumerate_syt,
     qs_f,
     refinements,
 )
@@ -269,6 +271,16 @@ def multiplicity_witnesses_by_enumeration(source, max_tableaux=None) -> list:
         (d, a, b)
         for d, (a, b) in sorted(pairs.items(), key=lambda kv: tuple(kv[0]))
     ]
+
+
+def descent_tally(source) -> tuple[int, int]:
+    """Number of tableaux of a skew shape or composition, listed one by
+    one, and the number of distinct descent sets among them."""
+    if isinstance(source, SkewShape):
+        descents = [des_p(t) for t in enumerate_syt(source)]
+    else:
+        descents = [des_c(t) for t in enumerate_sct(tuple(source))]
+    return len(descents), len(set(descents))
 
 
 def f_to_m_by_refinements(e: Expansion) -> Expansion:

@@ -337,6 +337,28 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
     assert len(built) <= 500
 
 
+@pytest.mark.parametrize(
+    "theorem, max_n, states_below",
+    [
+        # The skew shapes of size at most 7.
+        ("skew", 8, 1250),
+        # The rotated partitions of size at most 12.
+        ("schur", 13, 271),
+        # The compositions of size at most 10.
+        ("qs-components", 11, 1023),
+    ],
+)
+def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, states_below):
+    # A final-degree root is tallied from the level below, never profiled.
+    built = []
+    profile_of = qschur.qsym._profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
+    )
+    assert verify(theorem, max_n).verified
+    assert len(built) <= states_below
+
+
 def test_verify_keeps_no_final_degree_roots():
     assert verify("skew", 8).checked == 3909
     # Level 8 is read by no later degree of this sweep.

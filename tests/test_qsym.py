@@ -10,6 +10,7 @@ import pytest
 import qschur.qsym
 from oracles import (
     compositions_with_parts_12,
+    descent_tally,
     f_to_m_by_refinements,
     multiplicity_witnesses_by_enumeration,
     qs_f_fast_12,
@@ -220,6 +221,50 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
 
+def _tally_sources():
+    """Skew shapes of size <= 7, rotated partitions of size <= 10 and
+    compositions of size <= 9, each with its size, by ascending size."""
+    sources = [(s, s.size) for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    sources += [
+        (SkewShape(lam).rotate180(), n)
+        for n in range(0, 11)
+        for lam in enumerate_partitions(n)
+    ]
+    sources += [(a, n) for n in range(0, 10) for a in enumerate_compositions(n)]
+    return sorted(sources, key=lambda pair: pair[1])
+
+
+def test_tally_matches_counts_and_enumeration():
+    tally, counts = qschur.qsym._tally, qschur.qsym._counts
+    for source, n in _tally_sources():
+        expected = descent_tally(source)
+        # Profiled and stored, then tallied from the level below.
+        for final_degree in (None, n):
+            _, by_mask = counts(source, None, final_degree=final_degree)
+            assert (sum(by_mask.values()), len(by_mask)) == expected
+            assert tally(source, None, final_degree=final_degree) == expected
+
+
+def test_tally_budget_matches_counts():
+    tally, counts = qschur.qsym._tally, qschur.qsym._counts
+    for source, what in [
+        ((2, 2, 4), "composition tableaux of shape (2, 2, 4)"),
+        (SkewShape((3, 2, 1)), "tableaux of shape 3,2,1"),
+        (SkewShape((4, 3, 1), (2,)), "tableaux of shape 4,3,1/2"),
+    ]:
+        n = sum(source) if isinstance(source, tuple) else source.size
+        total, _ = descent_tally(source)
+        message = f"{what} exceeded the tableau budget of {total - 1}"
+        # The final-degree root is never profiled, yet raises the message of
+        # a profiled one, whether or not that one is a memo hit.
+        for final_degree in (n, None, None):
+            for f in (tally, counts):
+                with pytest.raises(BudgetExceededError) as caught:
+                    f(source, total - 1, final_degree=final_degree)
+                assert str(caught.value) == message
+                f(source, total, final_degree=final_degree)
+
+
 def test_qs_f_matches_tableau_tally():
     for n in range(0, 11):
         for alpha in enumerate_compositions(n):
@@ -297,6 +342,15 @@ def test_f_to_m_is_sparse():
     assert time.perf_counter() - start < 0.5
     full = f_to_m(F(16, {(16,): 1}))
     assert full.terms == {alpha: 1 for alpha in enumerate_compositions(16)}
+
+
+def test_decode_cache_is_bounded():
+    # Each call decodes every M-term it returns: 2^15 and then 2^16 keys.
+    f_to_m(qs_f((16,)))
+    f_to_m(qs_f((17,)))
+    info = qschur.qsym._composition_of_mask.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 def test_f_to_m_term_budget():

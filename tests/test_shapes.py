@@ -122,6 +122,14 @@ def test_enumeration_is_deduplicated_and_sorted():
         assert all(s.size == n for s in shapes_n)
 
 
+def test_enumeration_yields_basic_forms():
+    # The generator skips the validating constructor; it must agree with it.
+    for n in range(0, 10):
+        for s in enumerate_skew_shapes(n):
+            canonical = SkewShape(s.outer, s.inner)
+            assert (s.outer, s.inner) == (canonical.outer, canonical.inner)
+
+
 def test_enumeration_closed_under_symmetries():
     for n in range(0, 7):
         shapes_n = set(enumerate_skew_shapes(n))
