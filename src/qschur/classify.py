@@ -14,7 +14,6 @@ from .compositions import (
     enumerate_partitions,
     rearrangements,
 )
-from .ctableaux import CompositionTableau
 from .qsym import (
     _counts,
     _descent_mask,
@@ -23,7 +22,6 @@ from .qsym import (
     multiplicity_witnesses,
 )
 from .shapes import SkewShape, enumerate_skew_shapes
-from .young import SkewTableau
 
 THEOREMS = ("schur", "skew", "qs-components", "two-part", "families")
 DEFAULT_MAX_TABLEAUX = 10_000_000
@@ -168,13 +166,11 @@ def predict_family(lam: Partition) -> bool:
     return False
 
 
-def _multiplicity_free(
-    source: Instance, budget: int | None, final_degree: int | None = None
-) -> bool:
+def _multiplicity_free(source: Instance, budget: int | None) -> bool:
     """True iff no descent set has two tableaux of shape ``source``: every
     descent set met has at least one, so iff there are as many tableaux as
     descent sets."""
-    tableaux, masks = _tally(source, budget, final_degree=final_degree)
+    tableaux, masks = _tally(source, budget)
     return tableaux == masks
 
 
@@ -236,24 +232,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _tableau_json(t: object) -> list:
-    if isinstance(t, (SkewTableau, CompositionTableau)):
-        return t.to_json_obj()
-    raise TypeError(f"not a tableau: {t!r}")
+def _witness_json(witness: tuple) -> dict:
+    """JSON object of one witness from :func:`multiplicity_witnesses`."""
+    d, first, second = witness
+    return {
+        "degree": d.degree,
+        "descents": sorted(d.members),
+        "first": first.to_json_obj(),
+        "second": second.to_json_obj(),
+    }
 
 
 def _witnesses_json(source, max_tableaux: int | None) -> tuple:
-    out = []
-    for d, a, b in multiplicity_witnesses(source, max_tableaux):
-        out.append(
-            {
-                "degree": d.degree,
-                "descents": sorted(d.members),
-                "first": _tableau_json(a),
-                "second": _tableau_json(b),
-            }
-        )
-    return tuple(out)
+    return tuple(map(_witness_json, multiplicity_witnesses(source, max_tableaux)))
 
 
 def _instances(theorem: str, max_n: int) -> Iterator[Instance]:
@@ -283,43 +274,42 @@ def _instance_label(theorem: str, inst: Instance) -> dict:
 
 
 def _check_instance(
-    theorem: str, inst: Instance, budget: int | None, final_degree: int
+    theorem: str, inst: Instance, budget: int | None
 ) -> Disagreement | None:
     """The disagreement at ``inst``, or None.  The truth comes from the
-    engine's counts; witnesses are searched only for a disagreement."""
+    engine's tallies; witnesses are searched only for a disagreement."""
     if theorem == "schur":
         predicted = predict_schur(inst)
         # The rotation has the same expansion; see the qsym docstring.
-        truth = _multiplicity_free(SkewShape(inst).rotate180(), budget, final_degree)
+        truth = _multiplicity_free(SkewShape(inst).rotate180(), budget)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(SkewShape(inst), budget)
     elif theorem == "skew":
         predicted = predict_skew(inst)
-        truth = _multiplicity_free(inst, budget, final_degree)
+        truth = _multiplicity_free(inst, budget)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(inst, budget)
     elif theorem == "two-part":
         predicted = predict_two_part(inst)
-        truth = _multiplicity_free(inst, budget, final_degree)
+        truth = _multiplicity_free(inst, budget)
         if predicted == truth:
             return None
         witnesses = _witnesses_json(inst, budget)
     elif theorem == "qs-components":
         predicted = predict_qs_components(inst)
-        n, counts = _counts(inst, budget, final_degree=final_degree)
-        count = len(counts)
+        _, count = _tally(inst, budget)
         truth = "one" if count == 1 else "two" if count == 2 else "more"
-        # The one- and two-term statements also pin the terms themselves.
-        own = _descent_mask(inst)
         structurally_ok = True
-        if truth == "one":
-            structurally_ok = counts == {own: 1}
-        elif truth == "two":
-            structurally_ok = counts.get(own) == 1
+        if count <= 2:
+            # The one- and two-term statements also pin the terms themselves.
+            own = _descent_mask(inst)
+            _, counts = _counts(inst, budget)
+            structurally_ok = counts == {own: 1} if count == 1 else counts.get(own) == 1
         if predicted == truth and structurally_ok:
             return None
+        n, counts = _counts(inst, budget)
         expansion = _f_expansion(counts, n)
         if not structurally_ok:
             truth = f"{truth} (terms: {sorted(expansion.terms)})"
@@ -330,10 +320,7 @@ def _check_instance(
             )
     elif theorem == "families":
         predicted = predict_family(inst)
-        truth = all(
-            _multiplicity_free(alpha, budget, final_degree)
-            for alpha in rearrangements(inst)
-        )
+        truth = brute_family_fmf(inst, budget)
         if predicted == truth:
             return None
         witnesses = ()
@@ -354,15 +341,15 @@ def verify(
     """Compare a classification predicate against brute-force truth on every
     instance of degree at most ``max_n``, in canonical instance order.
 
-    The instances go up by degree, so each degree's engine calls find the
-    degree below in the shared memo; the last degree's are not stored."""
+    The instances go up by degree, so each degree's engine calls find most
+    children of their instances already built by the degree before."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances = list(_instances(theorem, max_n))
     results = (
-        _check_instance(theorem, inst, max_tableaux, max_n) for inst in instances
+        _check_instance(theorem, inst, max_tableaux) for inst in instances
     )
     disagreements = tuple(d for d in results if d is not None)
     return VerificationReport(theorem, max_n, len(instances), disagreements)

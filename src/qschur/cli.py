@@ -202,17 +202,7 @@ def witnesses(kind, fmt, budget, composition, partition, outer, inner) -> None:
     source = _source(kind, composition, partition, outer, inner)
     found = multiplicity_witnesses(source, budget)
     if fmt == "json":
-        _emit_json(
-            [
-                {
-                    "degree": d.degree,
-                    "descents": sorted(d.members),
-                    "first": a.to_json_obj(),
-                    "second": b.to_json_obj(),
-                }
-                for d, a, b in found
-            ]
-        )
+        _emit_json([classify._witness_json(w) for w in found])
     else:
         if not found:
             click.echo("no repeated descent sets")

@@ -13,29 +13,28 @@ All three run one engine, Stanley's transfer-matrix method (EC1 section
 4.7): the descent profile of a state is built from the profiles of the
 states left after removing the cell holding 1.  The engine takes a set of
 moves, one for compositions and one for skew shapes, and keeps one memo for
-both, shared by every call and split by size.  A call on a state of size n
-keeps only levels n - 1 and n, so an upward sweep computes each state once
-from the level below.  Every expansion is built from a count per descent
-bitmask by one function, ``_f_expansion``.
+both, shared by every call and split by size.  One rule holds for every
+call: the root, the state asked about, is never profiled or stored.  It is
+read straight off level n - 1, which holds all its children.  So a call on
+a state of size n keeps only levels n - 2 and n - 1, and an upward sweep
+builds level n - 1 from level n - 2 as the children of its roots, each
+state once.  Nothing is ever removed from a level, only whole levels from
+the memo, which keeps it thread-safe: a state that another call found in
+the memo may still be read by that call.
 
-``classify.verify`` runs such sweeps without building expansions.  Most of
-its questions are answered by ``_tally``: the number of tableaux and the
-number of distinct descent masks, which are equal iff no mask has two
-tableaux.  The component counts read ``_counts``, the count per mask.
-``verify`` passes its last degree to the engine as ``final_degree``: no
-later call reads the roots of that degree, so none is profiled or stored.
-Each is read straight off level n - 1, which holds all its children.
-``_tally`` sums the children's counts and takes the union of their masks in
-two groups split by bit 0, all in C; ``_counts`` sums their entries into one
-dict in a single pass.  Never storing these roots also keeps the memo
-thread-safe: a root that another call found in the memo may still be read
-by that call.  ``verify`` also reads each partition as its rotation by 180
-degrees, which has the same expansion.  Removing the cell holding 1 from a
-rotated partition leaves a rotated partition, which the degree below has
-stored; a straight shape leaves a skew shape that no earlier degree built.
-``schur_f`` keeps the straight shape: a one-off call has no level below to
-reuse, and there the single place for 1 in a straight shape beats the
-several in a rotated one.
+Roots are read two ways.  ``_counts`` sums the children's entries into a
+count per descent bitmask, from which ``_f_expansion`` builds every
+expansion.  ``_tally`` returns only the number of tableaux, the sum of the
+children's counts, and the number of distinct masks, the union of their
+masks in two groups split by bit 0, all in C.  The two are equal iff no
+mask has two tableaux, so ``classify.verify`` answers most of its
+questions without building expansions.  It also reads each partition as
+its rotation by 180 degrees, which has the same expansion.  Removing the
+cell holding 1 from a rotated partition leaves a rotated partition, which
+the degree below has built; a straight shape leaves a skew shape that no
+earlier degree built.  ``schur_f`` keeps the straight shape: a one-off call
+has no level below to reuse, and there the single place for 1 in a
+straight shape beats the several in a rotated one.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
@@ -204,73 +203,59 @@ def _profile_of(moves: list[Move], below: dict[State, Profile]) -> Profile:
 
 
 def _evict(n: int) -> None:
-    """Drop every level of the memo but ``n - 1`` and ``n``."""
+    """Drop every level of the memo but ``n - 2`` and ``n - 1``."""
     for level in list(_PROFILES):
-        if level != n and level != n - 1:
+        if level != n - 1 and level != n - 2:
             _PROFILES.pop(level, None)
 
 
 def _level_below(
     state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
-) -> dict[State, Profile]:
-    """The memo level holding the children of ``state``, which has ``n`` >= 1
-    cells, after building the states it still lacks below ``state``: they
-    are found top-down, level by level, then computed bottom-up.  With a
-    budget, a level with more missing states than the budget, or a state
-    with more fillings than it, aborts the call: every filling of a state
-    left after removing cells extends to one of ``state``.  ``state`` itself
-    is not built.
+) -> tuple[list[Move], dict[State, Profile]]:
+    """The moves of ``state``, which has ``n`` >= 1 cells, and the memo
+    level holding its children, after building the states it still lacks
+    below ``state``: they are found top-down, level by level, then computed
+    bottom-up, and the moves of each are computed once.  With a budget, a
+    level with more missing states than the budget, or a state with more
+    fillings than it, aborts the call: every filling of a state left after
+    removing cells extends to one of ``state``.  ``state`` itself is not
+    built.
     """
     _evict(n)
     try:
         # Hold each level here, so that another thread's eviction cannot
         # pull one from under this call.
         levels = {0: _EMPTY_LEVEL}
-        missing: list[list[State]] = []
-        frontier = [state]
+        root_moves = moves(state)
+        missing: list[list[tuple[State, list[Move]]]] = []
+        frontier = [(state, root_moves)]
         for m in range(n - 1, 0, -1):
             known = levels[m] = _PROFILES.setdefault(m, {})
-            frontier = list(
-                {child for s in frontier for _, child, _ in moves(s) if child not in known}
-            )
-            if not frontier:
+            children = {
+                child for _, ms in frontier for _, child, _ in ms if child not in known
+            }
+            if not children:
                 break
             # Distinct states of one level are left by distinct runs of
             # moves, and each run starts a distinct filling of ``state``; so
             # the budget also caps the walk at about n * max_tableaux states.
-            if max_tableaux is not None and len(frontier) > max_tableaux:
+            if max_tableaux is not None and len(children) > max_tableaux:
                 raise BudgetExceededError(what, max_tableaux)
+            frontier = [(s, moves(s)) for s in children]
             missing.append(frontier)
         for depth in range(len(missing) - 1, -1, -1):
             m = n - 1 - depth
             level, below = levels[m], levels[m - 1]
-            for s in missing[depth]:
-                prof = _profile_of(moves(s), below)
+            for s, ms in missing[depth]:
+                prof = _profile_of(ms, below)
                 if max_tableaux is not None and (
                     sum(sum(counts) for _, _, counts in prof) > max_tableaux
                 ):
                     raise BudgetExceededError(what, max_tableaux)
                 level[s] = prof
-        return levels[n - 1]
+        return root_moves, levels[n - 1]
     finally:
         _evict(n)
-
-
-def _profile(
-    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
-) -> Profile:
-    """Profile of ``state``, with ``n`` >= 1 cells, through the shared memo,
-    which keeps it.  The caller checks it against the budget, as the root
-    may be a memo hit.  A sweep never profiles the roots of its final
-    degree: it tallies them from :func:`_level_below`; see the module
-    docstring."""
-    _evict(n)
-    level = _PROFILES.setdefault(n, {})
-    prof = level.get(state)
-    if prof is None:
-        below = _level_below(state, n, moves, max_tableaux, what)
-        prof = level[state] = _profile_of(moves(state), below)
-    return prof
 
 
 def _root(source: TableauSource) -> tuple[State, int, Moves, str]:
@@ -290,63 +275,48 @@ def _child_entries(
 ) -> Iterator[tuple[Entry, int]]:
     """Each entry of each child of ``state``, with 1 when the entry's cell
     holding 1 makes the parent's entry 1 a descent and 0 otherwise."""
-    below = _level_below(state, n, moves, max_tableaux, what)
-    for _, child, t in moves(state):
+    root_moves, below = _level_below(state, n, moves, max_tableaux, what)
+    for _, child, t in root_moves:
         for entry in below[child]:
             yield entry, entry[0] >= t
 
 
 def _counts(
-    source: TableauSource,
-    max_tableaux: int | None,
-    *,
-    final_degree: int | None = None,
+    source: TableauSource, max_tableaux: int | None
 ) -> tuple[int, dict[int, int]]:
-    """Degree of ``source`` and its number of tableaux per descent mask.
-    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`.
-    A sweep passes its last degree as ``final_degree``; see the module
-    docstring."""
+    """Degree of ``source`` and its number of tableaux per descent mask,
+    summed over the entries of its children; the root itself is never
+    profiled or stored.  More tableaux than ``max_tableaux`` raise
+    :class:`BudgetExceededError`."""
     state, n, moves, what = _root(source)
     if n == 0:
         by_mask = {0: 1}
-    elif n == final_degree:
+    else:
         by_mask = {}
         for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
             for m, c in zip(ms, cs):
                 m = m << 1 | d
                 by_mask[m] = by_mask.get(m, 0) + c
-    else:
-        profile = _profile(state, n, moves, max_tableaux, what)
-        by_mask = dict(zip(*_merged(profile)))
-    # The root may be a memo hit, so it meets the budget here.
+    # The root is never built, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
     return n, by_mask
 
 
-def _tally(
-    source: TableauSource,
-    max_tableaux: int | None,
-    *,
-    final_degree: int | None = None,
-) -> tuple[int, int]:
-    """Number of tableaux of ``source`` and of their distinct descent masks;
-    the two are equal iff no descent set has two tableaux.  The budget and
-    ``final_degree`` are those of :func:`_counts`."""
+def _tally(source: TableauSource, max_tableaux: int | None) -> tuple[int, int]:
+    """Number of tableaux of ``source`` and of their distinct descent masks,
+    read off its children like :func:`_counts`, with the same budget; the
+    two are equal iff no descent set has two tableaux."""
     state, n, moves, what = _root(source)
     if n == 0:
         tableaux, groups = 1, [[(0,)]]
-    elif n == final_degree:
+    else:
         # Masks of the two groups differ in bit 0, so each group's masks
         # are counted unshifted.
         tableaux, groups = 0, ([], [])
         for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
             tableaux += sum(cs)
             groups[d].append(ms)
-    else:
-        profile = _profile(state, n, moves, max_tableaux, what)
-        tableaux = sum(sum(cs) for _, _, cs in profile)
-        groups = [[ms for _, ms, _ in profile]]
     if max_tableaux is not None and tableaux > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
     return tableaux, sum(len(set().union(*group)) for group in groups)

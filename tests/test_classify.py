@@ -198,6 +198,16 @@ def _doctored_counts(real):
     return counts
 
 
+def _tally_of(counts):
+    """The tally that agrees with ``counts``."""
+
+    def tally(source, max_tableaux):
+        _, by_mask = counts(source, max_tableaux)
+        return sum(by_mask.values()), len(by_mask)
+
+    return tally
+
+
 def _report(theorem, max_n):
     return json.loads(json.dumps(verify(theorem, max_n).to_json_obj()))
 
@@ -284,11 +294,11 @@ def test_disagreement_reports(monkeypatch):
 
     # A disagreement with no witness pair lists the terms instead; a wrong
     # set of terms is spelled out in the truth.
+    counts = _doctored_counts(qschur.qsym._counts)
     with monkeypatch.context() as m:
         for module in (qschur.qsym, qschur.classify):
-            m.setattr(
-                module, "_counts", _doctored_counts(qschur.qsym._counts), raising=False
-            )
+            m.setattr(module, "_counts", counts)
+        m.setattr(qschur.classify, "_tally", _tally_of(counts))
         components = _report("qs-components", 7)
     assert components["checked"] == 127
     assert components["disagreements"] == [
@@ -346,10 +356,15 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
         ("schur", 13, 271),
         # The compositions of size at most 10.
         ("qs-components", 11, 1023),
+        # The one- and two-part compositions of size at most 17.
+        ("two-part", 18, 153),
+        # Fewer than the compositions of size at most 10: a family stops at
+        # its first rearrangement that is not multiplicity-free.
+        ("families", 11, 838),
     ],
 )
 def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, states_below):
-    # A final-degree root is tallied from the level below, never profiled.
+    # A root is read off the level below, never profiled.
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(

@@ -76,8 +76,20 @@ def test_witnesses_exit_codes():
     assert "no repeated descent sets" in result.output
     result = run("witnesses", "--kind", "schur", "--partition", "3,2,1", "--format", "json")
     assert result.exit_code == 1
-    found = json.loads(result.output)
-    assert any(w["descents"] == [2, 4] for w in found)
+    assert json.loads(result.output) == [
+        {
+            "degree": 6,
+            "descents": [1, 3, 5],
+            "first": [[1, 3, 5], [2, 4], [6]],
+            "second": [[1, 3, 5], [2, 6], [4]],
+        },
+        {
+            "degree": 6,
+            "descents": [2, 4],
+            "first": [[1, 2, 4], [3, 6], [5]],
+            "second": [[1, 2, 6], [3, 4], [5]],
+        },
+    ]
 
 
 def test_verify_command():

@@ -119,7 +119,7 @@ def test_shared_memo_is_order_independent():
             got[k] = f(arg)
             # A call on the empty state does not touch the memo.
             if n:
-                assert set(memo) <= {n - 1, n}
+                assert set(memo) <= {n - 2, n - 1}
         results.append(got)
     assert results[0] == results[1] == results[2]
     assert {k: results[3][k] for k in ascending} == results[0]
@@ -179,11 +179,10 @@ def test_shared_memo_survives_concurrent_calls():
     assert errors == []
 
 
-
 def test_sweep_roots_stay_out_of_the_shared_memo():
-    # verify builds the roots of its final degree without storing them.  A
-    # call that found such a root in the memo during its walk would read it
-    # again in its build phase, so removing it afterwards would fail there.
+    # No root is stored, so none is removed again.  A call that found a
+    # state in the memo during its walk reads it again in its build phase,
+    # so removing one there would fail that call.
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -221,6 +220,7 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
 
+
 def _tally_sources():
     """Skew shapes of size <= 7, rotated partitions of size <= 10 and
     compositions of size <= 9, each with its size, by ascending size."""
@@ -236,13 +236,16 @@ def _tally_sources():
 
 def test_tally_matches_counts_and_enumeration():
     tally, counts = qschur.qsym._tally, qschur.qsym._counts
-    for source, n in _tally_sources():
+    for source, _ in _tally_sources():
         expected = descent_tally(source)
-        # Profiled and stored, then tallied from the level below.
-        for final_degree in (None, n):
-            _, by_mask = counts(source, None, final_degree=final_degree)
+        # Cold, the children of the root are built; warm, they are found.
+        qschur.qsym._PROFILES.clear()
+        for _ in range(2):
+            assert tally(source, None) == expected
+        qschur.qsym._PROFILES.clear()
+        for _ in range(2):
+            _, by_mask = counts(source, None)
             assert (sum(by_mask.values()), len(by_mask)) == expected
-            assert tally(source, None, final_degree=final_degree) == expected
 
 
 def test_tally_budget_matches_counts():
@@ -252,17 +255,17 @@ def test_tally_budget_matches_counts():
         (SkewShape((3, 2, 1)), "tableaux of shape 3,2,1"),
         (SkewShape((4, 3, 1), (2,)), "tableaux of shape 4,3,1/2"),
     ]:
-        n = sum(source) if isinstance(source, tuple) else source.size
         total, _ = descent_tally(source)
         message = f"{what} exceeded the tableau budget of {total - 1}"
-        # The final-degree root is never profiled, yet raises the message of
-        # a profiled one, whether or not that one is a memo hit.
-        for final_degree in (n, None, None):
-            for f in (tally, counts):
+        # The root is never built, yet meets the budget, whether its
+        # children are built (cold) or found (warm).
+        for f in (tally, counts):
+            qschur.qsym._PROFILES.clear()
+            for _ in range(2):
                 with pytest.raises(BudgetExceededError) as caught:
-                    f(source, total - 1, final_degree=final_degree)
+                    f(source, total - 1)
                 assert str(caught.value) == message
-                f(source, total, final_degree=final_degree)
+                f(source, total)
 
 
 def test_qs_f_matches_tableau_tally():
