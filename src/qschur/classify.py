@@ -78,18 +78,30 @@ def _row_below_left_of_column(shape: SkewShape) -> bool:
 
 
 def predict_skew(shape: SkewShape) -> bool:
-    """Multiplicity-freeness of the skew Schur function of ``shape``: some
-    variant under transpose and rotation is a listed straight shape or a
-    row placed disjointly below-left of a column."""
-    transposed = shape.transpose()
-    variants = {shape, transposed, shape.rotate180(), transposed.rotate180()}
-    for v in variants:
-        if not v.inner:
-            if _schur_listed(v.outer):
-                return True
-        elif _row_below_left_of_column(v):
-            return True
-    return False
+    """Multiplicity-freeness of the skew Schur function of ``shape``: up to
+    transpose and rotation by 180 degrees, a listed straight shape or a row
+    placed disjointly below-left of a column.  Read on the row intervals,
+    that is one of four families:
+
+    - the shape is straight and :func:`predict_schur` holds;
+    - every row ends in the last column, so the rotation is straight, and
+      :func:`predict_schur` holds for it;
+    - a row lies below-left of a column (:func:`_row_below_left_of_column`);
+    - a column lies below-left of a row: a row (1, m + 1] over rows (0, 1].
+
+    Transposing maps each family to itself, since :func:`predict_schur`
+    also checks the conjugate, so no transpose is checked.  Rotating swaps
+    the first two families and the last two, so no rotation is built.
+    """
+    if not shape.inner:
+        return predict_schur(shape.outer)
+    ivs = shape.row_intervals()
+    width = shape.outer[0]
+    if all(b == width for _, b in ivs):
+        return predict_schur(tuple(width - a for a, _ in reversed(ivs)))
+    return _row_below_left_of_column(shape) or (
+        ivs[0][0] == 1 and all(iv == (0, 1) for iv in ivs[1:])
+    )
 
 
 def _tails_after_optional_part(alpha: Composition) -> Iterator[Composition]:
@@ -301,16 +313,15 @@ def _check_instance(
         predicted = predict_qs_components(inst)
         _, count = _tally(inst, budget)
         truth = "one" if count == 1 else "two" if count == 2 else "more"
+        # The one- and two-term statements also pin the terms themselves.
+        counted = _counts(inst, budget) if count <= 2 else None
         structurally_ok = True
-        if count <= 2:
-            # The one- and two-term statements also pin the terms themselves.
-            own = _descent_mask(inst)
-            _, counts = _counts(inst, budget)
+        if counted:
+            own, counts = _descent_mask(inst), counted[1]
             structurally_ok = counts == {own: 1} if count == 1 else counts.get(own) == 1
         if predicted == truth and structurally_ok:
             return None
-        n, counts = _counts(inst, budget)
-        expansion = _f_expansion(counts, n)
+        expansion = _f_expansion(*(counted or _counts(inst, budget)))
         if not structurally_ok:
             truth = f"{truth} (terms: {sorted(expansion.terms)})"
         witnesses = _witnesses_json(inst, budget)

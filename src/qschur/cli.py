@@ -16,14 +16,7 @@ from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
 from .ctableaux import enumerate_sct
 from .errors import BudgetExceededError, capped
-from .qsym import (
-    f_component_count,
-    f_to_m,
-    is_fmf,
-    multiplicity_witnesses,
-    qs_f,
-    skew_schur_f,
-)
+from .qsym import _tally, f_to_m, multiplicity_witnesses, qs_f, skew_schur_f
 from .shapes import SkewShape
 from .young import enumerate_syt, lr_expansion
 
@@ -101,29 +94,39 @@ _budget_option = click.option(
 )
 
 
-def _with(options, f):
-    for option in reversed(options):
-        f = option(f)
-    return f
-
-
 @click.group()
 def main() -> None:
     """Expansions of Schur-like functions in the fundamental quasisymmetric
     basis, and exhaustive verification of their classification predicates."""
 
 
-@main.command()
-@_kind_option
-@click.option(
-    "--basis", type=click.Choice(["f", "m", "schur"]), default="f", show_default=True
+def _source_command(*own_options):
+    """Register the decorated function as a command on one composition or
+    shape, with the options ``--kind``, the index flags, ``own_options``,
+    ``--format`` and ``--budget`` in that order.  The function receives the
+    resolved source and the kind first; a budget abort exits 3."""
+
+    def register(f):
+        @functools.wraps(f)
+        def command(kind, composition, partition, outer, inner, **kwargs):
+            source = _source(kind, composition, partition, outer, inner)
+            return f(source, kind, **kwargs)
+
+        options = [_kind_option, *_index_options, *own_options]
+        for option in reversed([*options, _format_option, _budget_option]):
+            command = option(command)
+        return main.command()(_budget_guarded(command))
+
+    return register
+
+
+@_source_command(
+    click.option(
+        "--basis", type=click.Choice(["f", "m", "schur"]), default="f", show_default=True
+    )
 )
-@_format_option
-@_budget_option
-@_budget_guarded
-def expand(kind, basis, fmt, budget, composition, partition, outer, inner) -> None:
+def expand(source, kind, basis, fmt, budget) -> None:
     """Print a basis expansion for the requested index object."""
-    source = _source(kind, composition, partition, outer, inner)
     if basis == "schur":
         if kind != "skew":
             raise click.UsageError("--basis schur requires --kind skew")
@@ -141,17 +144,9 @@ def expand(kind, basis, fmt, budget, composition, partition, outer, inner) -> No
         click.echo(result.to_text())
 
 
-expand = _with(_index_options, expand)
-
-
-@main.command()
-@_kind_option
-@_format_option
-@_budget_option
-@_budget_guarded
-def tableaux(kind, fmt, budget, composition, partition, outer, inner) -> None:
+@_source_command()
+def tableaux(source, kind, fmt, budget) -> None:
     """Stream the standard tableaux of the requested shape."""
-    source = _source(kind, composition, partition, outer, inner)
     if kind == "qs":
         stream = capped(
             enumerate_sct(source), budget, f"composition tableaux of shape {source}"
@@ -165,22 +160,12 @@ def tableaux(kind, fmt, budget, composition, partition, outer, inner) -> None:
         click.echo("\n\n".join(blocks) if blocks else "(no tableaux)")
 
 
-tableaux = _with(_index_options, tableaux)
-
-
-@main.command()
-@_kind_option
-@_format_option
-@_budget_option
-@_budget_guarded
-def check(kind, fmt, budget, composition, partition, outer, inner) -> None:
+@_source_command()
+def check(source, kind, fmt, budget) -> None:
     """Report multiplicity-freeness and the number of F-components."""
-    source = _source(kind, composition, partition, outer, inner)
-    expansion = (
-        qs_f(source, budget) if kind == "qs" else skew_schur_f(source, budget)
-    )
-    free = is_fmf(expansion)
-    components = f_component_count(expansion)
+    # The same tally as ``verify``: one F-component per distinct descent set.
+    total, components = _tally(source, budget)
+    free = total == components
     if fmt == "json":
         _emit_json({"fmf": free, "components": components})
     else:
@@ -189,17 +174,9 @@ def check(kind, fmt, budget, composition, partition, outer, inner) -> None:
     sys.exit(0 if free else 1)
 
 
-check = _with(_index_options, check)
-
-
-@main.command()
-@_kind_option
-@_format_option
-@_budget_option
-@_budget_guarded
-def witnesses(kind, fmt, budget, composition, partition, outer, inner) -> None:
+@_source_command()
+def witnesses(source, kind, fmt, budget) -> None:
     """Print a colliding pair of tableaux for every repeated descent set."""
-    source = _source(kind, composition, partition, outer, inner)
     found = multiplicity_witnesses(source, budget)
     if fmt == "json":
         _emit_json([classify._witness_json(w) for w in found])
@@ -212,9 +189,6 @@ def witnesses(kind, fmt, budget, composition, partition, outer, inner) -> None:
             click.echo("--")
             click.echo(b.to_text())
     sys.exit(1 if found else 0)
-
-
-witnesses = _with(_index_options, witnesses)
 
 
 @main.command()

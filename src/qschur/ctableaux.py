@@ -211,19 +211,16 @@ def is_valid_sct(t: CompositionTableau) -> bool:
             if not 1 <= v <= n or v in pos:
                 raise ValueError("entries must be 1..n, each once")
             pos[v] = (r, c)
-    live = [[r, size] for r, size in enumerate(t.shape)]
+    # Only a leading part can be deleted, so the deleted rows are the first
+    # ``lead``; a row emptied below them leaves a 0, which no move leaves.
+    sizes = list(t.shape)
+    lead = 0
     for e in range(1, n + 1):
         r, c = pos[e]
-        idx = next((i for i, (row, _) in enumerate(live) if row == r), None)
-        if idx is None or c != live[idx][1]:
+        alpha = tuple(sizes[lead:])
+        sizes[r] -= 1
+        if not sizes[lead]:
+            lead += 1
+        if (c, tuple(sizes[lead:])) not in _down_moves(alpha):
             return False
-        s = live[idx][1]
-        if s == 1:
-            if idx != 0:
-                return False
-            del live[0]
-        else:
-            if any(row[1] == s - 1 for row in live[:idx]):
-                return False
-            live[idx][1] = s - 1
     return True

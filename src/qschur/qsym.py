@@ -92,8 +92,8 @@ def _composition_of_mask(key: int) -> Composition:
 
 
 def _descent_mask(alpha: Composition) -> int:
-    """Descent bitmask of a nonempty composition: bit t is set when a part
-    ends at t + 1 before the last part."""
+    """Descent bitmask of a composition: bit t is set when a part ends at
+    t + 1 before the last part."""
     mask = total = 0
     for part in alpha[:-1]:
         total += part
@@ -101,10 +101,11 @@ def _descent_mask(alpha: Composition) -> int:
     return mask
 
 
-def _f_expansion(by_mask: dict[int, int], n: int) -> Expansion:
-    """The F-expansion of degree ``n`` >= 1 with the given count per descent
-    mask, built without re-validating the engine's output."""
-    top = 1 << (n - 1)
+def _f_expansion(n: int, by_mask: dict[int, int]) -> Expansion:
+    """The F-expansion of degree ``n`` with the given count per descent
+    mask, built without re-validating the engine's output.  Degree 0 has
+    only the mask 0, whose key decodes to the empty composition."""
+    top = 1 << n >> 1
     return Expansion._trusted(
         "F", n, {_composition_of_mask(mask | top): cnt for mask, cnt in by_mask.items()}
     )
@@ -322,14 +323,6 @@ def _tally(source: TableauSource, max_tableaux: int | None) -> tuple[int, int]:
     return tableaux, sum(len(set().union(*group)) for group in groups)
 
 
-def _expand(source: TableauSource, max_tableaux: int | None) -> Expansion:
-    """The F-expansion of ``source`` from its descent counts."""
-    n, by_mask = _counts(source, max_tableaux)
-    if n == 0:
-        return Expansion("F", 0, {(): 1})
-    return _f_expansion(by_mask, n)
-
-
 def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     """Fundamental expansion of the quasisymmetric Schur function of shape
     ``alpha``: the coefficient of a composition beta counts the standard
@@ -342,7 +335,7 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     :class:`BudgetExceededError` at a cost that grows with the budget times
     the size, not with the number of tableaux.
     """
-    return _expand(tuple(alpha), max_tableaux)
+    return _f_expansion(*_counts(tuple(alpha), max_tableaux))
 
 
 def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion:
@@ -355,7 +348,7 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
     budget raises :class:`BudgetExceededError` at a cost that grows with the
     budget times the size, not with the number of tableaux.
     """
-    return _expand(shape, max_tableaux)
+    return _f_expansion(*_counts(shape, max_tableaux))
 
 
 def schur_f(lam: Partition, max_tableaux: int | None = None) -> Expansion:
@@ -385,8 +378,6 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
     if e.basis != "F":
         raise ValueError("f_to_m expects an F-expansion")
     n = e.degree
-    if n == 0:
-        return Expansion._trusted("M", 0, dict(e.terms))
     acc = {_descent_mask(key): coeff for key, coeff in e.terms.items()}
     for t in range(n - 1):
         bit = 1 << t
@@ -401,7 +392,7 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
                 # The dict only grows, so the result has at least this many.
                 if max_terms is not None and len(acc) > max_terms:
                     raise BudgetExceededError(f"M-terms of degree {n}", max_terms)
-    top = 1 << (n - 1)
+    top = 1 << n >> 1
     return Expansion._trusted(
         "M", n, {_composition_of_mask(mask | top): c for mask, c in acc.items()}
     )

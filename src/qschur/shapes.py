@@ -166,15 +166,10 @@ def _from_intervals(ivs: list[tuple[int, int]]) -> SkewShape:
 
 def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
     """Place ``d2`` strictly north-east of ``d1``, sharing no rows or columns."""
-    if not d1.outer:
-        return d2
-    if not d2.outer:
-        return d1
-    shift_down = len(d2.outer)
-    shift_right = d1.outer[0]
-    cells = {(i + shift_down, j) for i, j in d1.cells}
-    cells.update((i, j + shift_right) for i, j in d2.cells)
-    return SkewShape.from_cells(cells)
+    width = d1.outer[0] if d1.outer else 0
+    return _from_intervals(
+        [(a + width, b + width) for a, b in d2.row_intervals()] + d1.row_intervals()
+    )
 
 
 def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:

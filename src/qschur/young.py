@@ -197,8 +197,6 @@ def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion
     ``lam``.  Fillings are enumerated cell by cell in reverse reading order
     with the lattice condition checked incrementally."""
     n = shape.size
-    if n == 0:
-        return Expansion("schur", 0, {(): 1})
     ivs = shape.row_intervals()
     order: list[tuple[int, int]] = []
     for i, (a, b) in enumerate(ivs, start=1):

@@ -25,6 +25,7 @@ from qschur import (
     qs_f,
     refinements,
 )
+from qschur.classify import _row_below_left_of_column, _schur_listed
 from qschur.errors import capped
 
 
@@ -99,6 +100,21 @@ def rotate180_by_cells(shape: SkewShape) -> SkewShape:
     return SkewShape.from_cells(
         (nrows + 1 - i, ncols + 1 - j) for i, j in shape.cells
     )
+
+
+def predict_skew_by_variants(shape: SkewShape) -> bool:
+    """Multiplicity-freeness of the skew Schur function of ``shape``: some
+    variant under transpose and rotation is a listed straight shape or a
+    row placed disjointly below-left of a column."""
+    transposed = shape.transpose()
+    variants = {shape, transposed, shape.rotate180(), transposed.rotate180()}
+    for v in variants:
+        if not v.inner:
+            if _schur_listed(v.outer):
+                return True
+        elif _row_below_left_of_column(v):
+            return True
+    return False
 
 
 def skew_schur_f_pointer(shape: SkewShape) -> Expansion:

@@ -4,6 +4,7 @@ import pytest
 
 import qschur.classify
 import qschur.qsym
+from oracles import predict_skew_by_variants
 from qschur import (
     BudgetExceededError,
     SkewShape,
@@ -62,6 +63,13 @@ def test_predict_skew_examples():
     assert predict_skew(SkewShape((3, 2)).rotate180())
     assert predict_skew(SkewShape((3, 3), (1,)))  # rotation of (3, 2)
     assert not predict_skew(disjoint_union(SkewShape((2,)), SkewShape((2,))))
+
+
+def test_predict_skew_matches_variant_search():
+    # 38,253 shapes; the oracle builds every transpose and rotation.
+    for n in range(0, 11):
+        for shape in enumerate_skew_shapes(n):
+            assert predict_skew(shape) == predict_skew_by_variants(shape), shape
 
 
 def test_row_below_left_of_column_matches_disjoint_unions():

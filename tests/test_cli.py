@@ -48,6 +48,16 @@ def test_expand_skew_schur_basis():
     assert result.exit_code == 2
 
 
+def test_expand_help_lists_index_flags_after_kind():
+    result = run("expand", "--help")
+    assert result.exit_code == 0
+    lines = result.output.split("Options:\n")[1].splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "--kind", "--composition", "--partition", "--outer", "--inner",
+        "--basis", "--format", "--budget", "--help",
+    ]
+
+
 def test_check_exit_codes():
     result = run("check", "--kind", "schur", "--partition", "3,2,1")
     assert result.exit_code == 1

@@ -66,6 +66,7 @@ def test_skew_schur_f_anchors():
     assert schur_f((3, 2, 1)).coefficient((2, 2, 2)) == 2
     assert schur_f((4, 3)).coefficient((2, 3, 2)) == 2
     assert skew_schur_f(SkewShape((6,))) == F(6, {(6,): 1})
+    assert skew_schur_f(SkewShape()) == F(0, {(): 1})
 
 
 def test_schur_f_small():
@@ -316,6 +317,8 @@ def test_f_to_m():
     full = f_to_m(F(5, {(5,): 1}))
     assert len(full.terms) == 16
     assert all(c == 1 for c in full.terms.values())
+    assert f_to_m(F(0, {(): 1})) == Expansion("M", 0, {(): 1})
+    assert f_to_m(F(0, {})) == Expansion("M", 0, {})
     with pytest.raises(ValueError):
         f_to_m(Expansion("M", 2, {(2,): 1}))
 

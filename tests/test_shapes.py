@@ -148,6 +148,10 @@ def test_symmetry_involutions(d):
 @given(shapes(), shapes())
 def test_disjoint_union_properties(d1, d2):
     u = disjoint_union(d1, d2)
+    width = d1.outer[0] if d1.outer else 0
+    cells = {(i + len(d2.outer), j) for i, j in d1.cells}
+    cells.update((i, j + width) for i, j in d2.cells)
+    assert u == SkewShape.from_cells(cells)
     assert u.size == d1.size + d2.size
     if d1.size and d2.size:
         assert not u.is_connected()

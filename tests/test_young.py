@@ -116,6 +116,7 @@ def test_lr_expansion_basis_and_degree():
     assert e.basis == "schur"
     assert e.degree == 2
     assert dict(e.terms) == {(2,): 1, (1, 1): 1}
+    assert lr_expansion(SkewShape()) == Expansion("schur", 0, {(): 1})
 
 
 def test_lr_counts_match_syt_totals():
