@@ -1,5 +1,9 @@
 """Closed-form classification predicates and the brute-force verification
-harness that checks them exhaustively up to a degree bound."""
+harness that checks them exhaustively up to a degree bound.
+
+One table, ``_THEOREMS``, holds what ``verify`` needs of each theorem: its
+instances of each degree, the label key of an instance, and its check.
+``THEOREMS`` lists its names in order."""
 
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from .qsym import (
 )
 from .shapes import SkewShape, enumerate_skew_shapes
 
-THEOREMS = ("schur", "skew", "qs-components", "two-part", "families")
 DEFAULT_MAX_TABLEAUX = 10_000_000
 
 Instance = Union[Composition, Partition, SkewShape]
@@ -259,89 +262,78 @@ def _witnesses_json(source, max_tableaux: int | None) -> tuple:
     return tuple(map(_witness_json, multiplicity_witnesses(source, max_tableaux)))
 
 
-def _instances(theorem: str, max_n: int) -> Iterator[Instance]:
-    if theorem in ("schur", "families"):
-        for n in range(1, max_n + 1):
-            yield from enumerate_partitions(n)
-    elif theorem == "skew":
-        for n in range(1, max_n + 1):
-            yield from enumerate_skew_shapes(n)
-    elif theorem == "two-part":
-        for n in range(2, max_n + 1):
-            for a in range(1, n):
-                yield (a, n - a)
-    elif theorem == "qs-components":
-        for n in range(1, max_n + 1):
-            yield from enumerate_compositions(n)
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
+def _fmf_check(
+    predicted: bool, truth_source: Instance, witness_source: Instance, budget: int | None
+) -> tuple | None:
+    """``(predicted, truth, witnesses)`` when ``predicted`` is not the
+    multiplicity-freeness of ``truth_source``, else None.  The witnesses are
+    searched in ``witness_source``, which has the same expansion, and only
+    for a disagreement."""
+    truth = _multiplicity_free(truth_source, budget)
+    if predicted == truth:
+        return None
+    return predicted, truth, _witnesses_json(witness_source, budget)
 
 
-def _instance_label(theorem: str, inst: Instance) -> dict:
-    if theorem in ("schur", "families"):
-        return {"partition": list(inst)}
-    if theorem == "skew":
-        return {"outer": list(inst.outer), "inner": list(inst.inner)}
-    return {"composition": list(inst)}
+def _schur_check(lam: Partition, budget: int | None) -> tuple | None:
+    # The rotation has the same expansion; see the qsym docstring.
+    shape = SkewShape(lam)
+    return _fmf_check(predict_schur(lam), shape.rotate180(), shape, budget)
 
 
-def _check_instance(
-    theorem: str, inst: Instance, budget: int | None
-) -> Disagreement | None:
-    """The disagreement at ``inst``, or None.  The truth comes from the
-    engine's tallies; witnesses are searched only for a disagreement."""
-    if theorem == "schur":
-        predicted = predict_schur(inst)
-        # The rotation has the same expansion; see the qsym docstring.
-        truth = _multiplicity_free(SkewShape(inst).rotate180(), budget)
-        if predicted == truth:
-            return None
-        witnesses = _witnesses_json(SkewShape(inst), budget)
-    elif theorem == "skew":
-        predicted = predict_skew(inst)
-        truth = _multiplicity_free(inst, budget)
-        if predicted == truth:
-            return None
-        witnesses = _witnesses_json(inst, budget)
-    elif theorem == "two-part":
-        predicted = predict_two_part(inst)
-        truth = _multiplicity_free(inst, budget)
-        if predicted == truth:
-            return None
-        witnesses = _witnesses_json(inst, budget)
-    elif theorem == "qs-components":
-        predicted = predict_qs_components(inst)
-        _, count = _tally(inst, budget)
-        truth = "one" if count == 1 else "two" if count == 2 else "more"
-        # The one- and two-term statements also pin the terms themselves.
-        counted = _counts(inst, budget) if count <= 2 else None
-        structurally_ok = True
-        if counted:
-            own, counts = _descent_mask(inst), counted[1]
-            structurally_ok = counts == {own: 1} if count == 1 else counts.get(own) == 1
-        if predicted == truth and structurally_ok:
-            return None
-        expansion = _f_expansion(*(counted or _counts(inst, budget)))
-        if not structurally_ok:
-            truth = f"{truth} (terms: {sorted(expansion.terms)})"
-        witnesses = _witnesses_json(inst, budget)
-        if not witnesses:
-            witnesses = (
-                {"terms": [list(k) for k in expansion.terms]},
-            )
-    elif theorem == "families":
-        predicted = predict_family(inst)
-        truth = brute_family_fmf(inst, budget)
-        if predicted == truth:
-            return None
-        witnesses = ()
-        for alpha in rearrangements(inst):
-            witnesses = _witnesses_json(alpha, budget)
-            if witnesses:
-                break
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    return Disagreement(_instance_label(theorem, inst), predicted, truth, witnesses)
+def _skew_check(shape: SkewShape, budget: int | None) -> tuple | None:
+    return _fmf_check(predict_skew(shape), shape, shape, budget)
+
+
+def _two_part_check(alpha: Composition, budget: int | None) -> tuple | None:
+    return _fmf_check(predict_two_part(alpha), alpha, alpha, budget)
+
+
+def _components_check(alpha: Composition, budget: int | None) -> tuple | None:
+    predicted = predict_qs_components(alpha)
+    _, count = _tally(alpha, budget)
+    truth = "one" if count == 1 else "two" if count == 2 else "more"
+    # The one- and two-term statements also pin the terms themselves: the
+    # own mask is a term, once.  With one term it is then the only one.
+    counted = _counts(alpha, budget) if count <= 2 else None
+    pinned = counted is None or counted[1].get(_descent_mask(alpha)) == 1
+    if predicted == truth and pinned:
+        return None
+    expansion = _f_expansion(*(counted or _counts(alpha, budget)))
+    if not pinned:
+        truth = f"{truth} (terms: {sorted(expansion.terms)})"
+    witnesses = _witnesses_json(alpha, budget) or (
+        {"terms": [list(k) for k in expansion.terms]},
+    )
+    return predicted, truth, witnesses
+
+
+def _families_check(lam: Partition, budget: int | None) -> tuple | None:
+    predicted = predict_family(lam)
+    truth = brute_family_fmf(lam, budget)
+    if predicted == truth:
+        return None
+    found = (_witnesses_json(alpha, budget) for alpha in rearrangements(lam))
+    return predicted, truth, next(filter(None, found), ())
+
+
+# Each theorem's instances of degree n, the label key of an instance that is
+# a tuple (a skew shape is labelled by its outer and inner partitions), and
+# its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
+# Every entry calls the module's functions by name at call time, so that
+# patching a predicate or the engine on this module reaches the sweep.
+_THEOREMS = {
+    "schur": (lambda n: enumerate_partitions(n), "partition", _schur_check),
+    "skew": (lambda n: enumerate_skew_shapes(n), None, _skew_check),
+    "qs-components": (
+        lambda n: enumerate_compositions(n), "composition", _components_check
+    ),
+    "two-part": (
+        lambda n: ((a, n - a) for a in range(1, n)), "composition", _two_part_check
+    ),
+    "families": (lambda n: enumerate_partitions(n), "partition", _families_check),
+}
+THEOREMS = tuple(_THEOREMS)
 
 
 def verify(
@@ -356,11 +348,15 @@ def verify(
     children of their instances already built by the degree before."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if theorem not in THEOREMS:
+    if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    instances = list(_instances(theorem, max_n))
-    results = (
-        _check_instance(theorem, inst, max_tableaux) for inst in instances
-    )
-    disagreements = tuple(d for d in results if d is not None)
-    return VerificationReport(theorem, max_n, len(instances), disagreements)
+    instances_of, key, check = _THEOREMS[theorem]
+    instances = [inst for n in range(1, max_n + 1) for inst in instances_of(n)]
+    disagreements = []
+    for inst in instances:
+        found = check(inst, max_tableaux)
+        if found is not None:
+            named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
+            label = {k: list(parts) for k, parts in named.items()}
+            disagreements.append(Disagreement(label, *found))
+    return VerificationReport(theorem, max_n, len(instances), tuple(disagreements))

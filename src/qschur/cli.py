@@ -14,11 +14,11 @@ import click
 
 from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
-from .ctableaux import enumerate_sct
 from .errors import BudgetExceededError, capped
-from .qsym import _tally, f_to_m, multiplicity_witnesses, qs_f, skew_schur_f
+from .qsym import _counts, _f_expansion, _root, _tally, _walk
+from .qsym import f_to_m, multiplicity_witnesses
 from .shapes import SkewShape
-from .young import enumerate_syt, lr_expansion
+from .young import lr_expansion
 
 
 def _parse_parts(text: str | None, what: str) -> tuple[int, ...]:
@@ -49,13 +49,22 @@ def _parse_shape(outer: str | None, inner: str | None) -> SkewShape:
         raise click.UsageError(str(exc))
 
 
-def _source(kind, composition, partition, outer, inner):
-    """Resolve --kind plus index flags into a composition or shape."""
-    if kind == "qs":
-        return _parse_parts(composition, "composition")
-    if kind == "schur":
-        return SkewShape(_parse_partition(partition))
-    return _parse_shape(outer, inner)
+# The index flags each --kind reads, in order, and how it reads them; an
+# index flag that its --kind does not read is a usage error.
+_KINDS = {
+    "qs": (("composition",), lambda text: _parse_parts(text, "composition")),
+    "schur": (("partition",), lambda text: SkewShape(_parse_partition(text))),
+    "skew": (("outer", "inner"), _parse_shape),
+}
+
+
+def _source(kind: str, flags: dict):
+    """Resolve --kind plus the index flags into a composition or shape."""
+    names, parse = _KINDS[kind]
+    for name, value in flags.items():
+        if value is not None and name not in names:
+            raise click.UsageError(f"--{name} does not apply to --kind {kind}")
+    return parse(*(flags[name] for name in names))
 
 
 def _emit_json(obj) -> None:
@@ -109,8 +118,10 @@ def _source_command(*own_options):
     def register(f):
         @functools.wraps(f)
         def command(kind, composition, partition, outer, inner, **kwargs):
-            source = _source(kind, composition, partition, outer, inner)
-            return f(source, kind, **kwargs)
+            flags = dict(
+                composition=composition, partition=partition, outer=outer, inner=inner
+            )
+            return f(_source(kind, flags), kind, **kwargs)
 
         options = [_kind_option, *_index_options, *own_options]
         for option in reversed([*options, _format_option, _budget_option]):
@@ -132,10 +143,7 @@ def expand(source, kind, basis, fmt, budget) -> None:
             raise click.UsageError("--basis schur requires --kind skew")
         result = lr_expansion(source, budget)
     else:
-        if kind == "qs":
-            result = qs_f(source, budget)
-        else:
-            result = skew_schur_f(source, budget)
+        result = _f_expansion(*_counts(source, budget))
         if basis == "m":
             result = f_to_m(result, budget)
     if fmt == "json":
@@ -147,12 +155,10 @@ def expand(source, kind, basis, fmt, budget) -> None:
 @_source_command()
 def tableaux(source, kind, fmt, budget) -> None:
     """Stream the standard tableaux of the requested shape."""
-    if kind == "qs":
-        stream = capped(
-            enumerate_sct(source), budget, f"composition tableaux of shape {source}"
-        )
-    else:
-        stream = capped(enumerate_syt(source), budget, f"tableaux of shape {source}")
+    *_, what = _root(source)
+    walk, snapshot = _walk(source)
+    # The walk overwrites its rows, so each tableau is snapshot as it comes.
+    stream = capped((snapshot(rows) for _, rows in walk), budget, what)
     if fmt == "json":
         _emit_json([t.to_json_obj() for t in stream])
     else:

@@ -379,6 +379,9 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
         raise ValueError("f_to_m expects an F-expansion")
     n = e.degree
     acc = {_descent_mask(key): coeff for key, coeff in e.terms.items()}
+    # Every F-term is an M-term, so the support alone may pass the cap.
+    if max_terms is not None and len(acc) > max_terms:
+        raise BudgetExceededError(f"M-terms of degree {n}", max_terms)
     for t in range(n - 1):
         bit = 1 << t
         # Masks without the bit add their sums into masks with it; the
@@ -418,6 +421,15 @@ def f_component_count(e: Expansion) -> int:
     return len(e.terms)
 
 
+def _walk(source: TableauSource) -> tuple[Iterator, Callable]:
+    """The depth-first walk over the standard tableaux of ``source``, which
+    yields each tableau's descent mask and its live rows, and the snapshot
+    that builds a tableau from those rows before the walk overwrites them."""
+    if isinstance(source, SkewShape):
+        return _syt_walk(source), partial(SkewTableau._trusted, source)
+    return _sct_walk(tuple(source)), CompositionTableau._trusted
+
+
 def multiplicity_witnesses(
     source: TableauSource, max_tableaux: int | None = None
 ) -> list[tuple[DescentSet, object, object]]:
@@ -435,12 +447,7 @@ def multiplicity_witnesses(
     repeated = {mask for mask, c in counts.items() if c > 1}
     if not repeated:
         return []
-    if isinstance(source, SkewShape):
-        walk = _syt_walk(source)
-        snapshot = partial(SkewTableau._trusted, source)
-    else:
-        walk = _sct_walk(tuple(source))
-        snapshot = CompositionTableau._trusted
+    walk, snapshot = _walk(source)
     first: dict[int, object] = {}
     found = []
     for mask, rows in walk:

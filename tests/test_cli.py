@@ -136,6 +136,14 @@ def test_usage_errors_exit_2():
             "check", "--kind", "qs", "--composition", "2,2", "--budget", budget
         ).exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "4", "--budget", "-1").exit_code == 2
+    # An index flag that --kind does not read is named, not ignored.
+    for args, flag in (
+        (("--kind", "schur", "--partition", "3,2", "--inner", "1"), "--inner"),
+        (("--kind", "qs", "--composition", "1,3", "--outer", "5"), "--outer"),
+    ):
+        result = run("check", *args)
+        assert result.exit_code == 2
+        assert f"{flag} does not apply to --kind" in result.output
 
 
 def test_budget_exit_3():
@@ -143,6 +151,13 @@ def test_budget_exit_3():
         "tableaux", "--kind", "schur", "--partition", "3,2,1", "--budget", "2"
     )
     assert result.exit_code == 3
+    assert "tableaux of shape 3,2,1 exceeded the tableau budget of 2" in result.output
+    result = run(
+        "tableaux", "--kind", "qs", "--composition", "2,2,2", "--budget", "3"
+    )
+    assert result.exit_code == 3
+    message = "composition tableaux of shape (2, 2, 2) exceeded the tableau budget of 3"
+    assert message in result.output
     result = run(
         "check", "--kind", "qs", "--composition", "2,2,2", "--budget", "1"
     )

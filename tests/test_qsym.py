@@ -366,6 +366,9 @@ def test_f_to_m_term_budget():
     # A one-row shape of 40 cells has 2^39 M-terms; the cap stops it at once.
     with pytest.raises(BudgetExceededError):
         f_to_m(qs_f((40,)), max_terms=10)
+    # Two F-terms and no new M-term: the F-support alone passes the cap.
+    with pytest.raises(BudgetExceededError, match="M-terms of degree 3"):
+        f_to_m(F(3, {(1, 1, 1): 1, (1, 2): 1}), max_terms=1)
 
 
 def test_omega_f():
