@@ -19,10 +19,12 @@ from .compositions import (
     rearrangements,
 )
 from .qsym import (
+    _PRUNED,
+    _clean,
     _counts,
     _descent_mask,
     _f_expansion,
-    _tally,
+    _narrow,
     multiplicity_witnesses,
 )
 from .shapes import SkewShape, enumerate_skew_shapes
@@ -182,11 +184,9 @@ def predict_family(lam: Partition) -> bool:
 
 
 def _multiplicity_free(source: Instance, budget: int | None) -> bool:
-    """True iff no descent set has two tableaux of shape ``source``: every
-    descent set met has at least one, so iff there are as many tableaux as
-    descent sets."""
-    tableaux, masks = _tally(source, budget)
-    return tableaux == masks
+    """True iff no descent set has two tableaux of shape ``source``, read
+    off the clean levels, whose budget caps masks."""
+    return _counts(source, budget, _clean)[1] is not None
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
@@ -291,15 +291,15 @@ def _two_part_check(alpha: Composition, budget: int | None) -> tuple | None:
 
 def _components_check(alpha: Composition, budget: int | None) -> tuple | None:
     predicted = predict_qs_components(alpha)
-    _, count = _tally(alpha, budget)
-    truth = "one" if count == 1 else "two" if count == 2 else "more"
+    # The narrow levels keep the counts of shapes with at most two terms.
+    _, counts = _counts(alpha, budget, _narrow)
+    truth = "more" if counts is None else "one" if len(counts) == 1 else "two"
     # The one- and two-term statements also pin the terms themselves: the
     # own mask is a term, once.  With one term it is then the only one.
-    counted = _counts(alpha, budget) if count <= 2 else None
-    pinned = counted is None or counted[1].get(_descent_mask(alpha)) == 1
+    pinned = counts is None or counts.get(_descent_mask(alpha)) == 1
     if predicted == truth and pinned:
         return None
-    expansion = _f_expansion(*(counted or _counts(alpha, budget)))
+    expansion = _f_expansion(*_counts(alpha, budget))
     if not pinned:
         truth = f"{truth} (terms: {sorted(expansion.terms)})"
     witnesses = _witnesses_json(alpha, budget) or (
@@ -344,17 +344,25 @@ def verify(
     """Compare a classification predicate against brute-force truth on every
     instance of degree at most ``max_n``, in canonical instance order.
 
-    The instances go up by degree, so each degree's engine calls find most
-    children of their instances already built by the degree before."""
+    The truth is read off the pruned levels of the qsym engine, whose budget
+    caps the masks stored for one instance; a disagreement is reported
+    through the counting engine, whose budget caps tableaux.  The instances
+    go up by degree, so each degree's engine calls find most children of
+    their instances already built by the degree before.  The pruned levels
+    are dropped when the sweep ends."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances_of, key, check = _THEOREMS[theorem]
     instances = [inst for n in range(1, max_n + 1) for inst in instances_of(n)]
+    try:
+        results = [(inst, check(inst, max_tableaux)) for inst in instances]
+    finally:
+        for memo in _PRUNED.values():
+            memo.clear()
     disagreements = []
-    for inst in instances:
-        found = check(inst, max_tableaux)
+    for inst, found in results:
         if found is not None:
             named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
             label = {k: list(parts) for k, parts in named.items()}

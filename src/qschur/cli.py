@@ -1,7 +1,9 @@
 """Command-line surface: expand, tableaux, check, witnesses, verify.
 
 Exit codes: 0 success/verified, 1 multiplicity found or predicate refuted,
-2 usage error, 3 tableau budget exceeded.
+2 usage error, 3 budget exceeded.  ``--budget`` caps the tableaux of one
+instance, except that for ``verify`` it caps the descent masks stored for
+one instance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import click
 from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
 from .errors import BudgetExceededError, capped
-from .qsym import _counts, _f_expansion, _root, _tally, _walk
+from .qsym import _counts, _f_expansion, _root, _walk
 from .qsym import f_to_m, multiplicity_witnesses
 from .shapes import SkewShape
 from .young import lr_expansion
@@ -169,9 +171,10 @@ def tableaux(source, kind, fmt, budget) -> None:
 @_source_command()
 def check(source, kind, fmt, budget) -> None:
     """Report multiplicity-freeness and the number of F-components."""
-    # The same tally as ``verify``: one F-component per distinct descent set.
-    total, components = _tally(source, budget)
-    free = total == components
+    # One F-component per distinct descent set, each met by a tableau.
+    _, by_mask = _counts(source, budget)
+    components = len(by_mask)
+    free = sum(by_mask.values()) == components
     if fmt == "json":
         _emit_json({"fmf": free, "components": components})
     else:

@@ -99,19 +99,19 @@ class Expansion:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        # Both sides hold valid keys and positive coefficients already.
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             terms[key] = terms.get(key, 0) + coeff
-        return Expansion(self.basis, self.degree, terms)
+        return Expansion._trusted(self.basis, self.degree, terms)
 
     def __mul__(self, scalar: int) -> "Expansion":
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar < 0:
             raise ValueError("scalar must be nonnegative")
-        return Expansion(
-            self.basis, self.degree, {k: scalar * c for k, c in self._terms.items()}
-        )
+        terms = {k: scalar * c for k, c in self._terms.items()} if scalar else {}
+        return Expansion._trusted(self.basis, self.degree, terms)
 
     __rmul__ = __mul__
 

@@ -13,28 +13,38 @@ All three run one engine, Stanley's transfer-matrix method (EC1 section
 4.7): the descent profile of a state is built from the profiles of the
 states left after removing the cell holding 1.  The engine takes a set of
 moves, one for compositions and one for skew shapes, and keeps one memo for
-both, shared by every call and split by size.  One rule holds for every
-call: the root, the state asked about, is never profiled or stored.  It is
-read straight off level n - 1, which holds all its children.  So a call on
-a state of size n keeps only levels n - 2 and n - 1, and an upward sweep
-builds level n - 1 from level n - 2 as the children of its roots, each
-state once.  Nothing is ever removed from a level, only whole levels from
-the memo, which keeps it thread-safe: a state that another call found in
-the memo may still be read by that call.
+both, ``_PROFILES``, shared by every public call and split by size.  One
+rule holds for every call: the root, the state asked about, is never
+profiled or stored.  It is read straight off level n - 1, which holds all
+its children.  So a call on a state of size n keeps only levels n - 2 and
+n - 1, and an upward sweep builds level n - 1 from level n - 2 as the
+children of its roots, each state once.  Nothing is ever removed from a
+level, only whole levels from the memo, which keeps it thread-safe: a state
+that another call found in the memo may still be read by that call.
 
-Roots are read two ways.  ``_counts`` sums the children's entries into a
-count per descent bitmask, from which ``_f_expansion`` builds every
-expansion.  ``_tally`` returns only the number of tableaux, the sum of the
-children's counts, and the number of distinct masks, the union of their
-masks in two groups split by bit 0, all in C.  The two are equal iff no
-mask has two tableaux, so ``classify.verify`` answers most of its
-questions without building expansions.  It also reads each partition as
-its rotation by 180 degrees, which has the same expansion.  Removing the
-cell holding 1 from a rotated partition leaves a rotated partition, which
-the degree below has built; a straight shape leaves a skew shape that no
-earlier degree built.  ``schur_f`` keeps the straight shape: a one-off call
-has no level below to reuse, and there the single place for 1 in a
-straight shape beats the several in a rotated one.
+``_counts`` reads a root: it sums the children's entries into a count per
+descent bitmask, from which ``_f_expansion`` builds every expansion.
+``classify.verify`` asks less of a root: whether some mask has two
+tableaux, or whether it has one, two or more masks.  A parent's entry for
+a child holds every mask m of the child as m << 1 | d, where d depends only
+on the key of the child's entry, with at least the child's count.  So a
+dirty child, one with a mask of count 2 or more in one entry, makes a dirty
+parent; and since m -> m << 1 | d is injective, a wide child, one with 3 or
+more distinct masks, makes a wide parent.  A keep test, ``_clean`` or
+``_narrow``, gives the walk its own levels in ``_PRUNED``: a state with a
+marker child, or whose profile fails the test, is stored as None, a
+marker, with no profile.  A root with a marker child, or whose counts fail
+the test, reads None: it is multiplicity-free iff no child is a marker and
+no shifted mask repeats, and has more than two masks iff a child is wide or
+it has three itself.  Nearly every state of a skew shape is dirty, so a
+sweep stores almost no profile there.  In the pruned levels the budget
+caps the masks a kept state stores, not its tableaux.  ``verify`` also reads
+each partition as its rotation by 180 degrees, which has the same
+expansion.  Removing the cell holding 1 from a rotated partition leaves a
+rotated partition, which the degree below has built; a straight shape
+leaves a skew shape that no earlier degree built.  ``schur_f`` keeps the
+straight shape: a one-off call has no level below to reuse, and there the
+single place for 1 in a straight shape beats the several in a rotated one.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
@@ -53,7 +63,7 @@ has been met twice.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .compositions import (
     Composition,
@@ -125,6 +135,10 @@ Moves = Callable[[State], list[Move]]
 # how many fillings have each mask.  Composition states may repeat a key.
 Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
 Profile = tuple[Entry, ...]
+# A level of pruned states maps some of them to None, a marker; a keep test
+# says which profiles a pruned level stores.
+Level = dict[State, Optional[Profile]]
+Keep = Callable[[Profile], bool]
 
 # Shared across calls and across both kinds of state: _PROFILES[m] maps the
 # states with m cells to their profiles.  See _evict for what a call keeps.
@@ -182,15 +196,18 @@ def _merged(entries: Sequence[Entry]) -> tuple:
     return acc.keys(), acc.values()
 
 
-def _profile_of(moves: list[Move], below: dict[State, Profile]) -> Profile:
+def _profile_of(moves: list[Move], below: Level) -> Profile | None:
     """Profile of a state from its moves and the profiles of the states one
-    cell smaller.  A child's entry 1 is the parent's entry 2, so the child's
-    entries split into those below the threshold and those at or above it;
-    their masks differ in bit 0, so only entries within a group need merging.
+    cell smaller, or None, a marker, when a child is one.  A child's entry 1
+    is the parent's entry 2, so the child's entries split into those below
+    the threshold and those at or above it; their masks differ in bit 0, so
+    only entries within a group need merging.
     """
     out = []
     for key, child, t in moves:
         entries = below[child]
+        if entries is None:
+            return None
         groups = ([e for e in entries if e[0] < t], [e for e in entries if e[0] >= t])
         keys: list[int] = []
         counts: list[int] = []
@@ -203,26 +220,52 @@ def _profile_of(moves: list[Move], below: dict[State, Profile]) -> Profile:
     return tuple(out)
 
 
-def _evict(n: int) -> None:
-    """Drop every level of the memo but ``n - 2`` and ``n - 1``."""
-    for level in list(_PROFILES):
+def _clean(profile: Profile) -> bool:
+    """True iff no entry of ``profile`` has two fillings with one mask."""
+    return all(sum(counts) == len(counts) for _, _, counts in profile)
+
+
+def _narrow(profile: Profile) -> bool:
+    """True iff the entries of ``profile`` hold at most two distinct masks."""
+    return len(set().union(*[masks for _, masks, _ in profile])) <= 2
+
+
+# The pruned levels of each keep test, in the layout of _PROFILES.
+_PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}, _narrow: {}}
+
+
+def _evict(memo: dict[int, dict], n: int) -> None:
+    """Drop every level of ``memo`` but ``n - 2`` and ``n - 1``."""
+    for level in list(memo):
         if level != n - 1 and level != n - 2:
-            _PROFILES.pop(level, None)
+            memo.pop(level, None)
 
 
 def _level_below(
-    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
-) -> tuple[list[Move], dict[State, Profile]]:
+    state: State,
+    n: int,
+    moves: Moves,
+    max_tableaux: int | None,
+    what: str,
+    keep: Keep | None = None,
+) -> tuple[list[Move], Level]:
     """The moves of ``state``, which has ``n`` >= 1 cells, and the memo
     level holding its children, after building the states it still lacks
     below ``state``: they are found top-down, level by level, then computed
-    bottom-up, and the moves of each are computed once.  With a budget, a
-    level with more missing states than the budget, or a state with more
-    fillings than it, aborts the call: every filling of a state left after
-    removing cells extends to one of ``state``.  ``state`` itself is not
-    built.
+    bottom-up, and the moves of each are computed once.  ``state`` itself is
+    not built.
+
+    With ``keep`` None every profile is kept in ``_PROFILES``.  Otherwise the
+    levels are those of ``_PRUNED[keep]``, and a state with a marker child,
+    or whose profile fails ``keep``, is stored as a marker.  With a budget,
+    a level with more missing states than the budget aborts the call, and
+    so does a kept state with more fillings than it, or with ``keep`` more
+    masks: every filling of a state left after removing cells extends to
+    one of ``state``.
     """
-    _evict(n)
+    memo = _PROFILES if keep is None else _PRUNED[keep]
+    size = sum if keep is None else len
+    _evict(memo, n)
     try:
         # Hold each level here, so that another thread's eviction cannot
         # pull one from under this call.
@@ -231,7 +274,7 @@ def _level_below(
         missing: list[list[tuple[State, list[Move]]]] = []
         frontier = [(state, root_moves)]
         for m in range(n - 1, 0, -1):
-            known = levels[m] = _PROFILES.setdefault(m, {})
+            known = levels[m] = memo.setdefault(m, {})
             children = {
                 child for _, ms in frontier for _, child, _ in ms if child not in known
             }
@@ -249,14 +292,16 @@ def _level_below(
             level, below = levels[m], levels[m - 1]
             for s, ms in missing[depth]:
                 prof = _profile_of(ms, below)
-                if max_tableaux is not None and (
-                    sum(sum(counts) for _, _, counts in prof) > max_tableaux
+                if prof is not None and keep is not None and not keep(prof):
+                    prof = None
+                if prof is not None and max_tableaux is not None and (
+                    sum(size(counts) for _, _, counts in prof) > max_tableaux
                 ):
                     raise BudgetExceededError(what, max_tableaux)
                 level[s] = prof
         return root_moves, levels[n - 1]
     finally:
-        _evict(n)
+        _evict(memo, n)
 
 
 def _root(source: TableauSource) -> tuple[State, int, Moves, str]:
@@ -271,56 +316,37 @@ def _root(source: TableauSource) -> tuple[State, int, Moves, str]:
     return state, sum(state), _qs_moves, what
 
 
-def _child_entries(
-    state: State, n: int, moves: Moves, max_tableaux: int | None, what: str
-) -> Iterator[tuple[Entry, int]]:
-    """Each entry of each child of ``state``, with 1 when the entry's cell
-    holding 1 makes the parent's entry 1 a descent and 0 otherwise."""
-    root_moves, below = _level_below(state, n, moves, max_tableaux, what)
-    for _, child, t in root_moves:
-        for entry in below[child]:
-            yield entry, entry[0] >= t
-
-
 def _counts(
-    source: TableauSource, max_tableaux: int | None
-) -> tuple[int, dict[int, int]]:
+    source: TableauSource, max_tableaux: int | None, keep: Keep | None = None
+) -> tuple[int, dict[int, int] | None]:
     """Degree of ``source`` and its number of tableaux per descent mask,
     summed over the entries of its children; the root itself is never
     profiled or stored.  More tableaux than ``max_tableaux`` raise
-    :class:`BudgetExceededError`."""
+    :class:`BudgetExceededError`.
+
+    With a ``keep`` test the children come from its pruned levels, the
+    counts are None when a child is a marker or the root's counts, read as
+    one entry, fail ``keep``, and the budget caps masks instead of tableaux.
+    """
     state, n, moves, what = _root(source)
-    if n == 0:
-        by_mask = {0: 1}
-    else:
-        by_mask = {}
-        for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
-            for m, c in zip(ms, cs):
-                m = m << 1 | d
-                by_mask[m] = by_mask.get(m, 0) + c
+    by_mask = {} if n else {0: 1}
+    if n:
+        root_moves, below = _level_below(state, n, moves, max_tableaux, what, keep)
+        if any(below[child] is None for _, child, _ in root_moves):
+            return n, None
+        for _, child, t in root_moves:
+            for key, ms, cs in below[child]:
+                d = key >= t
+                for m, c in zip(ms, cs):
+                    m = m << 1 | d
+                    by_mask[m] = by_mask.get(m, 0) + c
+    if keep is not None and not keep(((0, by_mask.keys(), by_mask.values()),)):
+        return n, None
     # The root is never built, so it meets the budget here.
-    if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
+    size = sum if keep is None else len
+    if max_tableaux is not None and size(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
     return n, by_mask
-
-
-def _tally(source: TableauSource, max_tableaux: int | None) -> tuple[int, int]:
-    """Number of tableaux of ``source`` and of their distinct descent masks,
-    read off its children like :func:`_counts`, with the same budget; the
-    two are equal iff no descent set has two tableaux."""
-    state, n, moves, what = _root(source)
-    if n == 0:
-        tableaux, groups = 1, [[(0,)]]
-    else:
-        # Masks of the two groups differ in bit 0, so each group's masks
-        # are counted unshifted.
-        tableaux, groups = 0, ([], [])
-        for (_, ms, cs), d in _child_entries(state, n, moves, max_tableaux, what):
-            tableaux += sum(cs)
-            groups[d].append(ms)
-    if max_tableaux is not None and tableaux > max_tableaux:
-        raise BudgetExceededError(what, max_tableaux)
-    return tableaux, sum(len(set().union(*group)) for group in groups)
 
 
 def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:

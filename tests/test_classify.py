@@ -11,6 +11,7 @@ from qschur import (
     brute_family_fmf,
     disjoint_union,
     enumerate_compositions,
+    enumerate_partitions,
     enumerate_skew_shapes,
     f_component_count,
     in_c2,
@@ -22,6 +23,7 @@ from qschur import (
     predict_skew,
     predict_two_part,
     qs_f,
+    rearrangements,
     verify,
 )
 from qschur.classify import _row_below_left_of_column
@@ -193,10 +195,13 @@ def _flip(monkeypatch, name, wrong):
 
 def _doctored_counts(real):
     """The engine's counts, with the own-shape term of (1,3) dropped and
-    that of (2,3) doubled, so that the structural checks fail."""
+    that of (2,3) doubled, so that the structural checks fail.  The keep
+    test passes through, so the narrow truth source is doctored too."""
 
-    def counts(source, max_tableaux, **kwargs):
-        n, by_mask = real(source, max_tableaux, **kwargs)
+    def counts(source, max_tableaux, keep=None):
+        n, by_mask = real(source, max_tableaux, keep)
+        if by_mask is None:
+            return n, by_mask
         if source == (1, 3):
             by_mask = {m: c for m, c in by_mask.items() if m != 0b1}
         elif source == (2, 3):
@@ -204,16 +209,6 @@ def _doctored_counts(real):
         return n, by_mask
 
     return counts
-
-
-def _tally_of(counts):
-    """The tally that agrees with ``counts``."""
-
-    def tally(source, max_tableaux):
-        _, by_mask = counts(source, max_tableaux)
-        return sum(by_mask.values()), len(by_mask)
-
-    return tally
 
 
 def _report(theorem, max_n):
@@ -304,9 +299,10 @@ def test_disagreement_reports(monkeypatch):
     # set of terms is spelled out in the truth.
     counts = _doctored_counts(qschur.qsym._counts)
     with monkeypatch.context() as m:
+        # The narrow truth and the disagreement's report read classify's
+        # _counts; the witness search reads qsym's.
         for module in (qschur.qsym, qschur.classify):
             m.setattr(module, "_counts", counts)
-        m.setattr(qschur.classify, "_tally", _tally_of(counts))
         components = _report("qs-components", 7)
     assert components["checked"] == 127
     assert components["disagreements"] == [
@@ -343,16 +339,26 @@ def test_disagreement_reports(monkeypatch):
     ]
 
 
-def test_verify_schur_builds_each_partition_once(monkeypatch):
+def _pruned_builds(monkeypatch):
+    """The states the sweeps after this call build, each appended to the
+    returned list; the public memo is cleared, and the sweeps must leave it
+    empty, so every build counted is one of the pruned walk."""
+    qschur.qsym._PROFILES.clear()
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(
         qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
     )
+    return built
+
+
+def test_verify_schur_builds_each_partition_once(monkeypatch):
+    built = _pruned_builds(monkeypatch)
     assert verify("schur", 13).verified
+    assert qschur.qsym._PROFILES == {}
     # 372 partitions of size at most 13; an unrotated straight shape's
     # children are skew shapes no earlier degree built.
-    assert len(built) <= 500
+    assert 0 < len(built) <= 500
 
 
 @pytest.mark.parametrize(
@@ -373,16 +379,63 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
 )
 def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, states_below):
     # A root is read off the level below, never profiled.
-    built = []
-    profile_of = qschur.qsym._profile_of
-    monkeypatch.setattr(
-        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
-    )
+    built = _pruned_builds(monkeypatch)
     assert verify(theorem, max_n).verified
-    assert len(built) <= states_below
+    assert qschur.qsym._PROFILES == {}
+    assert 0 < len(built) <= states_below
 
 
-def test_verify_keeps_no_final_degree_roots():
+def test_verify_keeps_no_final_degree_roots(monkeypatch):
+    memo = qschur.qsym._PRUNED[qschur.qsym._clean]
+    seen = {}
+    level_below = qschur.qsym._level_below
+
+    def watched(*args):
+        found = level_below(*args)
+        for m, level in memo.items():
+            seen[m] = max(seen.get(m, 0), len(level))
+        return found
+
+    monkeypatch.setattr(qschur.qsym, "_level_below", watched)
     assert verify("skew", 8).checked == 3909
-    # Level 8 is read by no later degree of this sweep.
-    assert len(qschur.qsym._PROFILES.get(8, {})) == 0
+    # Level 8 is read by no later degree of this sweep; level 7 holds the
+    # children of the last degree's roots.
+    assert max(seen) == 7 and seen[7] > 0
+    # The sweep drops its levels when it ends.
+    assert memo == {}
+
+
+def test_pruned_truth_matches_counts_at_acceptance_bounds():
+    # Every instance of each theorem up to its acceptance bound, read off
+    # the pruned levels and off the counting engine.
+    counts, clean, narrow = qschur.qsym._counts, qschur.qsym._clean, qschur.qsym._narrow
+
+    def free(source):
+        return all(c == 1 for c in counts(source, None)[1].values())
+
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            rotated = SkewShape(lam).rotate180()
+            assert (counts(rotated, None, clean)[1] is not None) == free(rotated)
+    for n in range(1, 10):
+        for shape in enumerate_skew_shapes(n):
+            assert (counts(shape, None, clean)[1] is not None) == free(shape)
+    for n in range(2, 15):
+        for alpha in ((a, n - a) for a in range(1, n)):
+            assert (counts(alpha, None, clean)[1] is not None) == free(alpha)
+    for n in range(1, 10):
+        for alpha in enumerate_compositions(n):
+            _, by_mask = counts(alpha, None)
+            _, pruned = counts(alpha, None, narrow)
+            assert pruned == (by_mask if len(by_mask) <= 2 else None)
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            expected = all(free(alpha) for alpha in rearrangements(lam))
+            assert brute_family_fmf(lam) == expected
+
+
+def test_two_part_30_fits_the_default_budget():
+    # (10,20) has 10,015,005 tableaux, past the default tableau budget, but
+    # both of its children are dirty markers, which store no mask.
+    report = verify("two-part", 30)
+    assert report.verified and report.checked == 435

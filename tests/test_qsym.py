@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 
 import qschur.qsym
+from click.testing import CliRunner
 from oracles import (
     compositions_with_parts_12,
     descent_tally,
@@ -49,6 +51,7 @@ from qschur import (
     skew_schur_f,
     verify,
 )
+from qschur.cli import main
 
 
 def F(n, terms):
@@ -183,7 +186,8 @@ def test_shared_memo_survives_concurrent_calls():
 def test_sweep_roots_stay_out_of_the_shared_memo():
     # No root is stored, so none is removed again.  A call that found a
     # state in the memo during its walk reads it again in its build phase,
-    # so removing one there would fail that call.
+    # so removing one there would fail that call.  Two sweeps share the
+    # pruned levels, which each clears when it ends.
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -192,7 +196,8 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     def sweeps():
         try:
             while not done.is_set():
-                verify("skew", 4)
+                if not verify("skew", 4).verified:
+                    errors.append("a sweep refuted its theorem")
         except Exception as exc:
             errors.append(repr(exc))
 
@@ -210,7 +215,7 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=f) for f in (sweeps, calls)]
+        threads = [threading.Thread(target=f) for f in (sweeps, sweeps, calls)]
         for t in threads:
             t.start()
         for t in threads:
@@ -232,22 +237,51 @@ def _tally_sources():
     return sources + [a for n in range(0, 10) for a in enumerate_compositions(n)]
 
 
+def _clear_memos():
+    qschur.qsym._PROFILES.clear()
+    for memo in qschur.qsym._PRUNED.values():
+        memo.clear()
+
+
+def _check(source, *options):
+    """Exit code and output of ``qschur check --format json`` on a nonempty
+    skew shape or composition."""
+    if isinstance(source, SkewShape):
+        index = ["skew", "--outer", ",".join(map(str, source.outer))]
+        if source.inner:
+            index += ["--inner", ",".join(map(str, source.inner))]
+    else:
+        index = ["qs", "--composition", ",".join(map(str, source))]
+    args = ["check", "--kind", *index, "--format", "json", *options]
+    result = CliRunner().invoke(main, args)
+    return result.exit_code, result.output
+
+
 def test_tally_matches_counts_and_enumeration():
-    tally, counts = qschur.qsym._tally, qschur.qsym._counts
+    counts, clean, narrow = qschur.qsym._counts, qschur.qsym._clean, qschur.qsym._narrow
     for source in _tally_sources():
         expected = descent_tally(source)
+        tableaux, masks = expected
         # Cold, the children of the root are built; warm, they are found.
-        qschur.qsym._PROFILES.clear()
-        for _ in range(2):
-            assert tally(source, None) == expected
-        qschur.qsym._PROFILES.clear()
-        for _ in range(2):
-            _, by_mask = counts(source, None)
-            assert (sum(by_mask.values()), len(by_mask)) == expected
+        # The pruned truth is None where its keep test fails, and the
+        # counts otherwise.
+        tests = ((None, True), (clean, tableaux == masks), (narrow, masks <= 2))
+        for keep, kept in tests:
+            _clear_memos()
+            for _ in range(2):
+                n, by_mask = counts(source, None, keep)
+                assert (by_mask is not None) == kept
+                if kept:
+                    assert (sum(by_mask.values()), len(by_mask)) == expected
+        # ``check`` reads the counts: one component per descent set.
+        if n:
+            code, output = _check(source)
+            assert json.loads(output) == {"fmf": tableaux == masks, "components": masks}
+            assert code == (0 if tableaux == masks else 1)
 
 
 def test_tally_budget_matches_counts():
-    tally, counts = qschur.qsym._tally, qschur.qsym._counts
+    counts = qschur.qsym._counts
     for source, what in [
         ((2, 2, 4), "composition tableaux of shape (2, 2, 4)"),
         (SkewShape((3, 2, 1)), "tableaux of shape 3,2,1"),
@@ -257,13 +291,78 @@ def test_tally_budget_matches_counts():
         message = f"{what} exceeded the tableau budget of {total - 1}"
         # The root is never built, yet meets the budget, whether its
         # children are built (cold) or found (warm).
-        for f in (tally, counts):
-            qschur.qsym._PROFILES.clear()
-            for _ in range(2):
-                with pytest.raises(BudgetExceededError) as caught:
-                    f(source, total - 1)
-                assert str(caught.value) == message
-                f(source, total)
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as caught:
+                counts(source, total - 1)
+            assert str(caught.value) == message
+            counts(source, total)
+        _clear_memos()
+        for _ in range(2):
+            code, output = _check(source, "--budget", str(total - 1))
+            assert code == 3 and message in output
+            code, _ = _check(source, "--budget", str(total))
+            assert code in (0, 1)
+
+
+def test_pruned_budget_caps_masks():
+    counts, clean = qschur.qsym._counts, qschur.qsym._clean
+    # Multiplicity-free roots, so the clean levels keep every state below
+    # them, and each kept state has one mask per filling.
+    for source, what in [
+        ((1, 2, 1, 2), "composition tableaux of shape (1, 2, 1, 2)"),
+        (SkewShape((5, 1, 1)), "tableaux of shape 5,1,1"),
+        (SkewShape((4, 4), (3,)), "tableaux of shape 4,4/3"),
+    ]:
+        tableaux, masks = descent_tally(source)
+        assert tableaux == masks
+        message = f"{what} exceeded the tableau budget of {masks - 1}"
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as caught:
+                counts(source, masks - 1, clean)
+            assert str(caught.value) == message
+            assert len(counts(source, masks, clean)[1]) == masks
+    # A dirty root stores no mask at all, so a budget far below its
+    # tableaux holds: (10,20) has 10,015,005 tableaux.
+    _clear_memos()
+    assert counts((10, 20), 1000, clean) == (30, None)
+
+
+@pytest.mark.parametrize(
+    "keep, sources_of, moves, max_n",
+    [
+        ("_clean", enumerate_compositions, "_qs_moves", 11),
+        ("_clean", enumerate_skew_shapes, "_skew_moves", 8),
+        ("_narrow", enumerate_compositions, "_qs_moves", 11),
+    ],
+)
+def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
+    # A parent's entry for a child holds every mask of the child, shifted
+    # by one bit and kept apart by bit 0, with counts at least the child's:
+    # so a dirty child (a mask with two fillings in one entry) makes a
+    # dirty parent, and a wide child (three masks) a wide parent.  The
+    # pruned levels hold a marker exactly where the full profile fails the
+    # keep test, and the full profile elsewhere.
+    q = qschur.qsym
+    keep, moves = getattr(q, keep), getattr(q, moves)
+    _clear_memos()
+    kept = failed = 0
+    for n in range(1, max_n + 1):
+        for source in sources_of(n):
+            q._counts(source, None)
+            q._counts(source, None, keep)
+        if n < 3:
+            continue
+        full, pruned = q._PROFILES, q._PRUNED[keep]
+        for parent, prof in full[n - 1].items():
+            assert pruned[n - 1][parent] == (prof if keep(prof) else None)
+            kept += keep(prof)
+            for _, child, _ in moves(parent):
+                if not keep(full[n - 2][child]):
+                    assert not keep(prof)
+                    failed += 1
+    assert kept and failed
 
 
 def test_qs_f_matches_tableau_tally():
@@ -639,6 +738,35 @@ def test_expansion_serialization_roundtrip():
     )
     text = schur_f((2, 1)).to_text()
     assert text == "1 · F[1,2]\n1 · F[2,1]"
+
+
+def test_expansion_arithmetic_matches_validated_construction():
+    # Sums and multiples skip re-validation, so compare them with the same
+    # terms passed through the validating constructor.
+    pairs = [
+        (qs_f((2, 1, 2)), qs_f((1, 2, 2))),
+        (schur_f((3, 2)), F(5, {})),
+        (Expansion("M", 4, {(1, 3): 2}), Expansion("M", 4, {(1, 3): 1, (4,): 5})),
+        (Expansion("schur", 4, {(2, 2): 1}), Expansion("schur", 4, {(3, 1): 2})),
+    ]
+    for a, b in pairs:
+        terms = Counter(dict(a.terms))
+        terms.update(dict(b.terms))
+        total = a + b
+        assert total == Expansion(a.basis, a.degree, terms)
+        assert list(total.terms) == sorted(terms)
+        for k in (0, 1, 3):
+            scaled = {key: k * c for key, c in a.terms.items()}
+            multiple = Expansion(a.basis, a.degree, scaled)
+            assert k * a == a * k == multiple
+            assert list(multiple.terms) == list((k * a).terms)
+    assert len(0 * qs_f((2, 1, 2))) == 0
+    with pytest.raises(ValueError, match="basis mismatch"):
+        qs_f((1, 2)) + Expansion("M", 3, {})
+    with pytest.raises(ValueError, match="degree mismatch"):
+        qs_f((1, 2)) + qs_f((1, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        -1 * qs_f((1, 2))
 
 
 def test_lr_consistency_small():
