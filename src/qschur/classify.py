@@ -19,7 +19,6 @@ from .compositions import (
     rearrangements,
 )
 from .qsym import (
-    _PRUNED,
     _clean,
     _counts,
     _descent_mask,
@@ -185,12 +184,17 @@ def predict_family(lam: Partition) -> bool:
 
 def _multiplicity_free(source: Instance, budget: int | None) -> bool:
     """True iff no descent set has two tableaux of shape ``source``, read
-    off the clean levels, whose budget caps masks."""
+    off the clean levels of the qsym engine."""
     return _counts(source, budget, _clean)[1] is not None
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
-    """Ground truth for :func:`predict_family` by direct enumeration."""
+    """Ground truth for :func:`predict_family`: whether every rearrangement
+    of ``lam`` is multiplicity-free, read off the clean levels of the qsym
+    engine.  ``max_tableaux`` caps the tableaux of each state those levels
+    store with a profile and of each multiplicity-free rearrangement, so a
+    rearrangement that is not multiplicity-free may answer False where
+    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`."""
     return all(
         _multiplicity_free(alpha, max_tableaux) for alpha in rearrangements(tuple(lam))
     )
@@ -344,25 +348,22 @@ def verify(
     """Compare a classification predicate against brute-force truth on every
     instance of degree at most ``max_n``, in canonical instance order.
 
-    The truth is read off the pruned levels of the qsym engine, whose budget
-    caps the masks stored for one instance; a disagreement is reported
-    through the counting engine, whose budget caps tableaux.  The instances
-    go up by degree, so each degree's engine calls find most children of
-    their instances already built by the degree before.  The pruned levels
-    are dropped when the sweep ends."""
+    The truth is read off the pruned levels of the qsym engine, and a
+    disagreement is reported through the counting engine.  Either way
+    ``max_tableaux`` caps tableaux, but the pruned levels check it only on
+    the states they store with a profile and on an instance they do not
+    mark.  The instances go up by degree, so each degree's engine calls
+    find most children of their instances already built by the degree
+    before."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances_of, key, check = _THEOREMS[theorem]
     instances = [inst for n in range(1, max_n + 1) for inst in instances_of(n)]
-    try:
-        results = [(inst, check(inst, max_tableaux)) for inst in instances]
-    finally:
-        for memo in _PRUNED.values():
-            memo.clear()
     disagreements = []
-    for inst, found in results:
+    for inst in instances:
+        found = check(inst, max_tableaux)
         if found is not None:
             named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
             label = {k: list(parts) for k, parts in named.items()}

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success/verified, 1 multiplicity found or predicate refuted,
 2 usage error, 3 budget exceeded.  ``--budget`` caps the tableaux of one
-instance, except that for ``verify`` it caps the descent masks stored for
-one instance.
+instance.
 """
 
 from __future__ import annotations

@@ -31,20 +31,22 @@ on the key of the child's entry, with at least the child's count.  So a
 dirty child, one with a mask of count 2 or more in one entry, makes a dirty
 parent; and since m -> m << 1 | d is injective, a wide child, one with 3 or
 more distinct masks, makes a wide parent.  A keep test, ``_clean`` or
-``_narrow``, gives the walk its own levels in ``_PRUNED``: a state with a
-marker child, or whose profile fails the test, is stored as None, a
-marker, with no profile.  A root with a marker child, or whose counts fail
-the test, reads None: it is multiplicity-free iff no child is a marker and
-no shifted mask repeats, and has more than two masks iff a child is wide or
-it has three itself.  Nearly every state of a skew shape is dirty, so a
-sweep stores almost no profile there.  In the pruned levels the budget
-caps the masks a kept state stores, not its tableaux.  ``verify`` also reads
-each partition as its rotation by 180 degrees, which has the same
-expansion.  Removing the cell holding 1 from a rotated partition leaves a
-rotated partition, which the degree below has built; a straight shape
-leaves a skew shape that no earlier degree built.  ``schur_f`` keeps the
-straight shape: a one-off call has no level below to reuse, and there the
-single place for 1 in a straight shape beats the several in a rotated one.
+``_narrow``, gives the walk its own levels in ``_PRUNED``, shared and
+evicted like ``_PROFILES``: a state with a marker child, or whose profile
+fails the test, is stored as None, a marker, with no profile.  A root
+with a marker child, or whose counts fail the test, reads None: it is
+multiplicity-free iff no child is a marker and no shifted mask repeats, and
+has more than two masks iff a child is wide or it has three itself.
+Nearly every state of a skew shape is dirty, so a sweep stores almost no
+profile there.  In the pruned levels the budget is checked only on the
+states stored with a profile, and on a root that passes the test.
+``verify`` also reads each partition as its rotation by 180 degrees, which
+has the same expansion.  Removing the cell holding 1 from a rotated
+partition leaves a rotated partition, which the degree below has built; a
+straight shape leaves a skew shape that no earlier degree built.
+``schur_f`` keeps the straight shape: a one-off call has no level below to
+reuse, and there the single place for 1 in a straight shape beats the
+several in a rotated one.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
@@ -259,12 +261,11 @@ def _level_below(
     levels are those of ``_PRUNED[keep]``, and a state with a marker child,
     or whose profile fails ``keep``, is stored as a marker.  With a budget,
     a level with more missing states than the budget aborts the call, and
-    so does a kept state with more fillings than it, or with ``keep`` more
-    masks: every filling of a state left after removing cells extends to
-    one of ``state``.
+    so does a state stored with a profile of more fillings than it: every
+    filling of a state left after removing cells extends to one of
+    ``state``.
     """
     memo = _PROFILES if keep is None else _PRUNED[keep]
-    size = sum if keep is None else len
     _evict(memo, n)
     try:
         # Hold each level here, so that another thread's eviction cannot
@@ -295,7 +296,7 @@ def _level_below(
                 if prof is not None and keep is not None and not keep(prof):
                     prof = None
                 if prof is not None and max_tableaux is not None and (
-                    sum(size(counts) for _, _, counts in prof) > max_tableaux
+                    sum(sum(counts) for _, _, counts in prof) > max_tableaux
                 ):
                     raise BudgetExceededError(what, max_tableaux)
                 level[s] = prof
@@ -326,7 +327,7 @@ def _counts(
 
     With a ``keep`` test the children come from its pruned levels, the
     counts are None when a child is a marker or the root's counts, read as
-    one entry, fail ``keep``, and the budget caps masks instead of tableaux.
+    one entry, fail ``keep``; only counts that pass meet the budget.
     """
     state, n, moves, what = _root(source)
     by_mask = {} if n else {0: 1}
@@ -343,8 +344,7 @@ def _counts(
     if keep is not None and not keep(((0, by_mask.keys(), by_mask.values()),)):
         return n, None
     # The root is never built, so it meets the budget here.
-    size = sum if keep is None else len
-    if max_tableaux is not None and size(by_mask.values()) > max_tableaux:
+    if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(what, max_tableaux)
     return n, by_mask
 

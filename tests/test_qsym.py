@@ -305,10 +305,10 @@ def test_tally_budget_matches_counts():
             assert code in (0, 1)
 
 
-def test_pruned_budget_caps_masks():
+def test_pruned_budget_caps_stored_tableaux():
     counts, clean = qschur.qsym._counts, qschur.qsym._clean
     # Multiplicity-free roots, so the clean levels keep every state below
-    # them, and each kept state has one mask per filling.
+    # them with its profile, and the root meets the budget.
     for source, what in [
         ((1, 2, 1, 2), "composition tableaux of shape (1, 2, 1, 2)"),
         (SkewShape((5, 1, 1)), "tableaux of shape 5,1,1"),
@@ -323,8 +323,8 @@ def test_pruned_budget_caps_masks():
                 counts(source, masks - 1, clean)
             assert str(caught.value) == message
             assert len(counts(source, masks, clean)[1]) == masks
-    # A dirty root stores no mask at all, so a budget far below its
-    # tableaux holds: (10,20) has 10,015,005 tableaux.
+    # A dirty root and its marked children meet no budget, so one far
+    # below its tableaux holds: (10,20) has 10,015,005 tableaux.
     _clear_memos()
     assert counts((10, 20), 1000, clean) == (30, None)
 
