@@ -13,17 +13,13 @@ from .compositions import (
     Partition,
     complement,
     composition_of,
-    concat,
     conjugate,
     descent_set_of,
     enumerate_compositions,
     enumerate_partitions,
     rearrangements,
     refinements,
-    refines,
     reverse,
-    sort_to_partition,
-    width,
 )
 from .ctableaux import (
     CompositionTableau,
@@ -67,10 +63,8 @@ from .shapes import SkewShape, disjoint_union, enumerate_skew_shapes
 from .young import (
     SkewTableau,
     com_p,
-    content,
     des_p,
     enumerate_syt,
-    is_lattice,
     is_semistandard,
     is_standard,
     lr_expansion,
@@ -95,9 +89,7 @@ __all__ = [
     "com_p",
     "complement",
     "composition_of",
-    "concat",
     "conjugate",
-    "content",
     "covers_down",
     "covers_up",
     "des_c",
@@ -114,7 +106,6 @@ __all__ = [
     "in_c2",
     "in_c2_prime",
     "is_fmf",
-    "is_lattice",
     "is_semistandard",
     "is_standard",
     "is_valid_sct",
@@ -129,12 +120,9 @@ __all__ = [
     "qs_f",
     "rearrangements",
     "refinements",
-    "refines",
     "reverse",
     "schur_f",
     "schur_via_qs",
     "skew_schur_f",
-    "sort_to_partition",
     "verify",
-    "width",
 ]

@@ -13,6 +13,7 @@ from typing import Iterator, Union
 from .compositions import (
     Composition,
     Partition,
+    _descent_mask,
     conjugate,
     enumerate_compositions,
     enumerate_partitions,
@@ -21,7 +22,6 @@ from .compositions import (
 from .qsym import (
     _clean,
     _counts,
-    _descent_mask,
     _f_expansion,
     _narrow,
     multiplicity_witnesses,

@@ -16,7 +16,7 @@ import click
 from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
 from .errors import BudgetExceededError, capped
-from .qsym import _counts, _f_expansion, _root, _walk
+from .qsym import _counts, _f_expansion, _label, _walk
 from .qsym import f_to_m, multiplicity_witnesses
 from .shapes import SkewShape
 from .young import lr_expansion
@@ -156,10 +156,9 @@ def expand(source, kind, basis, fmt, budget) -> None:
 @_source_command()
 def tableaux(source, kind, fmt, budget) -> None:
     """Stream the standard tableaux of the requested shape."""
-    *_, what = _root(source)
     walk, snapshot = _walk(source)
     # The walk overwrites its rows, so each tableau is snapshot as it comes.
-    stream = capped((snapshot(rows) for _, rows in walk), budget, what)
+    stream = capped((snapshot(rows) for _, rows in walk), budget, _label(source))
     if fmt == "json":
         _emit_json([t.to_json_obj() for t in stream])
     else:

@@ -3,11 +3,17 @@
 A composition is a plain tuple of positive ints; the empty tuple is the
 unique composition of 0.  Partitions are compositions with weakly
 decreasing parts.  Nothing here is mutable.
+
+A descent set of degree n is also coded as a bitmask, bit t set = descent
+at t + 1, which is what the expansion engines work on.  That codec,
+``_descent_mask`` and ``_composition_of_mask``, is the only one: the
+descent-set functions here are built on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -56,36 +62,50 @@ class DescentSet:
     def __repr__(self) -> str:
         return f"DescentSet({self.degree}, {sorted(self.members)})"
 
-    def complement(self) -> "DescentSet":
-        return DescentSet(self.degree, frozenset(range(1, self.degree)) - self.members)
+
+# Bounded: repeated expansions decode the same keys, but one M-expansion of
+# degree n decodes up to 2^(n - 1) of them, which an unbounded cache would
+# keep for the life of the process.
+@lru_cache(maxsize=2**16)
+def _composition_of_mask(key: int) -> Composition:
+    """Decode ``mask | 1 << (n - 1)``, a descent bitmask of degree n (bit t
+    set = descent at t + 1) whose top bit carries n: it closes the last part."""
+    parts = []
+    prev = 0
+    pos = 1
+    while key:
+        if key & 1:
+            parts.append(pos - prev)
+            prev = pos
+        key >>= 1
+        pos += 1
+    return tuple(parts)
 
 
-def width(alpha: Composition) -> int:
-    """Largest part of ``alpha`` (0 for the empty composition)."""
-    return max(alpha, default=0)
+def _descent_mask(alpha: Composition) -> int:
+    """Descent bitmask of a composition: bit t is set when a part ends at
+    t + 1 before the last part."""
+    mask = total = 0
+    for part in alpha[:-1]:
+        total += part
+        mask |= 1 << (total - 1)
+    return mask
+
+
+def _descent_set_of_mask(n: int, mask: int) -> DescentSet:
+    """The descent set of degree ``n`` whose bitmask is ``mask``."""
+    return DescentSet(n, [t + 1 for t in range(n - 1) if mask >> t & 1])
 
 
 def descent_set_of(alpha: Composition) -> DescentSet:
     """Partial sums of all but the last part, as a subset of [n-1]."""
-    members = []
-    total = 0
-    for part in alpha[:-1]:
-        total += part
-        members.append(total)
-    return DescentSet(sum(alpha), members)
+    return _descent_set_of_mask(sum(alpha), _descent_mask(alpha))
 
 
 def composition_of(descents: DescentSet) -> Composition:
     """Inverse of :func:`descent_set_of`."""
-    cuts = sorted(descents.members)
-    if descents.degree:
-        cuts.append(descents.degree)
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    return tuple(parts)
+    mask = sum(1 << (m - 1) for m in descents.members)
+    return _composition_of_mask(mask | 1 << descents.degree >> 1)
 
 
 def reverse(alpha: Composition) -> Composition:
@@ -94,20 +114,11 @@ def reverse(alpha: Composition) -> Composition:
 
 def complement(alpha: Composition) -> Composition:
     """Composition whose descent set is the complement of ``alpha``'s."""
-    return composition_of(descent_set_of(alpha).complement())
-
-
-def refines(alpha: Composition, beta: Composition) -> bool:
-    """True iff summing consecutive runs of ``alpha`` yields ``beta``."""
-    i = 0
-    for target in beta:
-        acc = 0
-        while acc < target and i < len(alpha):
-            acc += alpha[i]
-            i += 1
-        if acc != target:
-            return False
-    return i == len(alpha)
+    if not alpha:
+        # Degree 0 has no descent positions, and no top bit to carry.
+        return ()
+    top = 1 << sum(alpha) >> 1
+    return _composition_of_mask((top - 1) ^ _descent_mask(alpha) | top)
 
 
 def refinements(beta: Composition) -> Iterator[Composition]:
@@ -115,14 +126,6 @@ def refinements(beta: Composition) -> Iterator[Composition]:
     pools = [list(enumerate_compositions(part)) for part in beta]
     for choice in itertools.product(*pools):
         yield tuple(itertools.chain.from_iterable(choice))
-
-
-def concat(alpha: Composition, beta: Composition) -> Composition:
-    return tuple(alpha) + tuple(beta)
-
-
-def sort_to_partition(alpha: Composition) -> Partition:
-    return tuple(sorted(alpha, reverse=True))
 
 
 def rearrangements(lam: Partition) -> list[Composition]:

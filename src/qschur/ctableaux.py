@@ -41,12 +41,6 @@ class CompositionTableau:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def shift(self, m: int) -> "CompositionTableau":
-        """Add ``m`` to every entry (the result is generally not standard)."""
-        if m < 0:
-            raise ValueError("shift must be nonnegative")
-        return CompositionTableau(tuple(v + m for v in row) for row in self.rows)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CompositionTableau) and self.rows == other.rows
 

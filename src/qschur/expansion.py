@@ -134,11 +134,3 @@ class Expansion:
                 for key, c in self._terms.items()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Expansion":
-        return cls(
-            obj["basis"],
-            obj["degree"],
-            [(tuple(t["index"]), t["coefficient"]) for t in obj["terms"]],
-        )

@@ -49,28 +49,31 @@ reuse, and there the single place for 1 in a straight shape beats the
 several in a rotated one.
 
 The queries on top work on the same bitmasks (bit t set = descent at
-t + 1).  ``f_to_m`` is Gessel's F_alpha = sum of M_beta over the
-refinements beta of alpha; the refinements of alpha are the supersets of
-its mask, so the M-coefficient of a mask is the sum of the F-coefficients
-of its subsets (the zeta transform of the Boolean lattice, EC1 section
-3.8).  It is taken one bit at a time over the masks reached so far: for
-each bit, every mask without it adds its sum into the mask with it.  That
-costs at most n - 1 dict operations per M-term, and the masks no F-term
-lies under are never allocated.  ``multiplicity_witnesses`` reads the
-repeated masks off the engine's counts, then walks the tableaux, which
-yield their masks as they are filled, and stops when each repeated mask
-has been met twice.
+t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
+F_alpha = sum of M_beta over the refinements beta of alpha; the
+refinements of alpha are the supersets of its mask, so the M-coefficient
+of a mask is the sum of the F-coefficients of its subsets (the zeta
+transform of the Boolean lattice, EC1 section 3.8).  It is taken one bit
+at a time over the masks reached so far: for each bit, every mask without
+it adds its sum into the mask with it.  That costs at most n - 1 dict
+operations per M-term, and the masks no F-term lies under are never
+allocated.  ``multiplicity_witnesses`` reads the repeated masks off the
+engine's counts, then walks the tableaux, which yield their masks as they
+are filled, and stops when each repeated mask has been met twice.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .compositions import (
     Composition,
     DescentSet,
     Partition,
+    _composition_of_mask,
+    _descent_mask,
+    _descent_set_of_mask,
     complement,
     rearrangements,
     reverse,
@@ -82,35 +85,6 @@ from .shapes import SkewShape
 from .young import SkewTableau, _syt_walk
 
 TableauSource = Union[Composition, SkewShape]
-
-
-# Bounded: repeated expansions decode the same keys, but one M-expansion of
-# degree n decodes up to 2^(n - 1) of them, which an unbounded cache would
-# keep for the life of the process.
-@lru_cache(maxsize=2**16)
-def _composition_of_mask(key: int) -> Composition:
-    """Decode ``mask | 1 << (n - 1)``, a descent bitmask of degree n (bit t
-    set = descent at t + 1) whose top bit carries n: it closes the last part."""
-    parts = []
-    prev = 0
-    pos = 1
-    while key:
-        if key & 1:
-            parts.append(pos - prev)
-            prev = pos
-        key >>= 1
-        pos += 1
-    return tuple(parts)
-
-
-def _descent_mask(alpha: Composition) -> int:
-    """Descent bitmask of a composition: bit t is set when a part ends at
-    t + 1 before the last part."""
-    mask = total = 0
-    for part in alpha[:-1]:
-        total += part
-        mask |= 1 << (total - 1)
-    return mask
 
 
 def _f_expansion(n: int, by_mask: dict[int, int]) -> Expansion:
@@ -248,7 +222,7 @@ def _level_below(
     n: int,
     moves: Moves,
     max_tableaux: int | None,
-    what: str,
+    source: TableauSource,
     keep: Keep | None = None,
 ) -> tuple[list[Move], Level]:
     """The moves of ``state``, which has ``n`` >= 1 cells, and the memo
@@ -263,7 +237,7 @@ def _level_below(
     a level with more missing states than the budget aborts the call, and
     so does a state stored with a profile of more fillings than it: every
     filling of a state left after removing cells extends to one of
-    ``state``.
+    ``state``.  The error names ``source``, the instance ``state`` reads.
     """
     memo = _PROFILES if keep is None else _PRUNED[keep]
     _evict(memo, n)
@@ -285,7 +259,7 @@ def _level_below(
             # moves, and each run starts a distinct filling of ``state``; so
             # the budget also caps the walk at about n * max_tableaux states.
             if max_tableaux is not None and len(children) > max_tableaux:
-                raise BudgetExceededError(what, max_tableaux)
+                raise BudgetExceededError(_label(source), max_tableaux)
             frontier = [(s, moves(s)) for s in children]
             missing.append(frontier)
         for depth in range(len(missing) - 1, -1, -1):
@@ -298,23 +272,28 @@ def _level_below(
                 if prof is not None and max_tableaux is not None and (
                     sum(sum(counts) for _, _, counts in prof) > max_tableaux
                 ):
-                    raise BudgetExceededError(what, max_tableaux)
+                    raise BudgetExceededError(_label(source), max_tableaux)
                 level[s] = prof
         return root_moves, levels[n - 1]
     finally:
         _evict(memo, n)
 
 
-def _root(source: TableauSource) -> tuple[State, int, Moves, str]:
-    """The state of ``source``, its size, its moves and its budget label."""
+def _root(source: TableauSource) -> tuple[State, int, Moves]:
+    """The state of ``source``, its size and its moves."""
     if isinstance(source, SkewShape):
-        what = f"tableaux of shape {source}"
-        return tuple(source.row_intervals()), source.size, _skew_moves, what
+        return tuple(source.row_intervals()), source.size, _skew_moves
     state = tuple(source)
     if any(p < 1 for p in state):
         raise ValueError(f"not a composition: {state}")
-    what = f"composition tableaux of shape {state}"
-    return state, sum(state), _qs_moves, what
+    return state, sum(state), _qs_moves
+
+
+def _label(source: TableauSource) -> str:
+    """What a budget error on ``source`` names; built only when raising."""
+    if isinstance(source, SkewShape):
+        return f"tableaux of shape {source}"
+    return f"composition tableaux of shape {tuple(source)}"
 
 
 def _counts(
@@ -329,10 +308,10 @@ def _counts(
     counts are None when a child is a marker or the root's counts, read as
     one entry, fail ``keep``; only counts that pass meet the budget.
     """
-    state, n, moves, what = _root(source)
+    state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
     if n:
-        root_moves, below = _level_below(state, n, moves, max_tableaux, what, keep)
+        root_moves, below = _level_below(state, n, moves, max_tableaux, source, keep)
         if any(below[child] is None for _, child, _ in root_moves):
             return n, None
         for _, child, t in root_moves:
@@ -345,7 +324,7 @@ def _counts(
         return n, None
     # The root is never built, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
-        raise BudgetExceededError(what, max_tableaux)
+        raise BudgetExceededError(_label(source), max_tableaux)
     return n, by_mask
 
 
@@ -482,7 +461,7 @@ def multiplicity_witnesses(
         if mask not in first:
             first[mask] = snapshot(rows)
             continue
-        d = DescentSet(n, [t + 1 for t in range(n - 1) if mask >> t & 1])
+        d = _descent_set_of_mask(n, mask)
         found.append((d, first[mask], snapshot(rows)))
         repeated.discard(mask)
         if not repeated:

@@ -118,11 +118,6 @@ class SkewShape:
             [(ncols - b, ncols - a) for a, b in reversed(self.row_intervals())]
         )
 
-    def is_connected(self) -> bool:
-        """False iff the shape splits as a disjoint union of two nonempty pieces."""
-        ivs = self.row_intervals()
-        return all(ivs[i][0] < ivs[i + 1][1] for i in range(len(ivs) - 1))
-
     def row_column_partitions(self) -> tuple[Partition, Partition]:
         """Nonzero row lengths and column lengths, each sorted decreasingly."""
         ivs = self.row_intervals()

@@ -90,18 +90,6 @@ def is_standard(t: SkewTableau) -> bool:
     return sorted(entries) == list(range(1, len(entries) + 1)) and is_semistandard(t)
 
 
-def content(t: SkewTableau) -> tuple[int, ...]:
-    """Multiplicities of 1, 2, ... up to the largest entry."""
-    entries = [v for row in t.rows for v in row]
-    if not entries:
-        return ()
-    top = max(entries)
-    counts = [0] * (top + 1)
-    for v in entries:
-        counts[v] += 1
-    return tuple(counts[1:])
-
-
 def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, list[list[int]]]]:
     """Depth-first walk over the standard fillings of ``shape``, in the
     order of :func:`enumerate_syt`.  Yields each filling's descent mask (bit
@@ -177,18 +165,6 @@ def des_p(t: SkewTableau) -> DescentSet:
 
 def com_p(t: SkewTableau) -> Composition:
     return composition_of(des_p(t))
-
-
-def is_lattice(t: SkewTableau) -> bool:
-    """True iff the reverse reading word (right to left along rows, top to
-    bottom) keeps every prefix count of i at least that of i+1."""
-    counts: dict[int, int] = {}
-    for row in t.rows:
-        for v in reversed(row):
-            if v > 1 and counts.get(v - 1, 0) <= counts.get(v, 0):
-                return False
-            counts[v] = counts.get(v, 0) + 1
-    return True
 
 
 def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion:

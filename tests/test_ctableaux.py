@@ -106,13 +106,6 @@ def test_unique_sct_with_descent_composition_equal_to_shape():
             assert hits == [canonical_filling(alpha)]
 
 
-def test_shift():
-    (row,) = enumerate_sct((2,))
-    assert row.shift(3).rows == ((5, 4),)
-    assert row.shift(0) == row
-    assert canonical_filling((1, 1)).shift(2).rows == ((3,), (4,))
-
-
 def test_is_valid_sct():
     assert is_valid_sct(T_PRIME)
     assert is_valid_sct(canonical_filling((4, 1, 2)))

@@ -9,13 +9,11 @@ from qschur import (
     SkewShape,
     SkewTableau,
     com_p,
-    content,
     des_p,
     disjoint_union,
     enumerate_partitions,
     enumerate_skew_shapes,
     enumerate_syt,
-    is_lattice,
     is_semistandard,
     is_standard,
     lr_expansion,
@@ -79,17 +77,20 @@ def test_is_lattice():
     shape = SkewShape((3, 2, 2, 1), (1, 1))
     t = SkewTableau(shape, ((1, 1), (2,), (1, 3), (2,)))
     assert is_semistandard(t)
-    assert is_lattice(t)
-    assert content(t) == (3, 2, 1)
-    assert is_lattice(SkewTableau(SkewShape((3,)), ((1, 1, 1),)))
-    assert not is_lattice(SkewTableau(SkewShape((1,)), ((2,),)))
+    # A lattice filling of content (3, 2, 1), so lr_expansion counts it.
+    assert lr_expansion(shape).coefficient((3, 2, 1)) >= 1
+    assert dict(lr_expansion(SkewShape((3,))).terms) == {(3,): 1}
+    # A lone 2 reads 2 before any 1: content (0, 1) is no partition.
+    assert dict(lr_expansion(SkewShape((1,))).terms) == {(1,): 1}
 
 
 def test_lattice_needs_prefix_dominance():
     # reading word 1,2,2 fails at the second 2
     t = SkewTableau(SkewShape((2, 1)), ((1, 2), (2,)))
     assert is_semistandard(t)
-    assert not is_lattice(t)
+    # So of the semistandard fillings of (2, 1) with entries in {1, 2},
+    # only 1,1 over 2 is lattice.
+    assert dict(lr_expansion(SkewShape((2, 1))).terms) == {(2, 1): 1}
 
 
 def test_lr_expansion_disjoint_union():
