@@ -8,6 +8,7 @@ instances of each degree, the label key of an instance, and its check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Union
 
 from .compositions import (
@@ -97,10 +98,10 @@ def predict_skew(shape: SkewShape) -> bool:
     also checks the conjugate, so no transpose is checked.  Rotating swaps
     the first two families and the last two, so no rotation is built.
     """
-    if not shape.inner:
-        return predict_schur(shape.outer)
     ivs = shape.row_intervals()
-    width = shape.outer[0]
+    if not ivs or not ivs[0][0]:
+        return predict_schur(shape.outer)
+    width = ivs[0][1]
     if all(b == width for _, b in ivs):
         return predict_schur(tuple(width - a for a, _ in reversed(ivs)))
     return _row_below_left_of_column(shape) or (
@@ -324,18 +325,16 @@ def _families_check(lam: Partition, budget: int | None) -> tuple | None:
 # Each theorem's instances of degree n, the label key of an instance that is
 # a tuple (a skew shape is labelled by its outer and inner partitions), and
 # its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
-# Every entry calls the module's functions by name at call time, so that
-# patching a predicate or the engine on this module reaches the sweep.
+# The checks call the module's predicates and engine by name at call time,
+# so that patching one of them on this module reaches the sweep.
 _THEOREMS = {
-    "schur": (lambda n: enumerate_partitions(n), "partition", _schur_check),
-    "skew": (lambda n: enumerate_skew_shapes(n), None, _skew_check),
-    "qs-components": (
-        lambda n: enumerate_compositions(n), "composition", _components_check
-    ),
+    "schur": (enumerate_partitions, "partition", _schur_check),
+    "skew": (enumerate_skew_shapes, None, _skew_check),
+    "qs-components": (enumerate_compositions, "composition", _components_check),
     "two-part": (
         lambda n: ((a, n - a) for a in range(1, n)), "composition", _two_part_check
     ),
-    "families": (lambda n: enumerate_partitions(n), "partition", _families_check),
+    "families": (enumerate_partitions, "partition", _families_check),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -360,12 +359,14 @@ def verify(
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     instances_of, key, check = _THEOREMS[theorem]
-    instances = [inst for n in range(1, max_n + 1) for inst in instances_of(n)]
+    checked = 0
     disagreements = []
-    for inst in instances:
+    # One degree of instances at a time, counted as they go.
+    for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
+        checked += 1
         found = check(inst, max_tableaux)
         if found is not None:
             named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
             label = {k: list(parts) for k, parts in named.items()}
             disagreements.append(Disagreement(label, *found))
-    return VerificationReport(theorem, max_n, len(instances), tuple(disagreements))
+    return VerificationReport(theorem, max_n, checked, tuple(disagreements))

@@ -200,14 +200,12 @@ def witnesses(source, kind, fmt, budget) -> None:
 
 @main.command()
 @click.option("--theorem", type=click.Choice(list(THEOREMS)), required=True)
-@click.option("--max-n", "max_n", type=int, required=True)
+@click.option("--max-n", "max_n", type=click.IntRange(min=1), required=True)
 @_budget_option
 @_format_option
 @_budget_guarded
 def verify(theorem, max_n, budget, fmt) -> None:
     """Exhaustively compare a classification predicate with brute force."""
-    if max_n < 1:
-        raise click.UsageError("--max-n must be at least 1")
     report = classify.verify(theorem, max_n, budget)
     if fmt == "json":
         _emit_json(report.to_json_obj())

@@ -13,14 +13,17 @@ All three run one engine, Stanley's transfer-matrix method (EC1 section
 4.7): the descent profile of a state is built from the profiles of the
 states left after removing the cell holding 1.  The engine takes a set of
 moves, one for compositions and one for skew shapes, and keeps one memo for
-both, ``_PROFILES``, shared by every public call and split by size.  One
-rule holds for every call: the root, the state asked about, is never
-profiled or stored.  It is read straight off level n - 1, which holds all
-its children.  So a call on a state of size n keeps only levels n - 2 and
-n - 1, and an upward sweep builds level n - 1 from level n - 2 as the
-children of its roots, each state once.  Nothing is ever removed from a
-level, only whole levels from the memo, which keeps it thread-safe: a state
-that another call found in the memo may still be read by that call.
+both, ``_PROFILES``, shared by every public call and split by size.  A skew
+shape's state is the tuple of basic-form row intervals the shape stores, so
+a root enters the engine as it is, and removing a cell leaves a state in
+the same canonical form.  One rule holds for every call: the root, the
+state asked about, is never profiled or stored.  It is read straight off
+level n - 1, which holds all its children.  So a call on a state of size n
+keeps only levels n - 2 and n - 1, and an upward sweep builds level n - 1
+from level n - 2 as the children of its roots, each state once.  Nothing is
+ever removed from a level, only whole levels from the memo, which keeps it
+thread-safe: a state that another call found in the memo may still be read
+by that call.
 
 ``_counts`` reads a root: it sums the children's entries into a count per
 descent bitmask, from which ``_f_expansion`` builds every expansion.
@@ -81,7 +84,7 @@ from .compositions import (
 from .ctableaux import CompositionTableau, _down_moves, _sct_walk
 from .errors import BudgetExceededError
 from .expansion import Expansion
-from .shapes import SkewShape
+from .shapes import Intervals, SkewShape
 from .young import SkewTableau, _syt_walk
 
 TableauSource = Union[Composition, SkewShape]
@@ -97,12 +100,12 @@ def _f_expansion(n: int, by_mask: dict[int, int]) -> Expansion:
     )
 
 
-# A state is a composition or a basic-form skew shape, as its row intervals
-# (a, b], top row first.  A move removes the cell holding 1: it is
-# (key, child, threshold), where the key locates that cell (its column in a
-# composition, its row in a skew shape), the child is the state left, and
-# entry 1 is a descent when the child's cell holding 1 has key >= threshold.
-Intervals = tuple[tuple[int, int], ...]
+# A state is a composition or a basic-form skew shape, as the row intervals
+# (a, b], top row first, that the shape stores.  A move removes the cell
+# holding 1: it is (key, child, threshold), where the key locates that cell
+# (its column in a composition, its row in a skew shape), the child is the
+# state left, and entry 1 is a descent when the child's cell holding 1 has
+# key >= threshold.
 State = Union[Composition, Intervals]
 Move = tuple[int, State, int]
 Moves = Callable[[State], list[Move]]
@@ -282,7 +285,7 @@ def _level_below(
 def _root(source: TableauSource) -> tuple[State, int, Moves]:
     """The state of ``source``, its size and its moves."""
     if isinstance(source, SkewShape):
-        return tuple(source.row_intervals()), source.size, _skew_moves
+        return source.row_intervals(), source.size, _skew_moves
     state = tuple(source)
     if any(p < 1 for p in state):
         raise ValueError(f"not a composition: {state}")

@@ -1,19 +1,24 @@
 """Skew diagram geometry.
 
 A skew shape is the cell set of outer/inner in matrix coordinates (row 1 at
-the top).  Shapes are stored in basic form: no empty rows or columns, rows
-and columns numbered from 1.  Construction canonicalizes, so two
-presentations of the same cell set compare equal; this matters because
-rotation and disjoint union do not preserve any single (outer, inner)
-presentation.
+the top).  Shapes are stored in basic form, as their row intervals: row i
+occupies the columns (a_i, b_i], top row first, with no empty rows or
+columns and rows and columns numbered from 1.  Every computation reads a
+shape this way: the expansion engine's states, the tableau walks, lattice
+fillings, the skew predicate, transpose and rotation.  Construction
+canonicalizes, so two presentations of the same cell set compare equal;
+this matters because rotation and disjoint union do not preserve any single
+(outer, inner) presentation, which ``outer`` and ``inner`` read back off the
+intervals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from .compositions import Partition
+
+Intervals = tuple[tuple[int, int], ...]
 
 
 def _check_partition(parts: tuple[int, ...], what: str) -> None:
@@ -23,8 +28,27 @@ def _check_partition(parts: tuple[int, ...], what: str) -> None:
         raise ValueError(f"{what} is not weakly decreasing: {parts}")
 
 
+def _basic(ivs: list[tuple[int, int]]) -> Intervals:
+    """Basic form of nonempty rows (a, b], top row first, with a and b
+    weakly decreasing.  The empty columns are those left of the last row and
+    the columns (b_{i+1}, a_i] between two rows that share no column; each
+    row moves left past the empty columns at or below it."""
+    out = []
+    shift = floor = 0  # floor: the end of the row below
+    for a, b in reversed(ivs):
+        if a > floor:
+            shift += a - floor
+        out.append((a - shift, b - shift))
+        floor = b
+    return tuple(reversed(out))
+
+
+def _row_lengths(ivs: Intervals) -> Partition:
+    return tuple(sorted((b - a for a, b in ivs), reverse=True))
+
+
 class SkewShape:
-    __slots__ = ("outer", "inner")
+    __slots__ = ("_ivs",)
 
     def __init__(self, outer: Iterable[int] = (), inner: Iterable[int] = ()) -> None:
         outer = tuple(outer)
@@ -36,28 +60,13 @@ class SkewShape:
         ):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
         pad = inner + (0,) * (len(outer) - len(inner))
-        # Row i occupies the column interval (a, b]; drop empty rows, then
-        # repack the occupied columns densely.
-        intervals = [(a, b) for a, b in zip(pad, outer) if a < b]
-        occupied = sorted({c for a, b in intervals for c in range(a + 1, b + 1)})
-        new_outer = []
-        new_inner = []
-        for a, b in intervals:
-            new_inner.append(bisect_right(occupied, a))
-            new_outer.append(bisect_right(occupied, b))
-        while new_inner and new_inner[-1] == 0:
-            new_inner.pop()
-        self.outer = tuple(new_outer)
-        self.inner = tuple(new_inner)
+        self._ivs = _basic([(a, b) for a, b in zip(pad, outer) if a < b])
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "SkewShape":
         """Build a shape from raw cells, translating to basic form."""
-        cells = set(cells)
-        if not cells:
-            return cls()
         by_row: dict[int, list[int]] = {}
-        for r, c in cells:
+        for r, c in set(cells):
             by_row.setdefault(r, []).append(c)
         intervals = []
         for r in sorted(by_row):
@@ -65,106 +74,108 @@ class SkewShape:
             if cols != list(range(cols[0], cols[-1] + 1)):
                 raise ValueError(f"row {r} is not contiguous: {cols}")
             intervals.append((cols[0] - 1, cols[-1]))
-        a_seq = [a for a, _ in intervals]
-        b_seq = [b for _, b in intervals]
-        if any(a_seq[i] < a_seq[i + 1] for i in range(len(a_seq) - 1)) or any(
-            b_seq[i] < b_seq[i + 1] for i in range(len(b_seq) - 1)
-        ):
+        if any(a < c or b < d for (a, b), (c, d) in zip(intervals, intervals[1:])):
             raise ValueError("cells do not form a skew diagram")
-        inner = tuple(a_seq)
-        while inner and inner[-1] == 0:
-            inner = inner[:-1]
-        return cls(tuple(b_seq), inner)
+        if intervals and intervals[-1][0] < 0:
+            # A cell in column 0 or left of it: name the part below 1.
+            _check_partition(tuple(b for _, b in intervals), "outer")
+            _check_partition(tuple(a for a, _ in intervals), "inner")
+        return _from_intervals(_basic(intervals))
+
+    @property
+    def outer(self) -> Partition:
+        return tuple(b for _, b in self._ivs)
+
+    @property
+    def inner(self) -> Partition:
+        # The last row starts in column 1, so the nonzero starts are a prefix.
+        return tuple(a for a, _ in self._ivs if a)
 
     @property
     def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
+        return sum(b - a for a, b in self._ivs)
 
     @property
     def cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             (i + 1, j)
-            for i, (a, b) in enumerate(self.row_intervals())
+            for i, (a, b) in enumerate(self._ivs)
             for j in range(a + 1, b + 1)
         )
 
-    def row_intervals(self) -> list[tuple[int, int]]:
-        """Per-row occupied column interval (a, b], inner padded with zeros."""
-        pad = self.inner + (0,) * (len(self.outer) - len(self.inner))
-        return list(zip(pad, self.outer))
+    def row_intervals(self) -> Intervals:
+        """Per-row occupied column interval (a, b], top row first."""
+        return self._ivs
 
     def transpose(self) -> "SkewShape":
         # As a and b weakly decrease, the rows of column j form an interval:
         # below the rows with a >= j, down to the last row with b >= j.  Both
         # counts only grow as j falls, so two pointers find them all.
-        ivs = self.row_intervals()
+        ivs = self._ivs
         rows = len(ivs)
         above = last = 0
         cols = []
-        for j in range(self.outer[0] if self.outer else 0, 0, -1):
+        for j in range(ivs[0][1] if ivs else 0, 0, -1):
             while above < rows and ivs[above][0] >= j:
                 above += 1
             while last < rows and ivs[last][1] >= j:
                 last += 1
             cols.append((above, last))
-        cols.reverse()
-        return _from_intervals(cols)
+        return _from_intervals(tuple(reversed(cols)))
 
     def rotate180(self) -> "SkewShape":
-        if not self.outer:
+        if not self._ivs:
             return self
-        ncols = self.outer[0]
+        ncols = self._ivs[0][1]
         return _from_intervals(
-            [(ncols - b, ncols - a) for a, b in reversed(self.row_intervals())]
+            tuple((ncols - b, ncols - a) for a, b in reversed(self._ivs))
         )
 
     def row_column_partitions(self) -> tuple[Partition, Partition]:
         """Nonzero row lengths and column lengths, each sorted decreasingly."""
-        ivs = self.row_intervals()
-        rows = tuple(sorted((b - a for a, b in ivs), reverse=True))
-        ncols = self.outer[0] if self.outer else 0
-        cols = tuple(
-            sorted(
-                (sum(1 for a, b in ivs if a < j <= b) for j in range(1, ncols + 1)),
-                reverse=True,
-            )
-        )
-        return rows, cols
+        return _row_lengths(self._ivs), _row_lengths(self.transpose()._ivs)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
+        return isinstance(other, SkewShape) and self._ivs == other._ivs
 
     def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
+        return hash(self._ivs)
 
     def __repr__(self) -> str:
         return f"SkewShape({self.outer}, {self.inner})"
 
     def __str__(self) -> str:
         out = ",".join(map(str, self.outer))
-        if not self.inner:
+        inner = self.inner
+        if not inner:
             return out or "()"
-        return f"{out}/{','.join(map(str, self.inner))}"
+        return f"{out}/{','.join(map(str, inner))}"
 
 
-def _from_intervals(ivs: list[tuple[int, int]]) -> SkewShape:
+def _from_intervals(ivs: Intervals) -> SkewShape:
     """The shape with these row intervals (a, b], already in basic form."""
     shape = SkewShape.__new__(SkewShape)
-    shape.outer = tuple(b for _, b in ivs)
-    shape.inner = tuple(a for a, _ in ivs if a)
+    shape._ivs = ivs
     return shape
 
 
 def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
     """Place ``d2`` strictly north-east of ``d1``, sharing no rows or columns."""
-    width = d1.outer[0] if d1.outer else 0
+    below = d1.row_intervals()
+    width = below[0][1] if below else 0
     return _from_intervals(
-        [(a + width, b + width) for a, b in d2.row_intervals()] + d1.row_intervals()
+        tuple((a + width, b + width) for a, b in d2.row_intervals()) + below
     )
+
+
+def _order_key(shape: SkewShape) -> bytes:
+    """A key that sorts shapes as (outer, inner): the ends, a 0 that puts a
+    shorter outer first, then the starts, whose order given the outer is that
+    of the inner.  Bytes keep the keys of a whole degree small while they are
+    sorted.  A part of a shape of n cells is at most n, so every n up to 255
+    fits, far past any n whose shapes fit in memory."""
+    ivs = shape.row_intervals()
+    return bytes([b for _, b in ivs] + [0] + [a for a, _ in ivs])
 
 
 def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
@@ -184,7 +195,7 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     def rec(acc: list[tuple[int, int]], remaining: int) -> None:
         if remaining == 0:
             if acc[-1][0] == 0:
-                found.append(_from_intervals(acc))
+                found.append(_from_intervals(tuple(acc)))
             return
         if acc:
             prev_a, prev_b = acc[-1]
@@ -200,4 +211,5 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
                 acc.pop()
 
     rec([], n)
-    yield from sorted(found, key=lambda s: (s.outer, s.inner))
+    found.sort(key=_order_key)
+    yield from found

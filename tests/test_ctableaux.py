@@ -86,6 +86,10 @@ def test_des_c_worked_examples():
     assert com_c(canonical) == (2, 3, 2, 1)
     t = CompositionTableau(((1,), (3, 2)))
     assert des_c(t) == DescentSet(3, {1})
+    # An entry out of 1..n, or one met twice, is no standard filling.
+    for rows in (((1,), (4, 2)), ((1,), (2, 2))):
+        with pytest.raises(ValueError, match="entries must be 1..n, each once"):
+            des_c(CompositionTableau(rows))
 
 
 def test_canonical_filling():

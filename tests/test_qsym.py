@@ -63,6 +63,8 @@ def test_qs_f_worked_examples():
     assert qs_f((4, 1)) == F(5, {(4, 1): 1})
     assert qs_f((2, 3)) == F(5, {(2, 3): 1, (1, 2, 2): 1})
     assert qs_f(()) == F(0, {(): 1})
+    with pytest.raises(ValueError, match=r"not a composition: \(1, 0, 2\)"):
+        qs_f((1, 0, 2))
 
 
 def test_skew_schur_f_anchors():
@@ -187,7 +189,7 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     # No root is stored, so none is removed again.  A call that found a
     # state in the memo during its walk reads it again in its build phase,
     # so removing one there would fail that call.  Two sweeps share the
-    # pruned levels, which each clears when it ends.
+    # pruned levels, which each evicts as it goes, like the shared memo.
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -475,6 +477,8 @@ def test_omega_f():
     e = schur_f((3, 1))
     assert omega_f(omega_f(e)) == e
     assert omega_f(schur_f((2, 1))) == schur_f((2, 1))
+    with pytest.raises(ValueError, match="omega_f expects an F-expansion"):
+        omega_f(Expansion("M", 2, {(2,): 1}))
     for n in range(0, 9):
         for lam in enumerate_partitions(n):
             assert omega_f(schur_f(lam)) == schur_f(conjugate(lam))

@@ -38,6 +38,20 @@ def test_containment_is_checked():
         SkewShape((2, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         SkewShape((1, 2))
+    with pytest.raises(ValueError, match=r"outer has a part < 1: \(2, 0\)"):
+        SkewShape((2, 0))
+    with pytest.raises(ValueError, match=r"inner has a part < 1: \(0,\)"):
+        SkewShape((2,), (0,))
+    with pytest.raises(ValueError, match=r"row 1 is not contiguous: \[1, 3\]"):
+        SkewShape.from_cells({(1, 1), (1, 3)})
+    # A row that starts right of the row above it but ends left of it.
+    with pytest.raises(ValueError, match="cells do not form a skew diagram"):
+        SkewShape.from_cells({(1, 1), (1, 2), (1, 3), (2, 2)})
+    # Translation never moves a cell in column 0 or left of it into place.
+    with pytest.raises(ValueError, match=r"outer has a part < 1: \(0,\)"):
+        SkewShape.from_cells({(1, 0)})
+    with pytest.raises(ValueError, match=r"inner has a part < 1: \(0, -1\)"):
+        SkewShape.from_cells({(1, 1), (1, 2), (2, 0), (2, 1)})
 
 
 def test_canonicalization_drops_empty_rows_and_columns():
@@ -46,6 +60,8 @@ def test_canonicalization_drops_empty_rows_and_columns():
     assert SkewShape((3, 1), (2,)) == SkewShape((2, 1), (1,))
     assert SkewShape() == SkewShape((), ())
     assert SkewShape((1, 1), (1,)).cells == frozenset({(1, 1)})
+    # Rows 3 and 5 of raw cells, sharing no column: both move left.
+    assert SkewShape.from_cells({(3, 5), (3, 6), (5, 2)}) == SkewShape((3, 1), (1,))
 
 
 def test_size_and_cells():

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import hook_length_count
 from qschur import (
+    BudgetExceededError,
     DescentSet,
     Expansion,
     SkewShape,
@@ -58,6 +59,10 @@ def test_des_p_worked_example():
     t = SkewTableau(SkewShape((3, 2, 2, 1), (1, 1)), ((2, 3), (4,), (1, 6), (5,)))
     assert des_p(t) == DescentSet(6, {3, 4})
     assert com_p(t) == (3, 1, 2)
+    # An entry out of 1..n, or one met twice, is no standard filling.
+    for rows in (((1, 4), (2,)), ((1, 1), (2,))):
+        with pytest.raises(ValueError, match="entries must be 1..n, each once"):
+            des_p(SkewTableau(SkewShape((2, 1)), rows))
 
 
 def test_des_p_trivial_shapes():
@@ -88,6 +93,10 @@ def test_lattice_needs_prefix_dominance():
     # reading word 1,2,2 fails at the second 2
     t = SkewTableau(SkewShape((2, 1)), ((1, 2), (2,)))
     assert is_semistandard(t)
+    # Each rule rejects: an entry below 1, a row that falls, a column that
+    # does not rise.
+    for rows in (((0, 1), (2,)), ((2, 1), (3,)), ((1, 2), (1,))):
+        assert not is_semistandard(SkewTableau(SkewShape((2, 1)), rows))
     # So of the semistandard fillings of (2, 1) with entries in {1, 2},
     # only 1,1 over 2 is lattice.
     assert dict(lr_expansion(SkewShape((2, 1))).terms) == {(2, 1): 1}
@@ -118,6 +127,11 @@ def test_lr_expansion_basis_and_degree():
     assert e.degree == 2
     assert dict(e.terms) == {(2,): 1, (1, 1): 1}
     assert lr_expansion(SkewShape()) == Expansion("schur", 0, {(): 1})
+    # Two lattice fillings: the budget passes at 2, not at 1.
+    assert lr_expansion(SkewShape((2, 1), (1,)), 2) == e
+    message = "lattice fillings of shape 2,1/1 exceeded the tableau budget of 1"
+    with pytest.raises(BudgetExceededError, match=message):
+        lr_expansion(SkewShape((2, 1), (1,)), 1)
 
 
 def test_lr_counts_match_syt_totals():
@@ -155,4 +169,10 @@ def test_expansion_arithmetic_guards():
         Expansion("schur", 3, {(1, 2): 1})
     with pytest.raises(ValueError):
         Expansion("F", 2, {(2,): -1})
+    with pytest.raises(ValueError, match="unknown basis 'Q'"):
+        Expansion("Q", 2, {(2,): 1})
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        Expansion("F", -1, {})
+    with pytest.raises(ValueError, match="not an integer: 1.5"):
+        Expansion("F", 2, {(2,): 1.5})
     assert (a + a) == 2 * a
