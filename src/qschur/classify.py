@@ -361,7 +361,7 @@ def verify(
     instances_of, key, check = _THEOREMS[theorem]
     checked = 0
     disagreements = []
-    # One degree of instances at a time, counted as they go.
+    # Counted as they go, so no list of every degree's instances is held.
     for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
         checked += 1
         found = check(inst, max_tableaux)
