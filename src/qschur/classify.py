@@ -21,6 +21,7 @@ from .compositions import (
     rearrangements,
 )
 from .qsym import (
+    _SWEEP_LAST,
     _clean,
     _counts,
     _f_expansion,
@@ -351,9 +352,9 @@ def verify(
     disagreement is reported through the counting engine.  Either way
     ``max_tableaux`` caps tableaux, but the pruned levels check it only on
     the states they store with a profile and on an instance they do not
-    mark.  The instances go up by degree, so each degree's engine calls
-    find most children of their instances already built by the degree
-    before."""
+    mark.  The instances go up by degree, and those below ``max_n`` are
+    stored in the pruned levels, so each degree finds nearly every child of
+    its instances built by the degree before (see the qsym docstring)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
@@ -361,12 +362,17 @@ def verify(
     instances_of, key, check = _THEOREMS[theorem]
     checked = 0
     disagreements = []
-    # Counted as they go, so no list of every degree's instances is held.
-    for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
-        checked += 1
-        found = check(inst, max_tableaux)
-        if found is not None:
+    sweep = _SWEEP_LAST.set(max_n)
+    try:
+        # Counted as they go, so no list of every degree's instances is held.
+        for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
+            checked += 1
+            found = check(inst, max_tableaux)
+            if found is None:
+                continue
             named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
             label = {k: list(parts) for k, parts in named.items()}
             disagreements.append(Disagreement(label, *found))
+    finally:
+        _SWEEP_LAST.reset(sweep)
     return VerificationReport(theorem, max_n, checked, tuple(disagreements))

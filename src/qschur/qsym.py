@@ -16,17 +16,12 @@ moves, one for compositions and one for skew shapes, and keeps one memo for
 both, ``_PROFILES``, shared by every public call and split by size.  A skew
 shape's state is the tuple of basic-form row intervals the shape stores, so
 a root enters the engine as it is, and removing a cell leaves a state in
-the same canonical form.  One rule holds for every call: the root, the
-state asked about, is never profiled or stored.  It is read straight off
-level n - 1, which holds all its children.  So a call on a state of size n
-keeps only levels n - 2 and n - 1, and an upward sweep builds level n - 1
-from level n - 2 as the children of its roots, each state once.  Nothing is
-ever removed from a level, only whole levels from the memo, which keeps it
-thread-safe: a state that another call found in the memo may still be read
-by that call.
+the same canonical form.  A public call never stores its root, the state
+asked about: ``_counts`` sums the entries of its children in level n - 1
+into a count per descent bitmask, and keeps only levels n - 2 and n - 1.
+Nothing is ever removed from a level, only whole levels from the memo, so a
+state that another thread's call found in the memo stays there for it.
 
-``_counts`` reads a root: it sums the children's entries into a count per
-descent bitmask, from which ``_f_expansion`` builds every expansion.
 ``classify.verify`` asks less of a root: whether some mask has two
 tableaux, or whether it has one, two or more masks.  A parent's entry for
 a child holds every mask m of the child as m << 1 | d, where d depends only
@@ -34,22 +29,19 @@ on the key of the child's entry, with at least the child's count.  So a
 dirty child, one with a mask of count 2 or more in one entry, makes a dirty
 parent; and since m -> m << 1 | d is injective, a wide child, one with 3 or
 more distinct masks, makes a wide parent.  A keep test, ``_clean`` or
-``_narrow``, gives the walk its own levels in ``_PRUNED``, shared and
+``_narrow``, gives the engine its own levels in ``_PRUNED``, shared and
 evicted like ``_PROFILES``: a state with a marker child, or whose profile
-fails the test, is stored as None, a marker, with no profile.  A root
-with a marker child, or whose counts fail the test, reads None: it is
+fails the test, is stored as None, a marker, with no profile.  A root is
+read one move at a time, up to its first marker child: it is
 multiplicity-free iff no child is a marker and no shifted mask repeats, and
-has more than two masks iff a child is wide or it has three itself.
-Nearly every state of a skew shape is dirty, so a sweep stores almost no
-profile there.  In the pruned levels the budget is checked only on the
-states stored with a profile, and on a root that passes the test.
-``verify`` also reads each partition as its rotation by 180 degrees, which
-has the same expansion.  Removing the cell holding 1 from a rotated
-partition leaves a rotated partition, which the degree below has built; a
-straight shape leaves a skew shape that no earlier degree built.
-``schur_f`` keeps the straight shape: a one-off call has no level below to
-reuse, and there the single place for 1 in a straight shape beats the
-several in a rotated one.
+has more than two masks iff a child is wide or it has three itself.  The
+``verify`` sweep stores each root below its last degree in level n, for the
+degree above, and keeps levels n - 1 and n; a child no root left, such as
+the one-part child of (1, n - 1), is built as in a public call.  The budget
+is checked on the states stored with a profile and on a root that passes
+the test.  ``verify`` reads each partition as its rotation by 180 degrees,
+which has the same expansion and whose children are rotated partitions.
+``schur_f`` keeps the straight shape, where 1 has a single place.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -67,8 +59,9 @@ are filled, and stops when each repeated mask has been met twice.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .compositions import (
     Composition,
@@ -108,7 +101,7 @@ def _f_expansion(n: int, by_mask: dict[int, int]) -> Expansion:
 # key >= threshold.
 State = Union[Composition, Intervals]
 Move = tuple[int, State, int]
-Moves = Callable[[State], list[Move]]
+Moves = Callable[[State], Iterator[Move]]
 # One entry per move of a state: the key of the cell holding 1, the descent
 # masks (bit t set = descent at t + 1) of the fillings that put 1 there, and
 # how many fillings have each mask.  Composition states may repeat a key.
@@ -127,40 +120,28 @@ _PROFILES: dict[int, dict[State, Profile]] = {}
 _EMPTY_LEVEL: dict[State, Profile] = {(): ((-1, (0,), (1,)),)}
 
 
-def _qs_moves(alpha: Composition) -> list[Move]:
+def _qs_moves(alpha: Composition) -> Iterator[Move]:
     """Inverse cover moves of a composition; entry 1 is a descent when
     entry 2 sits weakly right of it."""
-    return [(col, child, col) for col, child in _down_moves(alpha)]
+    return ((col, child, col) for col, child in _down_moves(alpha))
 
 
-def _corners(ivs: Intervals) -> list[int]:
-    """Rows whose leftmost cell has no cell above it: where 1 can sit."""
-    return [i for i in range(len(ivs)) if not i or ivs[i - 1][0] != ivs[i][0]]
-
-
-def _remove_first(ivs: Intervals, i: int) -> Intervals:
-    """Row intervals, in basic form, left after removing the leftmost cell
-    of the inner-corner row ``i``."""
-    a, b = ivs[i]
-    if i + 1 == len(ivs) or ivs[i + 1][1] <= a:
-        # Column a + 1 empties; the rows above i lie wholly right of it.
-        head = tuple((x - 1, y - 1) for x, y in ivs[:i])
-        row = (a, b - 1)
-    else:
-        head = ivs[:i]
-        row = (a + 1, b)
-    if row[0] < row[1]:
-        return head + (row,) + ivs[i + 1 :]
-    return head + ivs[i + 1 :]
-
-
-def _skew_moves(ivs: Intervals) -> list[Move]:
-    """Moves of a skew shape; entry 1 is a descent when entry 2 lies in a
-    lower row: the child's rows from i + 1 on, or from i when row i empties."""
-    return [
-        (i, _remove_first(ivs, i), i if ivs[i][0] + 1 == ivs[i][1] else i + 1)
-        for i in _corners(ivs)
-    ]
+def _skew_moves(ivs: Intervals) -> Iterator[Move]:
+    """Moves of a skew shape, one per row i whose leftmost cell has no cell
+    above it; entry 1 is a descent when entry 2 lies in a lower row of the
+    child, in basic form: its rows from i + 1 on, or from i if row i empties."""
+    for i, (a, b) in enumerate(ivs):
+        if i and ivs[i - 1][0] == a:
+            continue
+        if i + 1 == len(ivs) or ivs[i + 1][1] <= a:
+            # Column a + 1 empties; the rows above i lie wholly right of it.
+            head, row = tuple((x - 1, y - 1) for x, y in ivs[:i]), (a, b - 1)
+        else:
+            head, row = ivs[:i], (a + 1, b)
+        if a + 1 == b:
+            yield i, head + ivs[i + 1 :], i
+        else:
+            yield i, head + (row,) + ivs[i + 1 :], i + 1
 
 
 def _merged(entries: Sequence[Entry]) -> tuple:
@@ -175,7 +156,7 @@ def _merged(entries: Sequence[Entry]) -> tuple:
     return acc.keys(), acc.values()
 
 
-def _profile_of(moves: list[Move], below: Level) -> Profile | None:
+def _profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
     """Profile of a state from its moves and the profiles of the states one
     cell smaller, or None, a marker, when a child is one.  A child's entry 1
     is the parent's entry 2, so the child's entries split into those below
@@ -211,13 +192,30 @@ def _narrow(profile: Profile) -> bool:
 
 # The pruned levels of each keep test, in the layout of _PROFILES.
 _PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}, _narrow: {}}
+# The last degree of the ``verify`` sweep run in this context, else 0.
+_SWEEP_LAST: ContextVar[int] = ContextVar("_SWEEP_LAST", default=0)
 
 
 def _evict(memo: dict[int, dict], n: int) -> None:
-    """Drop every level of ``memo`` but ``n - 2`` and ``n - 1``."""
+    """Keep levels n - 2 and n - 1 of ``memo``, and n in a sweep past n."""
+    top = n if n < _SWEEP_LAST.get() else n - 1
     for level in list(memo):
-        if level != n - 1 and level != n - 2:
+        if not n - 2 <= level <= top:
             memo.pop(level, None)
+
+
+def _stored(
+    prof: Profile | None, keep: Keep | None, budget: int | None, source: TableauSource
+) -> Profile | None:
+    """What a level stores for a state of profile ``prof``: a marker where
+    it fails ``keep``, else the profile, which meets the budget."""
+    if prof is not None and keep is not None and not keep(prof):
+        return None
+    if prof is not None and budget is not None and (
+        sum(sum(counts) for _, _, counts in prof) > budget
+    ):
+        raise BudgetExceededError(_label(source), budget)
+    return prof
 
 
 def _level_below(
@@ -230,17 +228,12 @@ def _level_below(
 ) -> tuple[list[Move], Level]:
     """The moves of ``state``, which has ``n`` >= 1 cells, and the memo
     level holding its children, after building the states it still lacks
-    below ``state``: they are found top-down, level by level, then computed
-    bottom-up, and the moves of each are computed once.  ``state`` itself is
-    not built.
-
-    With ``keep`` None every profile is kept in ``_PROFILES``.  Otherwise the
-    levels are those of ``_PRUNED[keep]``, and a state with a marker child,
-    or whose profile fails ``keep``, is stored as a marker.  With a budget,
-    a level with more missing states than the budget aborts the call, and
-    so does a state stored with a profile of more fillings than it: every
-    filling of a state left after removing cells extends to one of
-    ``state``.  The error names ``source``, the instance ``state`` reads.
+    below it: they are found top-down, level by level, then stored bottom-up
+    by :func:`_stored`, in ``_PROFILES`` or, with a ``keep`` test, in
+    ``_PRUNED[keep]``.  With a budget, a level with more missing states than
+    the budget aborts the call, and so does a state stored with a profile of
+    more fillings than it: every filling of a state left after removing
+    cells extends to one of ``state``.  The error names ``source``.
     """
     memo = _PROFILES if keep is None else _PRUNED[keep]
     _evict(memo, n)
@@ -248,7 +241,7 @@ def _level_below(
         # Hold each level here, so that another thread's eviction cannot
         # pull one from under this call.
         levels = {0: _EMPTY_LEVEL}
-        root_moves = moves(state)
+        root_moves = list(moves(state))
         missing: list[list[tuple[State, list[Move]]]] = []
         frontier = [(state, root_moves)]
         for m in range(n - 1, 0, -1):
@@ -263,20 +256,12 @@ def _level_below(
             # the budget also caps the walk at about n * max_tableaux states.
             if max_tableaux is not None and len(children) > max_tableaux:
                 raise BudgetExceededError(_label(source), max_tableaux)
-            frontier = [(s, moves(s)) for s in children]
+            frontier = [(s, list(moves(s))) for s in children]
             missing.append(frontier)
         for depth in range(len(missing) - 1, -1, -1):
-            m = n - 1 - depth
-            level, below = levels[m], levels[m - 1]
+            level, below = levels[n - 1 - depth], levels[n - 2 - depth]
             for s, ms in missing[depth]:
-                prof = _profile_of(ms, below)
-                if prof is not None and keep is not None and not keep(prof):
-                    prof = None
-                if prof is not None and max_tableaux is not None and (
-                    sum(sum(counts) for _, _, counts in prof) > max_tableaux
-                ):
-                    raise BudgetExceededError(_label(source), max_tableaux)
-                level[s] = prof
+                level[s] = _stored(_profile_of(ms, below), keep, max_tableaux, source)
         return root_moves, levels[n - 1]
     finally:
         _evict(memo, n)
@@ -302,30 +287,41 @@ def _label(source: TableauSource) -> str:
 def _counts(
     source: TableauSource, max_tableaux: int | None, keep: Keep | None = None
 ) -> tuple[int, dict[int, int] | None]:
-    """Degree of ``source`` and its number of tableaux per descent mask,
-    summed over the entries of its children; the root itself is never
-    profiled or stored.  More tableaux than ``max_tableaux`` raise
-    :class:`BudgetExceededError`.
+    """Degree of ``source`` and its number of tableaux per descent mask.
+    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`.
 
-    With a ``keep`` test the children come from its pruned levels, the
-    counts are None when a child is a marker or the root's counts, read as
-    one entry, fail ``keep``; only counts that pass meet the budget.
+    With a ``keep`` test the root is profiled off its pruned levels, one
+    move at a time up to its first marker child; a missing child is built by
+    :func:`_level_below`.  A ``verify`` sweep past degree n stores the root.
+    The counts are None when the root is a marker or its counts, read as one
+    entry, fail ``keep``; only counts that pass meet the budget here.
     """
     state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
-    if n:
-        root_moves, below = _level_below(state, n, moves, max_tableaux, source, keep)
-        if any(below[child] is None for _, child, _ in root_moves):
-            return n, None
+    if n and keep is None:
+        root_moves, below = _level_below(state, n, moves, max_tableaux, source)
         for _, child, t in root_moves:
             for key, ms, cs in below[child]:
                 d = key >= t
                 for m, c in zip(ms, cs):
                     m = m << 1 | d
                     by_mask[m] = by_mask.get(m, 0) + c
+    elif n:
+        memo = _PRUNED[keep]
+        _evict(memo, n)
+        try:
+            prof = _profile_of(moves(state), memo[n - 1])
+        except KeyError:  # a child, or level n - 1 itself, is missing
+            below = _level_below(state, n, moves, max_tableaux, source, keep)
+            prof = _profile_of(*below)
+        if n < _SWEEP_LAST.get():
+            prof = _stored(prof, keep, max_tableaux, source)
+            memo.setdefault(n, {})[state] = prof
+        if prof is None:
+            return n, None
+        by_mask = dict(zip(*_merged(prof)))
     if keep is not None and not keep(((0, by_mask.keys(), by_mask.values()),)):
         return n, None
-    # The root is never built, so it meets the budget here.
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(_label(source), max_tableaux)
     return n, by_mask

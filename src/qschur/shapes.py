@@ -183,7 +183,9 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
 
     Shapes are generated as weakly decreasing row intervals (a_i, b_i] with
     no empty column between consecutive rows (a_i <= b_{i+1}) and column 1
-    occupied by the last row (a_r = 0).
+    occupied by the last row (a_r = 0).  The rows from row i down cover
+    columns 1..b_i, so b_i is at most the cells left for them; a last row
+    then holds all the cells left, so it starts at 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -194,18 +196,17 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
 
     def rec(acc: list[tuple[int, int]], remaining: int) -> None:
         if remaining == 0:
-            if acc[-1][0] == 0:
-                found.append(_from_intervals(tuple(acc)))
+            found.append(_from_intervals(tuple(acc)))
             return
         if acc:
             prev_a, prev_b = acc[-1]
-            b_lo, b_hi = max(1, prev_a), prev_b
+            b_lo, b_hi = max(1, prev_a), min(prev_b, remaining)
             a_cap = prev_a
         else:
             b_lo, b_hi = 1, n
             a_cap = n
         for b in range(b_lo, b_hi + 1):
-            for a in range(max(0, b - remaining), min(b - 1, a_cap) + 1):
+            for a in range(min(b - 1, a_cap) + 1):
                 acc.append((a, b))
                 rec(acc, remaining - (b - a))
                 acc.pop()

@@ -72,17 +72,24 @@ def box_partitions(max_len: int, max_part: int) -> list[tuple[int, ...]]:
 
 def skew_shapes_by_pairs(n: int) -> set[SkewShape]:
     """Every size-n shape presented by some (outer, inner) pair inside an
-    n-by-n box, deduplicated by canonical form."""
+    n-by-n box, deduplicated by canonical form.  A pair with an empty row
+    presents the shape of the pair without that row, so only pairs whose
+    rows are all nonempty are built."""
     found = set()
+    # The partitions in each box, by size: an inner partition has n cells
+    # fewer than its outer one.
+    by_size: dict[tuple[int, int], dict[int, list]] = {}
     for outer in box_partitions(n, n):
-        if not outer:
+        if not outer or sum(outer) < n:
             continue
-        for inner in box_partitions(len(outer), outer[0]):
-            if len(inner) <= len(outer) and all(
-                inner[i] <= outer[i] for i in range(len(inner))
-            ):
-                if sum(outer) - sum(inner) == n:
-                    found.add(SkewShape(outer, inner))
+        box = (len(outer), outer[0])
+        if box not in by_size:
+            by_size[box] = {}
+            for inner in box_partitions(*box):
+                by_size[box].setdefault(sum(inner), []).append(inner)
+        for inner in by_size[box].get(sum(outer) - n, []):
+            if all(inner[i] < outer[i] for i in range(len(inner))):
+                found.add(SkewShape(outer, inner))
     return found
 
 

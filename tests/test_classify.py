@@ -339,16 +339,30 @@ def test_disagreement_reports(monkeypatch):
     ]
 
 
+def _size(state):
+    """Cells of an engine state: a composition or skew-shape row intervals."""
+    return sum(b - a for a, b in state) if state and isinstance(state[0], tuple) else sum(state)
+
+
 def _pruned_builds(monkeypatch):
-    """The states the sweeps after this call build, each appended to the
-    returned list; the public memo is cleared, and the sweeps must leave it
-    empty, so every build counted is one of the pruned walk."""
+    """The states the sweeps after this call store in the pruned levels,
+    each appended to the returned list as it is stored; the public memo is
+    cleared, and the sweeps must leave it empty."""
     qschur.qsym._PROFILES.clear()
     built = []
-    profile_of = qschur.qsym._profile_of
-    monkeypatch.setattr(
-        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
-    )
+
+    class Level(dict):
+        def __setitem__(self, state, prof):
+            assert state not in self, f"{state} built again"
+            built.append(state)
+            super().__setitem__(state, prof)
+
+    class Memo(dict):
+        def setdefault(self, m, default=None):
+            return super().setdefault(m, Level())
+
+    for keep in list(qschur.qsym._PRUNED):
+        monkeypatch.setitem(qschur.qsym._PRUNED, keep, Memo())
     return built
 
 
@@ -356,9 +370,15 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
     built = _pruned_builds(monkeypatch)
     assert verify("schur", 13).verified
     assert qschur.qsym._PROFILES == {}
-    # 372 partitions of size at most 13; an unrotated straight shape's
-    # children are skew shapes no earlier degree built.
-    assert 0 < len(built) <= 500
+    # Each rotated partition below the last degree is stored once, as a
+    # root; its children are rotated partitions the degree below stored, so
+    # no other state is built.
+    rotated = [
+        SkewShape(lam).rotate180().row_intervals()
+        for n in range(1, 13)
+        for lam in enumerate_partitions(n)
+    ]
+    assert sorted(built) == sorted(rotated)
 
 
 @pytest.mark.parametrize(
@@ -378,32 +398,28 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
     ],
 )
 def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, states_below):
-    # A root is read off the level below, never profiled.
+    # A root below the last degree is stored for the degree above; a root of
+    # the last degree is read off the level below and not stored.
     built = _pruned_builds(monkeypatch)
     assert verify(theorem, max_n).verified
     assert qschur.qsym._PROFILES == {}
     assert 0 < len(built) <= states_below
+    assert max(map(_size, built)) == max_n - 1
+    # Each state is built once.  A family stops at its first rearrangement
+    # that is not multiplicity-free, so the walk may need a state that has
+    # left the window and build it again: 12 states of size at most 7 here.
+    assert len(built) - len(set(built)) == (12 if theorem == "families" else 0)
 
 
-def test_verify_keeps_no_final_degree_roots(monkeypatch):
+def test_verify_keeps_no_final_degree_roots():
     memo = qschur.qsym._PRUNED[qschur.qsym._clean]
-    seen = {}
-    level_below = qschur.qsym._level_below
-
-    def watched(*args):
-        found = level_below(*args)
-        for m, level in memo.items():
-            seen[m] = max(seen.get(m, 0), len(level))
-        return found
-
-    monkeypatch.setattr(qschur.qsym, "_level_below", watched)
     assert verify("skew", 8).checked == 3909
-    # Level 8 is read by no later degree of this sweep; level 7 holds the
-    # children of the last degree's roots.
-    assert max(seen) == 7 and seen[7] > 0
+    # Level 7 holds every shape of size 7, each stored as the root it was;
+    # level 8 is read by no later degree of this sweep, so none is stored.
     # Like the shared memo, the pruned one keeps the last call's levels
     # n - 2 and n - 1 only.
     assert set(memo) == {6, 7}
+    assert set(memo[7]) == {s.row_intervals() for s in enumerate_skew_shapes(7)}
 
 
 def test_pruned_truth_matches_counts_at_acceptance_bounds():

@@ -123,14 +123,14 @@ def test_enumerate_skew_shapes_counts():
 
 
 def test_enumerate_skew_shapes_matches_pair_oracle():
-    for n in range(0, 6):
+    for n in range(0, 9):
         assert set(enumerate_skew_shapes(n)) == skew_shapes_by_pairs(n) | (
             {SkewShape()} if n == 0 else set()
         )
 
 
 def test_enumeration_is_deduplicated_and_sorted():
-    for n in range(0, 7):
+    for n in range(0, 9):
         shapes_n = list(enumerate_skew_shapes(n))
         assert len(shapes_n) == len(set(shapes_n))
         keys = [(s.outer, s.inner) for s in shapes_n]
