@@ -21,7 +21,7 @@ from .compositions import (
     rearrangements,
 )
 from .qsym import (
-    _SWEEP_LAST,
+    _SWEEP,
     _clean,
     _counts,
     _f_expansion,
@@ -362,7 +362,7 @@ def verify(
     instances_of, key, check = _THEOREMS[theorem]
     checked = 0
     disagreements = []
-    sweep = _SWEEP_LAST.set(max_n)
+    outer, _SWEEP.last = _SWEEP.last, max_n
     try:
         # Counted as they go, so no list of every degree's instances is held.
         for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
@@ -374,5 +374,5 @@ def verify(
             label = {k: list(parts) for k, parts in named.items()}
             disagreements.append(Disagreement(label, *found))
     finally:
-        _SWEEP_LAST.reset(sweep)
+        _SWEEP.last = outer
     return VerificationReport(theorem, max_n, checked, tuple(disagreements))

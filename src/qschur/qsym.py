@@ -34,14 +34,14 @@ evicted like ``_PROFILES``: a state with a marker child, or whose profile
 fails the test, is stored as None, a marker, with no profile.  A root is
 read one move at a time, up to its first marker child: it is
 multiplicity-free iff no child is a marker and no shifted mask repeats, and
-has more than two masks iff a child is wide or it has three itself.  The
-``verify`` sweep stores each root below its last degree in level n, for the
-degree above, and keeps levels n - 1 and n; a child no root left, such as
-the one-part child of (1, n - 1), is built as in a public call.  The budget
-is checked on the states stored with a profile and on a root that passes
-the test.  ``verify`` reads each partition as its rotation by 180 degrees,
-which has the same expansion and whose children are rotated partitions.
-``schur_f`` keeps the straight shape, where 1 has a single place.
+has more than two masks iff a child is wide or it has three itself.  A
+``verify`` sweep keeps levels n - 2 to n and stores each root below its last
+degree, ``_SWEEP.last``, for the degree above; a child no root left, such
+as the one-part child of (1, n - 1), is built as in a public call.  The
+budget is checked on the states stored with a profile and on a root that
+passes the test.  ``verify`` reads each partition rotated by 180 degrees:
+same expansion, and rotated partitions as children.  ``schur_f`` keeps the
+straight shape, where 1 has a single place.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -59,7 +59,7 @@ are filled, and stops when each repeated mask has been met twice.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
+import threading
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -192,13 +192,18 @@ def _narrow(profile: Profile) -> bool:
 
 # The pruned levels of each keep test, in the layout of _PROFILES.
 _PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}, _narrow: {}}
-# The last degree of the ``verify`` sweep run in this context, else 0.
-_SWEEP_LAST: ContextVar[int] = ContextVar("_SWEEP_LAST", default=0)
+
+
+class _Sweep(threading.local):
+    last = 0  # the last degree of the ``verify`` sweep this thread runs, or 0
+
+
+_SWEEP = _Sweep()
 
 
 def _evict(memo: dict[int, dict], n: int) -> None:
     """Keep levels n - 2 and n - 1 of ``memo``, and n in a sweep past n."""
-    top = n if n < _SWEEP_LAST.get() else n - 1
+    top = n if n < _SWEEP.last else n - 1
     for level in list(memo):
         if not n - 2 <= level <= top:
             memo.pop(level, None)
@@ -207,13 +212,10 @@ def _evict(memo: dict[int, dict], n: int) -> None:
 def _stored(
     prof: Profile | None, keep: Keep | None, budget: int | None, source: TableauSource
 ) -> Profile | None:
-    """What a level stores for a state of profile ``prof``: a marker where
-    it fails ``keep``, else the profile, which meets the budget."""
-    if prof is not None and keep is not None and not keep(prof):
+    """None where ``prof`` fails ``keep``, else ``prof``, which meets the budget."""
+    if prof is None or keep is not None and not keep(prof):
         return None
-    if prof is not None and budget is not None and (
-        sum(sum(counts) for _, _, counts in prof) > budget
-    ):
+    if budget is not None and sum(sum(counts) for _, _, counts in prof) > budget:
         raise BudgetExceededError(_label(source), budget)
     return prof
 
@@ -312,9 +314,11 @@ def _counts(
         try:
             prof = _profile_of(moves(state), memo[n - 1])
         except KeyError:  # a child, or level n - 1 itself, is missing
-            below = _level_below(state, n, moves, max_tableaux, source, keep)
-            prof = _profile_of(*below)
-        if n < _SWEEP_LAST.get():
+            root_moves, below = _level_below(
+                state, n, moves, max_tableaux, source, keep
+            )
+            prof = _profile_of(root_moves, below)
+        if n < _SWEEP.last:
             prof = _stored(prof, keep, max_tableaux, source)
             memo.setdefault(n, {})[state] = prof
         if prof is None:

@@ -232,11 +232,11 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
 
 
 def test_sweep_degrees_stay_in_their_own_threads():
-    # A sweep tells the engine its last degree through a context, which no
-    # other thread sees: sweeps of other theorems and bounds beside public
-    # calls keep their serial reports, and no public call stores its root.
-    # No sweep here stores a composition of 10 with three or more parts in
-    # the clean levels, so only a leaked context could store one.
+    # A sweep hands the engine its last degree through a thread-local value,
+    # which no other thread sees: sweeps of other theorems and bounds beside
+    # public calls keep their serial reports, and no public call stores its
+    # root.  No sweep here stores a composition of 10 with three or more
+    # parts in the clean levels, so only a leaked last degree could.
     jobs = [("skew", 6), ("schur", 9), ("qs-components", 8), ("families", 9)]
     jobs.append(("two-part", 12))
     serial = {job: verify(*job) for job in jobs}
@@ -250,7 +250,7 @@ def test_sweep_degrees_stay_in_their_own_threads():
     def stored_roots(lam):
         return [alpha for alpha in rearrangements(lam) if alpha in clean.get(10, {})]
 
-    # The last serial sweep went past degree 10, and reset its context.
+    # The last serial sweep went past degree 10, and reset its last degree.
     assert not any(map(stored_roots, families))
     done = threading.Event()
 
