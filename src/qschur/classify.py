@@ -7,9 +7,8 @@ instances of each degree, the label key of an instance, and its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .compositions import (
     Composition,
@@ -202,8 +201,17 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
+    """One instance on which a predicate and the brute-force truth differ,
+    as an immutable named tuple.
+
+    ``instance`` labels the instance by its JSON-ready parts, such as
+    ``{"partition": [2, 2]}`` or ``{"outer": [...], "inner": [...]}``.
+    ``predicted`` is the predicate's answer and ``truth`` the brute-force
+    one.  ``witnesses`` holds JSON objects of tableau pairs sharing a
+    descent set, or of the F-terms when no such pair exists; it may be
+    empty."""
+
     instance: dict
     predicted: object
     truth: object
@@ -218,8 +226,14 @@ class Disagreement:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """The result of :func:`verify`, as an immutable named tuple.
+
+    ``theorem`` names the theorem checked and ``max_n`` the degree bound.
+    ``checked`` counts the instances compared, and ``disagreements`` holds
+    a :class:`Disagreement` for each instance where the predicate and the
+    truth differ, in canonical instance order."""
+
     theorem: str
     max_n: int
     checked: int

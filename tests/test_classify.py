@@ -7,7 +7,9 @@ import qschur.qsym
 from oracles import predict_skew_by_variants
 from qschur import (
     BudgetExceededError,
+    Disagreement,
     SkewShape,
+    VerificationReport,
     brute_family_fmf,
     disjoint_union,
     enumerate_compositions,
@@ -183,6 +185,47 @@ def test_report_serialization():
     text = report.to_text()
     assert "disagreements: 0" in text
     assert "verdict: verified" in text
+
+
+def test_report_types():
+    report = verify("schur", 4)
+    assert repr(report) == (
+        "VerificationReport(theorem='schur', max_n=4, checked=11, disagreements=())"
+    )
+    assert report.verified
+    assert report.to_json_obj() == {
+        "theorem": "schur",
+        "max_n": 4,
+        "checked": 11,
+        "disagreements": [],
+    }
+    assert report.to_text() == (
+        "theorem: schur\nmax-n: 4\nchecked: 11\ndisagreements: 0\nverdict: verified"
+    )
+
+    found = Disagreement({"partition": [2, 2]}, False, True, ({"terms": []},))
+    assert repr(found) == (
+        "Disagreement(instance={'partition': [2, 2]}, predicted=False, "
+        "truth=True, witnesses=({'terms': []},))"
+    )
+    assert found.to_json_obj() == {
+        "instance": {"partition": [2, 2]},
+        "predicted": False,
+        "truth": True,
+        "witnesses": [{"terms": []}],
+    }
+    refuted = VerificationReport("schur", 4, 11, (found,))
+    assert not refuted.verified
+    assert refuted.to_json_obj()["disagreements"] == [found.to_json_obj()]
+    assert refuted.to_text() == (
+        "theorem: schur\nmax-n: 4\nchecked: 11\ndisagreements: 1\n"
+        "  {'partition': [2, 2]} predicted=False truth=True witnesses=1\n"
+        "verdict: refuted"
+    )
+
+    for obj, field in [(report, "checked"), (found, "truth")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
 
 
 def _flip(monkeypatch, name, wrong):

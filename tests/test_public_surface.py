@@ -1,6 +1,14 @@
-"""The package's public surface is exactly the names listed here."""
+"""The package's public surface is exactly the names listed here, and
+importing it loads nothing heavy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qschur
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = [
     "BudgetExceededError",
@@ -66,3 +74,22 @@ def test_public_names_are_pinned():
     assert len(PUBLIC) == 54
     for name in PUBLIC:
         assert hasattr(qschur, name), name
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # A fresh interpreter, so no other test's imports count.  These modules
+    # come with dataclasses and cost a fresh verify process its start-up.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, qschur; print([m for m in {heavy!r} if m in sys.modules])",
+        ],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded.strip() == "[]"
