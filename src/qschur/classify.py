@@ -7,7 +7,6 @@ instances of each degree, the label key of an instance, and its check.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
 from .compositions import (
@@ -19,14 +18,10 @@ from .compositions import (
     enumerate_partitions,
     rearrangements,
 )
-from .qsym import (
-    _SWEEP,
-    _clean,
-    _counts,
-    _f_expansion,
-    _narrow,
-    multiplicity_witnesses,
-)
+from .ctableaux import covers_up
+from .qsym import _EMPTY_LEVEL, _SWEEP, _clean, _closure_counts, _closure_step, _counts
+from .qsym import _f_expansion, _narrow, _qs_moves, _rotated_parents, _skew_moves
+from .qsym import _skew_parents, multiplicity_witnesses
 from .shapes import SkewShape, enumerate_skew_shapes
 
 DEFAULT_MAX_TABLEAUX = 10_000_000
@@ -283,36 +278,36 @@ def _witnesses_json(source, max_tableaux: int | None) -> tuple:
 
 
 def _fmf_check(
-    predicted: bool, truth_source: Instance, witness_source: Instance, budget: int | None
+    predicted: bool, truth: bool, witness_source: Instance, budget: int | None
 ) -> tuple | None:
     """``(predicted, truth, witnesses)`` when ``predicted`` is not the
-    multiplicity-freeness of ``truth_source``, else None.  The witnesses are
-    searched in ``witness_source``, which has the same expansion, and only
-    for a disagreement."""
-    truth = _multiplicity_free(truth_source, budget)
+    multiplicity-freeness ``truth``, else None.  The witnesses are searched
+    in ``witness_source``, and only for a disagreement."""
     if predicted == truth:
         return None
     return predicted, truth, _witnesses_json(witness_source, budget)
 
 
-def _schur_check(lam: Partition, budget: int | None) -> tuple | None:
+def _schur_check(lam: Partition, budget: int | None, kept) -> tuple | None:
     # The rotation has the same expansion; see the qsym docstring.
     shape = SkewShape(lam)
-    return _fmf_check(predict_schur(lam), shape.rotate180(), shape, budget)
+    truth = kept(shape.rotate180()) is not None
+    return _fmf_check(predict_schur(lam), truth, shape, budget)
 
 
-def _skew_check(shape: SkewShape, budget: int | None) -> tuple | None:
-    return _fmf_check(predict_skew(shape), shape, shape, budget)
+def _skew_check(shape: SkewShape, budget: int | None, kept) -> tuple | None:
+    return _fmf_check(predict_skew(shape), kept(shape) is not None, shape, budget)
 
 
-def _two_part_check(alpha: Composition, budget: int | None) -> tuple | None:
-    return _fmf_check(predict_two_part(alpha), alpha, alpha, budget)
+def _two_part_check(alpha: Composition, budget: int | None, kept) -> tuple | None:
+    truth = _multiplicity_free(alpha, budget)
+    return _fmf_check(predict_two_part(alpha), truth, alpha, budget)
 
 
-def _components_check(alpha: Composition, budget: int | None) -> tuple | None:
+def _components_check(alpha: Composition, budget: int | None, kept) -> tuple | None:
     predicted = predict_qs_components(alpha)
-    # The narrow levels keep the counts of shapes with at most two terms.
-    _, counts = _counts(alpha, budget, _narrow)
+    # The narrow counts are those of shapes with at most two terms.
+    counts = kept(alpha)
     truth = "more" if counts is None else "one" if len(counts) == 1 else "two"
     # The one- and two-term statements also pin the terms themselves: the
     # own mask is a term, once.  With one term it is then the only one.
@@ -328,7 +323,7 @@ def _components_check(alpha: Composition, budget: int | None) -> tuple | None:
     return predicted, truth, witnesses
 
 
-def _families_check(lam: Partition, budget: int | None) -> tuple | None:
+def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
     predicted = predict_family(lam)
     truth = brute_family_fmf(lam, budget)
     if predicted == truth:
@@ -340,8 +335,10 @@ def _families_check(lam: Partition, budget: int | None) -> tuple | None:
 # Each theorem's instances of degree n, the label key of an instance that is
 # a tuple (a skew shape is labelled by its outer and inner partitions), and
 # its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
-# The checks call the module's predicates and engine by name at call time,
-# so that patching one of them on this module reaches the sweep.
+# A theorem in ``_CLOSURES`` reads its truth through ``kept``: the counts of
+# a source off the closure level of its degree, or None where they fail the
+# keep test.  The checks call the module's predicates and engine by name at
+# call time, so that patching one of them on this module reaches ``verify``.
 _THEOREMS = {
     "schur": (enumerate_partitions, "partition", _schur_check),
     "skew": (enumerate_skew_shapes, None, _skew_check),
@@ -350,6 +347,13 @@ _THEOREMS = {
         lambda n: ((a, n - a) for a in range(1, n)), "composition", _two_part_check
     ),
     "families": (enumerate_partitions, "partition", _families_check),
+}
+# The closure levels the truth of a theorem is read off: the parents and the
+# moves of its states, and its keep test.  The other theorems sweep.
+_CLOSURES = {
+    "schur": (_rotated_parents, _skew_moves, _clean),
+    "skew": (_skew_parents, _skew_moves, _clean),
+    "qs-components": (covers_up, _qs_moves, _narrow),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -362,31 +366,37 @@ def verify(
     """Compare a classification predicate against brute-force truth on every
     instance of degree at most ``max_n``, in canonical instance order.
 
-    The truth is read off the pruned levels of the qsym engine, and a
+    The truth is read off the pruned states of the qsym engine, and a
     disagreement is reported through the counting engine.  Either way
-    ``max_tableaux`` caps tableaux, but the pruned levels check it only on
-    the states they store with a profile and on an instance they do not
-    mark.  The instances go up by degree, and those below ``max_n`` are
-    stored in the pruned levels, so each degree finds nearly every child of
-    its instances built by the degree before (see the qsym docstring)."""
+    ``max_tableaux`` caps tableaux, but the truth checks it only on the
+    instances below ``max_n`` it keeps with a profile and on an instance
+    whose counts pass the keep test, in instance order.  Skew, Schur and
+    qs-components build one closure level per degree; two-part and families
+    sweep bottom-up, and store the instances below ``max_n`` in the pruned
+    levels for the degree above (see the qsym docstring)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    instances_of, key, check = _THEOREMS[theorem]
+    (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)
     checked = 0
     disagreements = []
-    outer, _SWEEP.last = _SWEEP.last, max_n
+    level, kept = _EMPTY_LEVEL, None
+    outer, _SWEEP.last = _SWEEP.last, 0 if closure else max_n
     try:
-        # Counted as they go, so no list of every degree's instances is held.
-        for inst in chain.from_iterable(map(instances_of, range(1, max_n + 1))):
-            checked += 1
-            found = check(inst, max_tableaux)
-            if found is None:
-                continue
-            named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
-            label = {k: list(parts) for k, parts in named.items()}
-            disagreements.append(Disagreement(label, *found))
+        for n in range(1, max_n + 1):
+            if closure:
+                level = _closure_step(level, *closure)
+                kept = _closure_counts(level, closure[2], n < max_n, max_tableaux)
+            # Counted as they go, so no list of a degree's instances is held.
+            for inst in instances_of(n):
+                checked += 1
+                found = check(inst, max_tableaux, kept)
+                if found is None:
+                    continue
+                named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
+                label = {k: list(parts) for k, parts in named.items()}
+                disagreements.append(Disagreement(label, *found))
     finally:
         _SWEEP.last = outer
     return VerificationReport(theorem, max_n, checked, tuple(disagreements))

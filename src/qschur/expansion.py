@@ -53,15 +53,15 @@ class Expansion:
 
     @classmethod
     def _trusted(
-        cls, basis: str, degree: int, terms: dict[Composition, int]
+        cls, basis: str, degree: int, terms: dict[Composition, int], ordered=False
     ) -> "Expansion":
         """Wrap terms that are already valid, with positive coefficients (as
         the expansion engines produce them), skipping the checks of
-        ``__init__`` but still ordering the keys."""
+        ``__init__``; the keys are ordered unless ``ordered`` says they are."""
         obj = cls.__new__(cls)
         obj.basis = basis
         obj.degree = degree
-        obj._terms = dict(sorted(terms.items()))
+        obj._terms = terms if ordered else dict(sorted(terms.items()))
         return obj
 
     @property
@@ -110,8 +110,9 @@ class Expansion:
             return NotImplemented
         if scalar < 0:
             raise ValueError("scalar must be nonnegative")
+        # A multiple keeps the key order of ``self``.
         terms = {k: scalar * c for k, c in self._terms.items()} if scalar else {}
-        return Expansion._trusted(self.basis, self.degree, terms)
+        return Expansion._trusted(self.basis, self.degree, terms, ordered=True)
 
     __rmul__ = __mul__
 

@@ -28,20 +28,32 @@ a child holds every mask m of the child as m << 1 | d, where d depends only
 on the key of the child's entry, with at least the child's count.  So a
 dirty child, one with a mask of count 2 or more in one entry, makes a dirty
 parent; and since m -> m << 1 | d is injective, a wide child, one with 3 or
-more distinct masks, makes a wide parent.  A keep test, ``_clean`` or
-``_narrow``, gives the engine its own levels in ``_PRUNED``, shared and
+more distinct masks, makes a wide parent.  So the states that pass a keep
+test, ``_clean`` or ``_narrow``, form an upward closure: those of size n + 1
+are parents of those of size n.  ``_closure_step`` builds them upward, a
+level at a time, through the inverse of a move set: ``ctableaux.covers_up``
+for compositions, and ``_skew_parents`` for skew shapes, which widens a row
+or inserts a one-cell row, in a new column or not.  ``verify`` reads skew,
+Schur and qs-components truth off these levels, holding two at a time: a
+root is multiplicity-free iff it is clean with no repeated mask, and has
+more than two masks iff it is not narrow.  It reads each partition rotated
+by 180 degrees, which has the same expansion and rotated partitions as its
+children and clean parents.  ``schur_f`` keeps the straight shape, where 1
+has a single place.
+
+Clean compositions are many, so two-part and families sweep bottom-up
+instead, through the pruned levels of ``_clean`` in ``_PRUNED``, shared and
 evicted like ``_PROFILES``: a state with a marker child, or whose profile
 fails the test, is stored as None, a marker, with no profile.  A root is
-read one move at a time, up to its first marker child: it is
-multiplicity-free iff no child is a marker and no shifted mask repeats, and
-has more than two masks iff a child is wide or it has three itself.  A
-``verify`` sweep keeps levels n - 2 to n and stores each root below its last
-degree, ``_SWEEP.last``, for the degree above; a child no root left, such
-as the one-part child of (1, n - 1), is built as in a public call.  The
-budget is checked on the states stored with a profile and on a root that
-passes the test.  ``verify`` reads each partition rotated by 180 degrees:
-same expansion, and rotated partitions as children.  ``schur_f`` keeps the
-straight shape, where 1 has a single place.
+read one move at a time, up to its first marker child.  A sweep keeps
+levels n - 2 to n and stores each root below its last degree,
+``_SWEEP.last``, for the degree above; a child no root left, such as the
+one-part child of (1, n - 1), is built as in a public call.  Either way
+the budget is checked on a root below the last degree that passes the
+test, as a state stored with a profile, and on a root whose counts pass.
+A closure level is built whole, unchecked, before ``verify`` reads its
+roots, so that the first root over the budget in instance order is the one
+named; every state it is built from has met the budget.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -144,6 +156,31 @@ def _skew_moves(ivs: Intervals) -> Iterator[Move]:
             yield i, head + (row,) + ivs[i + 1 :], i + 1
 
 
+def _skew_parents(ivs: Intervals) -> Iterator[Intervals]:
+    """The skew shapes with a move to ``ivs``, the inverse of
+    :func:`_skew_moves`, possibly with repeats.  The cell holding 1 widens
+    row i, on the left, or on the right in a new column with the rows above
+    moved right.  Or it is a new one-cell row at index i, where row i - 1,
+    if any, starts at the end b of row i: the row (b - 1, b], or (b, b + 1]
+    in a new column with the rows above moved right; or a new last row."""
+    for i, (a, b) in enumerate(ivs):
+        head, right = ivs[:i], tuple((x + 1, y + 1) for x, y in ivs[:i])
+        if a and ivs[i + 1][0] < a:  # a > 0: row i is not the last
+            yield head + ((a - 1, b),) + ivs[i + 1 :]
+        if i + 1 == len(ivs) or ivs[i + 1][1] == a:
+            yield right + ((a, b + 1),) + ivs[i + 1 :]
+        if not i or ivs[i - 1][0] == b:
+            yield head + ((b - 1, b),) + ivs[i:]
+            yield right + ((b, b + 1),) + ivs[i:]
+    yield tuple((x + 1, y + 1) for x, y in ivs) + ((0, 1),)
+
+
+def _rotated_parents(ivs: Intervals) -> Iterator[Intervals]:
+    """The parents of a partition rotated by 180 degrees that are rotated
+    partitions: every row ends in the last column."""
+    return (p for p in _skew_parents(ivs) if p[-1][1] == p[0][1])
+
+
 def _merged(entries: Sequence[Entry]) -> tuple:
     """Masks and counts of the sum of some profile entries."""
     _, masks, counts = entries[0]
@@ -191,7 +228,7 @@ def _narrow(profile: Profile) -> bool:
 
 
 # The pruned levels of each keep test, in the layout of _PROFILES.
-_PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}, _narrow: {}}
+_PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}}
 
 
 class _Sweep(threading.local):
@@ -218,6 +255,43 @@ def _stored(
     if budget is not None and sum(sum(counts) for _, _, counts in prof) > budget:
         raise BudgetExceededError(_label(source), budget)
     return prof
+
+
+def _closure_step(level: Level, parents: Callable, moves: Moves, keep: Keep) -> Level:
+    """The states one cell larger than those of ``level`` whose profiles
+    pass ``keep``, with those profiles, where ``level`` holds every state of
+    its size that passes: a state that passes has only children that do, so
+    it is a parent of one.  A child missing from ``level`` is a marker.  No
+    budget is checked here; see :func:`_closure_counts`."""
+    up: Level = dict.fromkeys(p for state in level for p in parents(state))
+    for p in up:
+        try:
+            up[p] = _stored(_profile_of(moves(p), level), keep, None, p)
+        except KeyError:  # a child missing from ``level``: p is a marker
+            pass
+    return {p: prof for p, prof in up.items() if prof is not None}
+
+
+def _closure_counts(
+    level: Level, keep: Keep, stored: bool, budget: int | None
+) -> Callable[[TableauSource], Optional[dict[int, int]]]:
+    """Reads the counts per mask of a source off a level of
+    :func:`_closure_step`, or None where it is not in the level or its
+    counts fail ``keep``.  The budget is checked as a ``verify`` sweep
+    checks it: on the ``stored`` states, which the level above is built
+    from, and on counts that pass."""
+
+    def counts(source: TableauSource) -> dict[int, int] | None:
+        state = source.row_intervals() if isinstance(source, SkewShape) else source
+        prof = level.get(state)
+        if prof is None:
+            return None
+        by_mask = dict(zip(*_merged(prof)))
+        passes = keep(((0, by_mask.keys(), by_mask.values()),))
+        _stored(prof, None, budget if passes or stored else None, source)
+        return by_mask if passes else None
+
+    return counts
 
 
 def _level_below(

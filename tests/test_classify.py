@@ -11,6 +11,7 @@ from qschur import (
     SkewShape,
     VerificationReport,
     brute_family_fmf,
+    covers_up,
     disjoint_union,
     enumerate_compositions,
     enumerate_partitions,
@@ -236,22 +237,38 @@ def _flip(monkeypatch, name, wrong):
     )
 
 
+def _doctored(source, by_mask):
+    """The counts ``by_mask`` of ``source``, with the own-shape term of
+    (1,3) dropped and that of (2,3) doubled, so that the structural checks
+    fail."""
+    if by_mask is None:
+        return by_mask
+    if source == (1, 3):
+        return {m: c for m, c in by_mask.items() if m != 0b1}
+    if source == (2, 3):
+        return {m: c + (m == 0b10) for m, c in by_mask.items()}
+    return by_mask
+
+
 def _doctored_counts(real):
-    """The engine's counts, with the own-shape term of (1,3) dropped and
-    that of (2,3) doubled, so that the structural checks fail.  The keep
-    test passes through, so the narrow truth source is doctored too."""
+    """The counting engine, doctored."""
 
     def counts(source, max_tableaux, keep=None):
         n, by_mask = real(source, max_tableaux, keep)
-        if by_mask is None:
-            return n, by_mask
-        if source == (1, 3):
-            by_mask = {m: c for m, c in by_mask.items() if m != 0b1}
-        elif source == (2, 3):
-            by_mask = {m: c + (m == 0b10) for m, c in by_mask.items()}
-        return n, by_mask
+        return n, _doctored(source, by_mask)
 
     return counts
+
+
+def _doctored_closure_counts(real):
+    """The counts read off a closure level, doctored, so that the narrow
+    truth source is doctored too."""
+
+    def closure_counts(*args):
+        counts = real(*args)
+        return lambda source: _doctored(source, counts(source))
+
+    return closure_counts
 
 
 def _report(theorem, max_n):
@@ -341,11 +358,14 @@ def test_disagreement_reports(monkeypatch):
     # A disagreement with no witness pair lists the terms instead; a wrong
     # set of terms is spelled out in the truth.
     counts = _doctored_counts(qschur.qsym._counts)
+    closure_counts = _doctored_closure_counts(qschur.qsym._closure_counts)
     with monkeypatch.context() as m:
-        # The narrow truth and the disagreement's report read classify's
-        # _counts; the witness search reads qsym's.
+        # The narrow truth reads classify's _closure_counts, the
+        # disagreement's report classify's _counts, and the witness search
+        # qsym's.
         for module in (qschur.qsym, qschur.classify):
             m.setattr(module, "_counts", counts)
+        m.setattr(qschur.classify, "_closure_counts", closure_counts)
         components = _report("qs-components", 7)
     assert components["checked"] == 127
     assert components["disagreements"] == [
@@ -409,30 +429,58 @@ def _pruned_builds(monkeypatch):
     return built
 
 
+def _closure_builds(monkeypatch):
+    """The states whose profiles the closure steps and the sweeps after
+    this call store for a keep test, each appended to the returned list as
+    it is stored; the memos are cleared."""
+    qschur.qsym._PROFILES.clear()
+    for memo in qschur.qsym._PRUNED.values():
+        memo.clear()
+    built = []
+    stored = qschur.qsym._stored
+
+    def watched(prof, keep, budget, source):
+        if keep is not None:
+            built.append(source)
+        return stored(prof, keep, budget, source)
+
+    monkeypatch.setattr(qschur.qsym, "_stored", watched)
+    return built
+
+
+@pytest.mark.parametrize("theorem, max_n", [("skew", 8), ("qs-components", 11)])
+def test_closure_sweeps_build_each_state_once(monkeypatch, theorem, max_n):
+    # Each degree's closure level is built from the one below, in the call's
+    # own locals: no state is built twice, every degree builds its level,
+    # and neither the shared memo nor the pruned levels of the bottom-up
+    # sweep are touched.
+    built = _closure_builds(monkeypatch)
+    assert verify(theorem, max_n).verified
+    assert qschur.qsym._PROFILES == {}
+    assert all(memo == {} for memo in qschur.qsym._PRUNED.values())
+    assert len(built) == len(set(built))
+    assert {_size(s) for s in built} == set(range(1, max_n + 1))
+
+
 def test_verify_schur_builds_each_partition_once(monkeypatch):
-    built = _pruned_builds(monkeypatch)
+    built = _closure_builds(monkeypatch)
     assert verify("schur", 13).verified
     assert qschur.qsym._PROFILES == {}
-    # Each rotated partition below the last degree is stored once, as a
-    # root; its children are rotated partitions the degree below stored, so
-    # no other state is built.
-    rotated = [
+    assert all(memo == {} for memo in qschur.qsym._PRUNED.values())
+    # Only rotated partitions are built, each once, up to the last degree.
+    assert len(built) == len(set(built))
+    rotated = {
         SkewShape(lam).rotate180().row_intervals()
-        for n in range(1, 13)
+        for n in range(1, 14)
         for lam in enumerate_partitions(n)
-    ]
-    assert sorted(built) == sorted(rotated)
+    }
+    assert set(built) <= rotated
+    assert {_size(s) for s in built} == set(range(1, 14))
 
 
 @pytest.mark.parametrize(
     "theorem, max_n, states_below",
     [
-        # The skew shapes of size at most 7.
-        ("skew", 8, 1250),
-        # The rotated partitions of size at most 12.
-        ("schur", 13, 271),
-        # The compositions of size at most 10.
-        ("qs-components", 11, 1023),
         # The one- and two-part compositions of size at most 17.
         ("two-part", 18, 153),
         # Fewer than the compositions of size at most 10: a family stops at
@@ -456,37 +504,52 @@ def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, state
 
 def test_verify_keeps_no_final_degree_roots():
     memo = qschur.qsym._PRUNED[qschur.qsym._clean]
-    assert verify("skew", 8).checked == 3909
-    # Level 7 holds every shape of size 7, each stored as the root it was;
-    # level 8 is read by no later degree of this sweep, so none is stored.
-    # Like the shared memo, the pruned one keeps the last call's levels
-    # n - 2 and n - 1 only.
-    assert set(memo) == {6, 7}
-    assert set(memo[7]) == {s.row_intervals() for s in enumerate_skew_shapes(7)}
+    assert verify("two-part", 18).checked == 153
+    # Level 17 holds every instance of degree 17, each stored as the root it
+    # was, and the one-part child of (1, 17), built top-down; level 18 is
+    # read by no later degree of this sweep, so none is stored.  Like the
+    # shared memo, the pruned one keeps the last call's levels n - 2 and
+    # n - 1 only.
+    assert set(memo) == {16, 17}
+    assert set(memo[17]) == {(a, 17 - a) for a in range(1, 17)} | {(17,)}
 
 
 def test_pruned_truth_matches_counts_at_acceptance_bounds():
     # Every instance of each theorem up to its acceptance bound, read off
-    # the pruned levels and off the counting engine.
-    counts, clean, narrow = qschur.qsym._counts, qschur.qsym._clean, qschur.qsym._narrow
+    # the pruned levels, off the closure levels and off the counting engine.
+    q = qschur.qsym
+    counts, clean, narrow = q._counts, q._clean, q._narrow
 
     def free(source):
         return all(c == 1 for c in counts(source, None)[1].values())
 
-    for n in range(1, 13):
+    def closure(parents, moves, keep, max_n):
+        level = q._EMPTY_LEVEL
+        for _ in range(max_n):
+            level = q._closure_step(level, parents, moves, keep)
+            yield level
+
+    rotated_levels = closure(q._rotated_parents, q._skew_moves, clean, 12)
+    for n, level in zip(range(1, 13), rotated_levels):
         for lam in enumerate_partitions(n):
             rotated = SkewShape(lam).rotate180()
             assert (counts(rotated, None, clean)[1] is not None) == free(rotated)
-    for n in range(1, 10):
+            kept = q._closure_counts(level, clean, False, None)(rotated)
+            assert (kept is not None) == free(rotated)
+    skew_levels = closure(q._skew_parents, q._skew_moves, clean, 9)
+    for n, level in zip(range(1, 10), skew_levels):
         for shape in enumerate_skew_shapes(n):
             assert (counts(shape, None, clean)[1] is not None) == free(shape)
+            kept = q._closure_counts(level, clean, False, None)(shape)
+            assert (kept is not None) == free(shape)
     for n in range(2, 15):
         for alpha in ((a, n - a) for a in range(1, n)):
             assert (counts(alpha, None, clean)[1] is not None) == free(alpha)
-    for n in range(1, 10):
+    narrow_levels = closure(covers_up, q._qs_moves, narrow, 9)
+    for n, level in zip(range(1, 10), narrow_levels):
         for alpha in enumerate_compositions(n):
             _, by_mask = counts(alpha, None)
-            _, pruned = counts(alpha, None, narrow)
+            pruned = q._closure_counts(level, narrow, False, None)(alpha)
             assert pruned == (by_mask if len(by_mask) <= 2 else None)
     for n in range(1, 11):
         for lam in enumerate_partitions(n):

@@ -185,3 +185,18 @@ def test_budget_exit_3():
     result = run(*args, "--budget", "15")
     assert result.exit_code == 3
     assert "tableaux of shape 3,2,1 exceeded the tableau budget of 15" in result.output
+    # verify names the first instance over the budget in instance order,
+    # although each degree's truth is built before its instances are read.
+    # An instance below the last degree meets the budget when its profile
+    # is kept: 3,3,3/2,1 is (3,2,1) rotated, which is not multiplicity-free.
+    for theorem, max_n, budget, shape in [
+        ("skew", 8, 30, "tableaux of shape 4,1,1,1,1/1"),
+        ("skew", 8, 10, "tableaux of shape 2,2,1,1,1/1"),
+        ("schur", 13, 100, "tableaux of shape 5,5,5,5,5,5/4,4,4,4,4"),
+        ("schur", 13, 12, "tableaux of shape 3,3,3/2,1"),
+        ("qs-components", 11, 1, "composition tableaux of shape (1, 3)"),
+    ]:
+        args = ("verify", "--theorem", theorem, "--max-n", str(max_n))
+        result = run(*args, "--budget", str(budget), "--format", "json")
+        assert result.exit_code == 3
+        assert f"{shape} exceeded the tableau budget of {budget}" in result.output

@@ -32,6 +32,7 @@ from qschur import (
     com_c,
     com_p,
     conjugate,
+    covers_up,
     des_c,
     des_p,
     disjoint_union,
@@ -325,14 +326,14 @@ def _check(source, *options):
 
 
 def test_tally_matches_counts_and_enumeration():
-    counts, clean, narrow = qschur.qsym._counts, qschur.qsym._clean, qschur.qsym._narrow
+    counts, clean = qschur.qsym._counts, qschur.qsym._clean
     for source in _tally_sources():
         expected = descent_tally(source)
         tableaux, masks = expected
         # Cold, the children of the root are built; warm, they are found.
         # The pruned truth is None where its keep test fails, and the
         # counts otherwise.
-        tests = ((None, True), (clean, tableaux == masks), (narrow, masks <= 2))
+        tests = ((None, True), (clean, tableaux == masks))
         for keep, kept in tests:
             _clear_memos()
             for _ in range(2):
@@ -401,7 +402,6 @@ def test_pruned_budget_caps_stored_tableaux():
     [
         ("_clean", enumerate_compositions, "_qs_moves", 11),
         ("_clean", enumerate_skew_shapes, "_skew_moves", 8),
-        ("_narrow", enumerate_compositions, "_qs_moves", 11),
     ],
 )
 def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
@@ -434,6 +434,74 @@ def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
                     assert not keep(prof)
                     failed += 1
     assert kept and failed and compared
+
+
+def _size(state):
+    return sum(b - a for a, b in state) if state and isinstance(state[0], tuple) else sum(state)
+
+
+def _cells(ivs):
+    return {(i, j) for i, (a, b) in enumerate(ivs) for j in range(a + 1, b + 1)}
+
+
+def test_skew_parents_invert_skew_moves():
+    q = qschur.qsym
+    shapes = {n: [s.row_intervals() for s in enumerate_skew_shapes(n)] for n in range(10)}
+    for n in range(1, 10):
+        for parent in shapes[n]:
+            for _, child, _ in q._skew_moves(parent):
+                assert parent in set(q._skew_parents(child)), (parent, child)
+    for n in range(9):
+        for child in shapes[n]:
+            for parent in q._skew_parents(child):
+                # A basic-form skew shape one cell larger, with a move to child.
+                assert SkewShape.from_cells(_cells(parent)).row_intervals() == parent
+                assert _size(parent) == n + 1
+                assert child in [c for _, c, _ in q._skew_moves(parent)]
+    # A one-cell row inserted between two rows, in a new column.
+    assert ((2, 3), (1, 2), (0, 1)) in set(q._skew_parents(((1, 2), (0, 1))))
+
+
+def _rotated_partitions(n):
+    return (SkewShape(lam).rotate180() for lam in enumerate_partitions(n))
+
+
+@pytest.mark.parametrize(
+    "parents, moves, keep, states_of, full_to",
+    [
+        (qschur.qsym._skew_parents, "_skew_moves", "_clean", enumerate_skew_shapes, 9),
+        (qschur.qsym._rotated_parents, "_skew_moves", "_clean", _rotated_partitions, 10),
+        (covers_up, "_qs_moves", "_narrow", enumerate_compositions, 10),
+    ],
+)
+def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, full_to):
+    # Level n of a closure holds exactly the states of size n whose full
+    # profile passes the keep test, with that profile: a child that fails
+    # the test makes a parent that fails it, so a missing child is a marker.
+    # Past ``full_to``, only states whose children all pass are profiled:
+    # the 26,025 full profiles of skew shapes of size 10 take over 1 GB.
+    q = qschur.qsym
+    moves, keep = getattr(q, moves), getattr(q, keep)
+    level = below = q._EMPTY_LEVEL
+    sizes = []
+    for n in range(1, 11):
+        level = q._closure_step(level, parents, moves, keep)
+        states = [s.row_intervals() if isinstance(s, SkewShape) else s for s in states_of(n)]
+        full = {
+            s: q._profile_of(moves(s), below)
+            for s in states
+            if n <= full_to or all(keep(below[child]) for _, child, _ in moves(s))
+        }
+        assert level == {s: prof for s, prof in full.items() if keep(prof)}
+        for s, prof in full.items():
+            if any(not keep(below[child]) for _, child, _ in moves(s)):
+                assert not keep(prof)
+        below = full
+        free = list(filter(q._closure_counts(level, keep, False, None), level))
+        sizes.append((len(level), len(free)))
+    if parents is q._skew_parents:
+        clean = [1, 3, 9, 19, 24, 31, 34, 38, 40, 44]
+        assert sizes == list(zip(clean, [1, 3, 8, 13, 20, 26, 28, 34, 36, 40]))
 
 
 def test_qs_f_matches_tableau_tally():
@@ -836,6 +904,8 @@ def test_expansion_arithmetic_matches_validated_construction():
             multiple = Expansion(a.basis, a.degree, scaled)
             assert k * a == a * k == multiple
             assert list(multiple.terms) == list((k * a).terms)
+        # A multiple keeps the sorted key order of its expansion.
+        assert list((a * 3).terms) == sorted(a.terms)
     assert len(0 * qs_f((2, 1, 2))) == 0
     with pytest.raises(ValueError, match="basis mismatch"):
         qs_f((1, 2)) + Expansion("M", 3, {})
