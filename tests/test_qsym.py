@@ -191,8 +191,8 @@ def test_shared_memo_survives_concurrent_calls():
 def test_sweep_roots_stay_out_of_the_shared_memo():
     # No root is stored, so none is removed again.  A call that found a
     # state in the memo during its walk reads it again in its build phase,
-    # so removing one there would fail that call.  Two sweeps share the
-    # pruned levels, which each evicts as it goes, like the shared memo.
+    # so removing one there would fail that call.  Two families sweeps share
+    # the pruned levels, which each evicts as it goes, like the shared memo.
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -201,7 +201,7 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
     def sweeps():
         try:
             while not done.is_set():
-                if not verify("skew", 4).verified:
+                if not verify("families", 6).verified:
                     errors.append("a sweep refuted its theorem")
         except Exception as exc:
             errors.append(repr(exc))
@@ -497,8 +497,9 @@ def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, f
             if any(not keep(below[child]) for _, child, _ in moves(s)):
                 assert not keep(prof)
         below = full
-        free = list(filter(q._closure_counts(level, keep, False, None), level))
-        sizes.append((len(level), len(free)))
+        # The states whose counts pass too: the multiplicity-free clean ones.
+        passing = list(filter(q._closure_counts(level, keep, False, None), level))
+        sizes.append((len(level), len(passing)))
     if parents is q._skew_parents:
         clean = [1, 3, 9, 19, 24, 31, 34, 38, 40, 44]
         assert sizes == list(zip(clean, [1, 3, 8, 13, 20, 26, 28, 34, 36, 40]))
