@@ -163,16 +163,16 @@ def _skew_parents(ivs: Intervals) -> Iterator[Intervals]:
     moved right.  Or it is a new one-cell row at index i, where row i - 1,
     if any, starts at the end b of row i: the row (b - 1, b], or (b, b + 1]
     in a new column with the rows above moved right; or a new last row."""
+    right = tuple((x + 1, y + 1) for x, y in ivs)  # every row moved right
     for i, (a, b) in enumerate(ivs):
-        head, right = ivs[:i], tuple((x + 1, y + 1) for x, y in ivs[:i])
         if a and ivs[i + 1][0] < a:  # a > 0: row i is not the last
-            yield head + ((a - 1, b),) + ivs[i + 1 :]
+            yield ivs[:i] + ((a - 1, b),) + ivs[i + 1 :]
         if i + 1 == len(ivs) or ivs[i + 1][1] == a:
-            yield right + ((a, b + 1),) + ivs[i + 1 :]
+            yield right[:i] + ((a, b + 1),) + ivs[i + 1 :]
         if not i or ivs[i - 1][0] == b:
-            yield head + ((b - 1, b),) + ivs[i:]
-            yield right + ((b, b + 1),) + ivs[i:]
-    yield tuple((x + 1, y + 1) for x, y in ivs) + ((0, 1),)
+            yield ivs[:i] + ((b - 1, b),) + ivs[i:]
+            yield right[:i] + ((b, b + 1),) + ivs[i:]
+    yield right + ((0, 1),)
 
 
 def _rotated_parents(ivs: Intervals) -> Iterator[Intervals]:
@@ -275,8 +275,8 @@ def _closure_step(level: Level, parents: Callable, moves: Moves, keep: Keep) -> 
 def _closure_counts(
     level: Level, keep: Keep, stored: bool, budget: int | None
 ) -> Callable[[TableauSource], Optional[dict[int, int]]]:
-    """Reads the counts per mask of a source off a level of
-    :func:`_closure_step`, or None where it is not in the level or its
+    """The reader of a source's counts per mask off a level of
+    :func:`_closure_step`: None where the source is not in the level or its
     counts fail ``keep``.  The budget is checked as a ``verify`` sweep
     checks it: on the ``stored`` states, which the level above is built
     from, and on counts that pass."""
