@@ -178,10 +178,11 @@ def predict_family(lam: Partition) -> bool:
     return False
 
 
-def _multiplicity_free(source: Instance, budget: int | None) -> bool:
-    """True iff no descent set has two tableaux of shape ``source``, read
-    off the clean levels of the qsym engine."""
-    return _counts(source, budget, _clean)[1] is not None
+def _clean_counts(budget: int | None):
+    """The reader of a source's counts per mask off the clean levels of the
+    qsym engine: None where some descent set has two tableaux of its shape,
+    that is, where it is not multiplicity-free."""
+    return lambda source: _counts(source, budget, _clean)[1]
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
@@ -191,9 +192,8 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     store with a profile and of each multiplicity-free rearrangement, so a
     rearrangement that is not multiplicity-free may answer False where
     :func:`qsym.qs_f` would raise :class:`BudgetExceededError`."""
-    return all(
-        _multiplicity_free(alpha, max_tableaux) for alpha in rearrangements(tuple(lam))
-    )
+    kept = _clean_counts(max_tableaux)
+    return all(kept(alpha) is not None for alpha in rearrangements(tuple(lam)))
 
 
 class Disagreement(NamedTuple):
@@ -300,7 +300,7 @@ def _skew_check(shape: SkewShape, budget: int | None, kept) -> tuple | None:
 
 
 def _two_part_check(alpha: Composition, budget: int | None, kept) -> tuple | None:
-    truth = _multiplicity_free(alpha, budget)
+    truth = kept(alpha) is not None
     return _fmf_check(predict_two_part(alpha), truth, alpha, budget)
 
 
@@ -335,10 +335,11 @@ def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
 # Each theorem's instances of degree n, the label key of an instance that is
 # a tuple (a skew shape is labelled by its outer and inner partitions), and
 # its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
-# A theorem in ``_CLOSURES`` reads its truth through ``kept``: the counts of
-# a source off the closure level of its degree, or None where they fail the
-# keep test.  The checks call the module's predicates and engine by name at
-# call time, so that patching one of them on this module reaches ``verify``.
+# A check reads its truth through ``kept``: the counts of a source off the
+# closure level of its degree, for a theorem in ``_CLOSURES``, or else off
+# the clean levels its sweep stores; None where they fail the keep test.
+# The checks call the module's predicates and engine by name at call time,
+# so that patching one of them on this module reaches ``verify``.
 _THEOREMS = {
     "schur": (enumerate_partitions, "partition", _schur_check),
     "skew": (enumerate_skew_shapes, None, _skew_check),
@@ -349,7 +350,8 @@ _THEOREMS = {
     "families": (enumerate_partitions, "partition", _families_check),
 }
 # The closure levels the truth of a theorem is read off: the parents and the
-# moves of its states, and its keep test.  The other theorems sweep.
+# moves of its states, and its keep test.  The other theorems sweep the
+# clean levels, as a multiplicity-free theorem left out of this table would.
 _CLOSURES = {
     "schur": (_rotated_parents, _skew_moves, _clean),
     "skew": (_skew_parents, _skew_moves, _clean),
@@ -381,7 +383,7 @@ def verify(
     (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)
     checked = 0
     disagreements = []
-    level, kept = _EMPTY_LEVEL, None
+    level, kept = _EMPTY_LEVEL, _clean_counts(max_tableaux)
     outer, _SWEEP.last = _SWEEP.last, 0 if closure else max_n
     try:
         for n in range(1, max_n + 1):

@@ -481,6 +481,9 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
 @pytest.mark.parametrize(
     "theorem, max_n, states_below",
     [
+        # The rotated partitions of size at most 12, with schur taken out
+        # of the closures, so that it sweeps the clean levels.
+        ("schur", 13, 271),
         # The one- and two-part compositions of size at most 17.
         ("two-part", 18, 153),
         # Fewer than the compositions of size at most 10: a family stops at
@@ -492,6 +495,7 @@ def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, state
     # A root below the last degree is stored for the degree above; a root of
     # the last degree is read off the level below and not stored.
     built = _pruned_builds(monkeypatch)
+    monkeypatch.delitem(qschur.classify._CLOSURES, theorem, raising=False)
     assert verify(theorem, max_n).verified
     assert qschur.qsym._PROFILES == {}
     assert 0 < len(built) <= states_below
