@@ -19,9 +19,10 @@ from .compositions import (
     rearrangements,
 )
 from .ctableaux import covers_up
-from .qsym import _EMPTY_LEVEL, _SWEEP, _clean, _closure_counts, _closure_step, _counts
+from .qsym import _EMPTY_LEVEL, _clean, _closure_counts, _closure_step, _counts, _evict
 from .qsym import _f_expansion, _narrow, _qs_moves, _rotated_parents, _skew_moves
-from .qsym import _skew_parents, multiplicity_witnesses
+from .qsym import _skew_parents, _sweep_counts, _two_part_parents
+from .qsym import multiplicity_witnesses
 from .shapes import SkewShape, enumerate_skew_shapes
 
 DEFAULT_MAX_TABLEAUX = 10_000_000
@@ -178,22 +179,21 @@ def predict_family(lam: Partition) -> bool:
     return False
 
 
-def _clean_counts(budget: int | None):
-    """The reader of a source's counts per mask off the clean levels of the
-    qsym engine: None where some descent set has two tableaux of its shape,
-    that is, where it is not multiplicity-free."""
-    return lambda source: _counts(source, budget, _clean)[1]
+def _family_kept(lam: Partition, kept) -> bool:
+    """Whether ``kept`` passes the counts of every rearrangement of
+    ``lam``; it stops at the first that fails."""
+    return all(kept(alpha) is not None for alpha in rearrangements(tuple(lam)))
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     """Ground truth for :func:`predict_family`: whether every rearrangement
-    of ``lam`` is multiplicity-free, read off the clean levels of the qsym
-    engine.  ``max_tableaux`` caps the tableaux of each state those levels
-    store with a profile and of each multiplicity-free rearrangement, so a
-    rearrangement that is not multiplicity-free may answer False where
-    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`."""
-    kept = _clean_counts(max_tableaux)
-    return all(kept(alpha) is not None for alpha in rearrangements(tuple(lam)))
+    of ``lam`` is multiplicity-free, read off clean levels of the qsym
+    engine that this call builds and holds for itself.  ``max_tableaux``
+    caps the tableaux of each state those levels store with a profile and
+    of each multiplicity-free rearrangement, so a rearrangement that is not
+    multiplicity-free may answer False where :func:`qsym.qs_f` would raise
+    :class:`BudgetExceededError`."""
+    return _family_kept(lam, _sweep_counts({}, _clean, 0, max_tableaux))
 
 
 class Disagreement(NamedTuple):
@@ -325,7 +325,7 @@ def _components_check(alpha: Composition, budget: int | None, kept) -> tuple | N
 
 def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
     predicted = predict_family(lam)
-    truth = brute_family_fmf(lam, budget)
+    truth = _family_kept(lam, kept)
     if predicted == truth:
         return None
     found = (_witnesses_json(alpha, budget) for alpha in rearrangements(lam))
@@ -337,9 +337,9 @@ def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
 # its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
 # A check reads its truth through ``kept``: the counts of a source off the
 # closure level of its degree, for a theorem in ``_CLOSURES``, or else off
-# the clean levels its sweep stores; None where they fail the keep test.
-# The checks call the module's predicates and engine by name at call time,
-# so that patching one of them on this module reaches ``verify``.
+# the clean levels of ``verify``'s bottom-up sweep; None where they fail the
+# keep test.  The checks call the module's predicates and engine by name at
+# call time, so that patching one of them on this module reaches ``verify``.
 _THEOREMS = {
     "schur": (enumerate_partitions, "partition", _schur_check),
     "skew": (enumerate_skew_shapes, None, _skew_check),
@@ -350,12 +350,14 @@ _THEOREMS = {
     "families": (enumerate_partitions, "partition", _families_check),
 }
 # The closure levels the truth of a theorem is read off: the parents and the
-# moves of its states, and its keep test.  The other theorems sweep the
-# clean levels, as a multiplicity-free theorem left out of this table would.
+# moves of its states, and its keep test.  Families sweeps the clean levels
+# bottom-up instead, as a multiplicity-free theorem left out of this table
+# would: a family stops at its first rearrangement that fails.
 _CLOSURES = {
     "schur": (_rotated_parents, _skew_moves, _clean),
     "skew": (_skew_parents, _skew_moves, _clean),
     "qs-components": (covers_up, _qs_moves, _narrow),
+    "two-part": (_two_part_parents, _qs_moves, _clean),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -368,14 +370,15 @@ def verify(
     """Compare a classification predicate against brute-force truth on every
     instance of degree at most ``max_n``, in canonical instance order.
 
-    The truth is read off the pruned states of the qsym engine, and a
-    disagreement is reported through the counting engine.  Either way
-    ``max_tableaux`` caps tableaux, but the truth checks it only on the
-    instances below ``max_n`` it keeps with a profile and on an instance
-    whose counts pass the keep test, in instance order.  Skew, Schur and
-    qs-components build one closure level per degree; two-part and families
-    sweep bottom-up, and store the instances below ``max_n`` in the pruned
-    levels for the degree above (see the qsym docstring)."""
+    The truth is read off pruned states of the qsym engine that the call
+    builds and holds for itself, and a disagreement is reported through the
+    counting engine.  Either way ``max_tableaux`` caps tableaux, but the
+    truth checks it only on the instances below ``max_n`` it keeps with a
+    profile and on an instance whose counts pass the keep test, in instance
+    order.  A theorem in ``_CLOSURES`` builds one closure level per degree;
+    families sweeps bottom-up, holding levels n - 2 to n, and stores each
+    instance below ``max_n`` in level n for the degree above (see the qsym
+    docstring)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
@@ -383,22 +386,20 @@ def verify(
     (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)
     checked = 0
     disagreements = []
-    level, kept = _EMPTY_LEVEL, _clean_counts(max_tableaux)
-    outer, _SWEEP.last = _SWEEP.last, 0 if closure else max_n
-    try:
-        for n in range(1, max_n + 1):
-            if closure:
-                level = _closure_step(level, *closure)
-                kept = _closure_counts(level, closure[2], n < max_n, max_tableaux)
-            # Counted as they go, so no list of a degree's instances is held.
-            for inst in instances_of(n):
-                checked += 1
-                found = check(inst, max_tableaux, kept)
-                if found is None:
-                    continue
-                named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
-                label = {k: list(parts) for k, parts in named.items()}
-                disagreements.append(Disagreement(label, *found))
-    finally:
-        _SWEEP.last = outer
+    levels: dict = {}  # the sweep's clean levels
+    level, kept = _EMPTY_LEVEL, _sweep_counts(levels, _clean, max_n, max_tableaux)
+    for n in range(1, max_n + 1):
+        _evict(levels, n)
+        if closure:
+            level = _closure_step(level, *closure)
+            kept = _closure_counts(level, closure[2], n < max_n, max_tableaux)
+        # Counted as they go, so no list of a degree's instances is held.
+        for inst in instances_of(n):
+            checked += 1
+            found = check(inst, max_tableaux, kept)
+            if found is None:
+                continue
+            named = {key: inst} if key else {"outer": inst.outer, "inner": inst.inner}
+            label = {k: list(parts) for k, parts in named.items()}
+            disagreements.append(Disagreement(label, *found))
     return VerificationReport(theorem, max_n, checked, tuple(disagreements))

@@ -34,26 +34,32 @@ are parents of those of size n.  ``_closure_step`` builds them upward, a
 level at a time, through the inverse of a move set: ``ctableaux.covers_up``
 for compositions, and ``_skew_parents`` for skew shapes, which widens a row
 or inserts a one-cell row, in a new column or not.  ``verify`` reads skew,
-Schur and qs-components truth off these levels, holding two at a time: a
-root is multiplicity-free iff it is clean with no repeated mask, and has
-more than two masks iff it is not narrow.  It reads each partition rotated
-by 180 degrees, which has the same expansion and rotated partitions as its
-children and clean parents.  ``schur_f`` keeps the straight shape, where 1
-has a single place.
+Schur, two-part and qs-components truth off these levels, holding two at a
+time: a root is multiplicity-free iff it is clean with no repeated mask,
+and has more than two masks iff it is not narrow.  It reads each partition
+rotated by 180 degrees, which has the same expansion and rotated partitions
+as its children and clean parents, and a composition with at most two
+parts, whose children have at most two parts too.  ``schur_f`` keeps the
+straight shape, where 1 has a single place.
 
-Clean compositions are many, so two-part and families sweep bottom-up
-instead, through the pruned levels of ``_clean`` in ``_PRUNED``, shared and
-evicted like ``_PROFILES``: a state with a marker child, or whose profile
-fails the test, is stored as None, a marker, with no profile.  A root is
-read one move at a time, up to its first marker child.  A sweep keeps
-levels n - 2 to n and stores each root below its last degree,
-``_SWEEP.last``, for the degree above; a child no root left, such as the
-one-part child of (1, n - 1), is built as in a public call.  Either way
-the budget is checked on a root below the last degree that passes the
-test, as a state stored with a profile, and on a root whose counts pass.
-A closure level is built whole, unchecked, before ``verify`` reads its
-roots, so that the first root over the budget in instance order is the one
-named; every state it is built from has met the budget.
+Families asks whether every rearrangement of a partition is clean with no
+repeated mask, and can stop at the first that is not, where a closure
+builds every clean composition of a size.  So it sweeps bottom-up instead,
+through pruned levels of ``_clean`` that the caller builds and holds:
+``_sweep_counts`` reads a root off them, one move at a time up to its first
+marker child, where a state with a marker child, or whose profile fails
+the test, is stored as None, a marker, with no profile.  A child missing
+from level n - 1, such as the one-part child of (1, n - 1), is built
+top-down by ``_level_below`` as in a public call, but in those levels.
+``verify`` keeps levels n - 2 to n and stores each root below its last
+degree for the degree above; ``brute_family_fmf`` holds its levels for one
+call and stores no root.  Neither touches a module-level memo.  Either way
+the budget is checked, by ``_passing``, on a root below the last degree
+that passes the test, as a state stored with a profile, and on a root
+whose counts pass.  A closure level is built whole, unchecked, before
+``verify`` reads its roots, so that the first root over the budget in
+instance order is the one named; every state it is built from has met the
+budget.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -71,7 +77,6 @@ are filled, and stops when each repeated mask has been met twice.
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -86,7 +91,7 @@ from .compositions import (
     rearrangements,
     reverse,
 )
-from .ctableaux import CompositionTableau, _down_moves, _sct_walk
+from .ctableaux import CompositionTableau, _down_moves, _sct_walk, covers_up
 from .errors import BudgetExceededError
 from .expansion import Expansion
 from .shapes import Intervals, SkewShape
@@ -181,6 +186,12 @@ def _rotated_parents(ivs: Intervals) -> Iterator[Intervals]:
     return (p for p in _skew_parents(ivs) if p[-1][1] == p[0][1])
 
 
+def _two_part_parents(alpha: Composition) -> Iterator[Composition]:
+    """The parents of a composition with at most two parts that have at
+    most two parts."""
+    return (p for p in covers_up(alpha) if len(p) <= 2)
+
+
 def _merged(entries: Sequence[Entry]) -> tuple:
     """Masks and counts of the sum of some profile entries."""
     _, masks, counts = entries[0]
@@ -227,22 +238,10 @@ def _narrow(profile: Profile) -> bool:
     return len(set().union(*[masks for _, masks, _ in profile])) <= 2
 
 
-# The pruned levels of each keep test, in the layout of _PROFILES.
-_PRUNED: dict[Keep, dict[int, Level]] = {_clean: {}}
-
-
-class _Sweep(threading.local):
-    last = 0  # the last degree of the ``verify`` sweep this thread runs, or 0
-
-
-_SWEEP = _Sweep()
-
-
 def _evict(memo: dict[int, dict], n: int) -> None:
-    """Keep levels n - 2 and n - 1 of ``memo``, and n in a sweep past n."""
-    top = n if n < _SWEEP.last else n - 1
+    """Keep levels n - 2 and n - 1 of ``memo``."""
     for level in list(memo):
-        if not n - 2 <= level <= top:
+        if not n - 2 <= level < n:
             memo.pop(level, None)
 
 
@@ -272,24 +271,31 @@ def _closure_step(level: Level, parents: Callable, moves: Moves, keep: Keep) -> 
     return {p: prof for p, prof in up.items() if prof is not None}
 
 
+def _passing(
+    prof: Profile, keep: Keep, budget: int | None, stored: bool, source: TableauSource
+) -> dict[int, int] | None:
+    """The counts per mask of a root with profile ``prof``, or None where
+    they, read as one entry, fail ``keep``.  The budget is checked as a
+    ``verify`` sweep checks it: on counts that pass, and on a root it
+    ``stored``, which the level above is built from."""
+    by_mask = dict(zip(*_merged(prof)))
+    passes = keep(((0, by_mask.keys(), by_mask.values()),))
+    _stored(prof, None, budget if passes or stored else None, source)
+    return by_mask if passes else None
+
+
 def _closure_counts(
     level: Level, keep: Keep, stored: bool, budget: int | None
 ) -> Callable[[TableauSource], Optional[dict[int, int]]]:
     """The reader of a source's counts per mask off a level of
     :func:`_closure_step`: None where the source is not in the level or its
-    counts fail ``keep``.  The budget is checked as a ``verify`` sweep
-    checks it: on the ``stored`` states, which the level above is built
-    from, and on counts that pass."""
+    counts fail ``keep``.  The budget is checked by :func:`_passing`, where
+    ``stored`` says whether the level above is built from this one."""
 
     def counts(source: TableauSource) -> dict[int, int] | None:
         state = source.row_intervals() if isinstance(source, SkewShape) else source
         prof = level.get(state)
-        if prof is None:
-            return None
-        by_mask = dict(zip(*_merged(prof)))
-        passes = keep(((0, by_mask.keys(), by_mask.values()),))
-        _stored(prof, None, budget if passes or stored else None, source)
-        return by_mask if passes else None
+        return None if prof is None else _passing(prof, keep, budget, stored, source)
 
     return counts
 
@@ -300,47 +306,43 @@ def _level_below(
     moves: Moves,
     max_tableaux: int | None,
     source: TableauSource,
+    memo: dict[int, Level],
     keep: Keep | None = None,
 ) -> tuple[list[Move], Level]:
-    """The moves of ``state``, which has ``n`` >= 1 cells, and the memo
-    level holding its children, after building the states it still lacks
+    """The moves of ``state``, which has ``n`` >= 1 cells, and the level of
+    ``memo`` holding its children, after building the states it still lacks
     below it: they are found top-down, level by level, then stored bottom-up
-    by :func:`_stored`, in ``_PROFILES`` or, with a ``keep`` test, in
-    ``_PRUNED[keep]``.  With a budget, a level with more missing states than
-    the budget aborts the call, and so does a state stored with a profile of
-    more fillings than it: every filling of a state left after removing
-    cells extends to one of ``state``.  The error names ``source``.
+    by :func:`_stored`, with a ``keep`` test if one is given.  With a
+    budget, a level with more missing states than the budget aborts the
+    call, and so does a state stored with a profile of more fillings than
+    it: every filling of a state left after removing cells extends to one of
+    ``state``.  The error names ``source``.
     """
-    memo = _PROFILES if keep is None else _PRUNED[keep]
-    _evict(memo, n)
-    try:
-        # Hold each level here, so that another thread's eviction cannot
-        # pull one from under this call.
-        levels = {0: _EMPTY_LEVEL}
-        root_moves = list(moves(state))
-        missing: list[list[tuple[State, list[Move]]]] = []
-        frontier = [(state, root_moves)]
-        for m in range(n - 1, 0, -1):
-            known = levels[m] = memo.setdefault(m, {})
-            children = {
-                child for _, ms in frontier for _, child, _ in ms if child not in known
-            }
-            if not children:
-                break
-            # Distinct states of one level are left by distinct runs of
-            # moves, and each run starts a distinct filling of ``state``; so
-            # the budget also caps the walk at about n * max_tableaux states.
-            if max_tableaux is not None and len(children) > max_tableaux:
-                raise BudgetExceededError(_label(source), max_tableaux)
-            frontier = [(s, list(moves(s))) for s in children]
-            missing.append(frontier)
-        for depth in range(len(missing) - 1, -1, -1):
-            level, below = levels[n - 1 - depth], levels[n - 2 - depth]
-            for s, ms in missing[depth]:
-                level[s] = _stored(_profile_of(ms, below), keep, max_tableaux, source)
-        return root_moves, levels[n - 1]
-    finally:
-        _evict(memo, n)
+    # Hold each level here, so that another thread's eviction cannot pull
+    # one from under this call.
+    levels = {0: _EMPTY_LEVEL}
+    root_moves = list(moves(state))
+    missing: list[list[tuple[State, list[Move]]]] = []
+    frontier = [(state, root_moves)]
+    for m in range(n - 1, 0, -1):
+        known = levels[m] = memo.setdefault(m, {})
+        children = {
+            child for _, ms in frontier for _, child, _ in ms if child not in known
+        }
+        if not children:
+            break
+        # Distinct states of one level are left by distinct runs of moves,
+        # and each run starts a distinct filling of ``state``; so the budget
+        # also caps the walk at about n * max_tableaux states.
+        if max_tableaux is not None and len(children) > max_tableaux:
+            raise BudgetExceededError(_label(source), max_tableaux)
+        frontier = [(s, list(moves(s))) for s in children]
+        missing.append(frontier)
+    for depth in range(len(missing) - 1, -1, -1):
+        level, below = levels[n - 1 - depth], levels[n - 2 - depth]
+        for s, ms in missing[depth]:
+            level[s] = _stored(_profile_of(ms, below), keep, max_tableaux, source)
+    return root_moves, levels[n - 1]
 
 
 def _root(source: TableauSource) -> tuple[State, int, Moves]:
@@ -361,48 +363,59 @@ def _label(source: TableauSource) -> str:
 
 
 def _counts(
-    source: TableauSource, max_tableaux: int | None, keep: Keep | None = None
-) -> tuple[int, dict[int, int] | None]:
-    """Degree of ``source`` and its number of tableaux per descent mask.
-    More tableaux than ``max_tableaux`` raise :class:`BudgetExceededError`.
-
-    With a ``keep`` test the root is profiled off its pruned levels, one
-    move at a time up to its first marker child; a missing child is built by
-    :func:`_level_below`.  A ``verify`` sweep past degree n stores the root.
-    The counts are None when the root is a marker or its counts, read as one
-    entry, fail ``keep``; only counts that pass meet the budget here.
-    """
+    source: TableauSource, max_tableaux: int | None
+) -> tuple[int, dict[int, int]]:
+    """Degree of ``source`` and its number of tableaux per descent mask,
+    built in ``_PROFILES``.  More tableaux than ``max_tableaux`` raise
+    :class:`BudgetExceededError`."""
     state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
-    if n and keep is None:
-        root_moves, below = _level_below(state, n, moves, max_tableaux, source)
+    if n:
+        _evict(_PROFILES, n)
+        try:
+            root_moves, below = _level_below(
+                state, n, moves, max_tableaux, source, _PROFILES
+            )
+        finally:
+            _evict(_PROFILES, n)
         for _, child, t in root_moves:
             for key, ms, cs in below[child]:
                 d = key >= t
                 for m, c in zip(ms, cs):
                     m = m << 1 | d
                     by_mask[m] = by_mask.get(m, 0) + c
-    elif n:
-        memo = _PRUNED[keep]
-        _evict(memo, n)
-        try:
-            prof = _profile_of(moves(state), memo[n - 1])
-        except KeyError:  # a child, or level n - 1 itself, is missing
-            root_moves, below = _level_below(
-                state, n, moves, max_tableaux, source, keep
-            )
-            prof = _profile_of(root_moves, below)
-        if n < _SWEEP.last:
-            prof = _stored(prof, keep, max_tableaux, source)
-            memo.setdefault(n, {})[state] = prof
-        if prof is None:
-            return n, None
-        by_mask = dict(zip(*_merged(prof)))
-    if keep is not None and not keep(((0, by_mask.keys(), by_mask.values()),)):
-        return n, None
     if max_tableaux is not None and sum(by_mask.values()) > max_tableaux:
         raise BudgetExceededError(_label(source), max_tableaux)
     return n, by_mask
+
+
+def _sweep_counts(
+    levels: dict[int, Level], keep: Keep, last: int, budget: int | None
+) -> Callable[[TableauSource], Optional[dict[int, int]]]:
+    """The reader of a source's counts per mask off ``levels``, the pruned
+    levels of ``keep``: None where they fail it.  A root is profiled off
+    level n - 1, one move at a time up to its first marker child; a missing
+    child is built by :func:`_level_below`, in ``levels``.  A root of degree
+    n below ``last`` is stored in level n, as a marker where it fails
+    ``keep``; it then meets the budget if it passes, as do counts that pass.
+    """
+
+    def counts(source: TableauSource) -> dict[int, int] | None:
+        state, n, moves = _root(source)
+        if not n:
+            return _passing(_EMPTY_LEVEL[()], keep, budget, False, source)
+        try:
+            prof = _profile_of(moves(state), levels[n - 1])
+        except KeyError:  # a child, or level n - 1 itself, is missing
+            root_moves, below = _level_below(
+                state, n, moves, budget, source, levels, keep
+            )
+            prof = _profile_of(root_moves, below)
+        if n < last:
+            prof = levels.setdefault(n, {})[state] = _stored(prof, keep, None, source)
+        return None if prof is None else _passing(prof, keep, budget, n < last, source)
+
+    return counts
 
 
 def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:

@@ -253,8 +253,8 @@ def _doctored(source, by_mask):
 def _doctored_counts(real):
     """The counting engine, doctored."""
 
-    def counts(source, max_tableaux, keep=None):
-        n, by_mask = real(source, max_tableaux, keep)
+    def counts(source, max_tableaux):
+        n, by_mask = real(source, max_tableaux)
         return n, _doctored(source, by_mask)
 
     return counts
@@ -407,8 +407,25 @@ def _size(state):
     return sum(b - a for a, b in state) if state and isinstance(state[0], tuple) else sum(state)
 
 
+def _watch_sweeps(monkeypatch, watch):
+    """Hand the levels of each sweep reader that ``verify`` makes after
+    this call to ``watch``, before each read."""
+    sweep_counts = qschur.classify._sweep_counts
+
+    def watched(levels, *args):
+        read = sweep_counts(levels, *args)
+
+        def counts(source):
+            watch(levels, source.size if isinstance(source, SkewShape) else sum(source))
+            return read(source)
+
+        return counts
+
+    monkeypatch.setattr(qschur.classify, "_sweep_counts", watched)
+
+
 def _pruned_builds(monkeypatch):
-    """The states the sweeps after this call store in the pruned levels,
+    """The states the sweeps after this call store in their pruned levels,
     each appended to the returned list as it is stored; the public memo is
     cleared, and the sweeps must leave it empty."""
     qschur.qsym._PROFILES.clear()
@@ -420,22 +437,21 @@ def _pruned_builds(monkeypatch):
             built.append(state)
             super().__setitem__(state, prof)
 
-    class Memo(dict):
-        def setdefault(self, m, default=None):
-            return super().setdefault(m, Level())
+    def watch(levels, n):
+        # A read of degree n stores only in levels 1 to n; a missing level
+        # is read as an empty one, so a watched empty one changes nothing.
+        for m in range(1, n + 1):
+            levels.setdefault(m, Level())
 
-    for keep in list(qschur.qsym._PRUNED):
-        monkeypatch.setitem(qschur.qsym._PRUNED, keep, Memo())
+    _watch_sweeps(monkeypatch, watch)
     return built
 
 
 def _closure_builds(monkeypatch):
     """The states whose profiles the closure steps and the sweeps after
     this call store for a keep test, each appended to the returned list as
-    it is stored; the memos are cleared."""
+    it is stored; the public memo is cleared."""
     qschur.qsym._PROFILES.clear()
-    for memo in qschur.qsym._PRUNED.values():
-        memo.clear()
     built = []
     stored = qschur.qsym._stored
 
@@ -448,16 +464,16 @@ def _closure_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("theorem, max_n", [("skew", 8), ("qs-components", 11)])
+@pytest.mark.parametrize(
+    "theorem, max_n", [("skew", 8), ("qs-components", 11), ("two-part", 18)]
+)
 def test_closure_sweeps_build_each_state_once(monkeypatch, theorem, max_n):
     # Each degree's closure level is built from the one below, in the call's
     # own locals: no state is built twice, every degree builds its level,
-    # and neither the shared memo nor the pruned levels of the bottom-up
-    # sweep are touched.
+    # and the shared memo is not touched.
     built = _closure_builds(monkeypatch)
     assert verify(theorem, max_n).verified
     assert qschur.qsym._PROFILES == {}
-    assert all(memo == {} for memo in qschur.qsym._PRUNED.values())
     assert len(built) == len(set(built))
     assert {_size(s) for s in built} == set(range(1, max_n + 1))
 
@@ -466,7 +482,6 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
     built = _closure_builds(monkeypatch)
     assert verify("schur", 13).verified
     assert qschur.qsym._PROFILES == {}
-    assert all(memo == {} for memo in qschur.qsym._PRUNED.values())
     # Only rotated partitions are built, each once, up to the last degree.
     assert len(built) == len(set(built))
     rotated = {
@@ -484,7 +499,8 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
         # The rotated partitions of size at most 12, with schur taken out
         # of the closures, so that it sweeps the clean levels.
         ("schur", 13, 271),
-        # The one- and two-part compositions of size at most 17.
+        # The one- and two-part compositions of size at most 17, with
+        # two-part taken out of the closures likewise.
         ("two-part", 18, 153),
         # Fewer than the compositions of size at most 10: a family stops at
         # its first rearrangement that is not multiplicity-free.
@@ -502,25 +518,51 @@ def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, state
     assert max(map(_size, built)) == max_n - 1
     # Each state is built once.  A family stops at its first rearrangement
     # that is not multiplicity-free, so the walk may need a state that has
-    # left the window and build it again: 12 states of size at most 7 here.
+    # left the sweep's levels and build it again: 12 states here.
     assert len(built) - len(set(built)) == (12 if theorem == "families" else 0)
 
 
-def test_verify_keeps_no_final_degree_roots():
-    memo = qschur.qsym._PRUNED[qschur.qsym._clean]
+def test_verify_keeps_no_final_degree_roots(monkeypatch):
+    # Two-part taken out of the closures, so that it sweeps the clean levels.
+    monkeypatch.delitem(qschur.classify._CLOSURES, "two-part")
+    handed = []
+    _watch_sweeps(monkeypatch, lambda levels, n: handed.append(levels))
     assert verify("two-part", 18).checked == 153
-    # Level 17 holds every instance of degree 17, each stored as the root it
-    # was, and the one-part child of (1, 17), built top-down; level 18 is
-    # read by no later degree of this sweep, so none is stored.  Like the
-    # shared memo, the pruned one keeps the last call's levels n - 2 and
-    # n - 1 only.
-    assert set(memo) == {16, 17}
-    assert set(memo[17]) == {(a, 17 - a) for a in range(1, 17)} | {(17,)}
+    # One sweep, with levels of its own.  Level 17 holds every instance of
+    # degree 17, each stored as the root it was, and the one-part child of
+    # (1, 17), built top-down; level 18 is read by no later degree, so none
+    # is stored.  At each degree n the sweep drops the levels below n - 2.
+    levels = handed[0]
+    assert all(h is levels for h in handed)
+    assert set(levels) == {16, 17}
+    assert set(levels[17]) == {(a, 17 - a) for a in range(1, 17)} | {(17,)}
+
+
+@pytest.mark.parametrize(
+    "theorem, max_n, checked",
+    [
+        ("schur", 8, 66),
+        ("skew", 5, 128),
+        ("qs-components", 7, 127),
+        ("two-part", 12, 66),
+        ("families", 8, 66),
+    ],
+)
+def test_verify_touches_no_module_memo(theorem, max_n, checked):
+    # Every sweep builds and holds its levels in its own locals: a verified
+    # theorem leaves the shared memo as it found it, and so does the family
+    # truth, which builds levels of its own per call.
+    qschur.qsym._PROFILES.clear()
+    assert verify(theorem, max_n) == VerificationReport(theorem, max_n, checked, ())
+    assert qschur.qsym._PROFILES == {}
+    assert brute_family_fmf((3, 2, 2))
+    assert qschur.qsym._PROFILES == {}
 
 
 def test_pruned_truth_matches_counts_at_acceptance_bounds():
     # Every instance of each theorem up to its acceptance bound, read off
-    # the pruned levels, off the closure levels and off the counting engine.
+    # the pruned levels of a sweep, off the closure levels and off the
+    # counting engine.
     q = qschur.qsym
     counts, clean, narrow = q._counts, q._clean, q._narrow
 
@@ -533,22 +575,32 @@ def test_pruned_truth_matches_counts_at_acceptance_bounds():
             level = q._closure_step(level, parents, moves, keep)
             yield level
 
+    def sweep(max_n):
+        # A sweep that stores each root below max_n for the degree above.
+        return q._sweep_counts({}, clean, max_n, None)
+
+    pruned = sweep(12)
     rotated_levels = closure(q._rotated_parents, q._skew_moves, clean, 12)
     for n, level in zip(range(1, 13), rotated_levels):
         for lam in enumerate_partitions(n):
             rotated = SkewShape(lam).rotate180()
-            assert (counts(rotated, None, clean)[1] is not None) == free(rotated)
+            assert (pruned(rotated) is not None) == free(rotated)
             kept = q._closure_counts(level, clean, False, None)(rotated)
             assert (kept is not None) == free(rotated)
+    pruned = sweep(9)
     skew_levels = closure(q._skew_parents, q._skew_moves, clean, 9)
     for n, level in zip(range(1, 10), skew_levels):
         for shape in enumerate_skew_shapes(n):
-            assert (counts(shape, None, clean)[1] is not None) == free(shape)
+            assert (pruned(shape) is not None) == free(shape)
             kept = q._closure_counts(level, clean, False, None)(shape)
             assert (kept is not None) == free(shape)
-    for n in range(2, 15):
+    pruned = sweep(14)
+    two_part_levels = closure(q._two_part_parents, q._qs_moves, clean, 14)
+    for n, level in zip(range(1, 15), two_part_levels):
         for alpha in ((a, n - a) for a in range(1, n)):
-            assert (counts(alpha, None, clean)[1] is not None) == free(alpha)
+            assert (pruned(alpha) is not None) == free(alpha)
+            kept = q._closure_counts(level, clean, False, None)(alpha)
+            assert (kept is not None) == free(alpha)
     narrow_levels = closure(covers_up, q._qs_moves, narrow, 9)
     for n, level in zip(range(1, 10), narrow_levels):
         for alpha in enumerate_compositions(n):

@@ -48,7 +48,6 @@ from qschur import (
     multiplicity_witnesses,
     omega_f,
     qs_f,
-    rearrangements,
     schur_f,
     schur_via_qs,
     skew_schur_f,
@@ -191,8 +190,8 @@ def test_shared_memo_survives_concurrent_calls():
 def test_sweep_roots_stay_out_of_the_shared_memo():
     # No root is stored, so none is removed again.  A call that found a
     # state in the memo during its walk reads it again in its build phase,
-    # so removing one there would fail that call.  Two families sweeps share
-    # the pruned levels, which each evicts as it goes, like the shared memo.
+    # so removing one there would fail that call.  Two families sweeps run
+    # beside the public calls, each on levels of its own.
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -233,26 +232,17 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
 
 
 def test_sweep_degrees_stay_in_their_own_threads():
-    # A sweep hands the engine its last degree through a thread-local value,
-    # which no other thread sees: sweeps of other theorems and bounds beside
-    # public calls keep their serial reports, and no public call stores its
-    # root.  No sweep here stores a composition of 10 with three or more
-    # parts in the clean levels, so only a leaked last degree could.
+    # Each sweep builds and holds its levels, and knows its last degree, in
+    # its own call: sweeps of other theorems and bounds beside public calls
+    # keep their serial reports, and so do the public calls.
     jobs = [("skew", 6), ("schur", 9), ("qs-components", 8), ("families", 9)]
     jobs.append(("two-part", 12))
     serial = {job: verify(*job) for job in jobs}
-    clean = qschur.qsym._PRUNED[qschur.qsym._clean]
     families = [lam for lam in enumerate_partitions(10) if len(lam) >= 3]
     shapes = list(enumerate_skew_shapes(5))
     expected = {lam: brute_family_fmf(lam) for lam in families}
     expected.update((s, skew_schur_f(s)) for s in shapes)
     errors = []
-
-    def stored_roots(lam):
-        return [alpha for alpha in rearrangements(lam) if alpha in clean.get(10, {})]
-
-    # The last serial sweep went past degree 10, and reset its last degree.
-    assert not any(map(stored_roots, families))
     done = threading.Event()
 
     def sweeps(job):
@@ -269,8 +259,6 @@ def test_sweep_degrees_stay_in_their_own_threads():
                 for lam in families:
                     if brute_family_fmf(lam) != expected[lam]:
                         errors.append(f"wrong family truth for {lam}")
-                    if stored_roots(lam):
-                        errors.append(f"stored roots {stored_roots(lam)}")
                 for shape in shapes:
                     if skew_schur_f(shape) != expected[shape]:
                         errors.append(f"wrong expansion of {shape}")
@@ -307,8 +295,6 @@ def _tally_sources():
 
 def _clear_memos():
     qschur.qsym._PROFILES.clear()
-    for memo in qschur.qsym._PRUNED.values():
-        memo.clear()
 
 
 def _check(source, *options):
@@ -326,21 +312,22 @@ def _check(source, *options):
 
 
 def test_tally_matches_counts_and_enumeration():
-    counts, clean = qschur.qsym._counts, qschur.qsym._clean
+    q = qschur.qsym
     for source in _tally_sources():
         expected = descent_tally(source)
         tableaux, masks = expected
-        # Cold, the children of the root are built; warm, they are found.
-        # The pruned truth is None where its keep test fails, and the
-        # counts otherwise.
-        tests = ((None, True), (clean, tableaux == masks))
-        for keep, kept in tests:
-            _clear_memos()
-            for _ in range(2):
-                n, by_mask = counts(source, None, keep)
-                assert (by_mask is not None) == kept
-                if kept:
-                    assert (sum(by_mask.values()), len(by_mask)) == expected
+        # Cold, the children of the root are built; warm, they are found,
+        # in the shared memo or in the levels of a sweep.  The pruned truth
+        # is None where its keep test fails, and the counts otherwise.
+        _clear_memos()
+        pruned = q._sweep_counts({}, q._clean, 0, None)
+        for _ in range(2):
+            n, by_mask = q._counts(source, None)
+            assert (sum(by_mask.values()), len(by_mask)) == expected
+            by_mask = pruned(source)
+            assert (by_mask is not None) == (tableaux == masks)
+            if by_mask is not None:
+                assert (sum(by_mask.values()), len(by_mask)) == expected
         # ``check`` reads the counts: one component per descent set.
         if n:
             code, output = _check(source)
@@ -374,7 +361,11 @@ def test_tally_budget_matches_counts():
 
 
 def test_pruned_budget_caps_stored_tableaux():
-    counts, clean = qschur.qsym._counts, qschur.qsym._clean
+    q = qschur.qsym
+
+    def counts(source, budget, levels):
+        return q._sweep_counts(levels, q._clean, 0, budget)(source)
+
     # Multiplicity-free roots, so the clean levels keep every state below
     # them with its profile, and the root meets the budget.
     for source, what in [
@@ -385,16 +376,16 @@ def test_pruned_budget_caps_stored_tableaux():
         tableaux, masks = descent_tally(source)
         assert tableaux == masks
         message = f"{what} exceeded the tableau budget of {masks - 1}"
-        _clear_memos()
+        # Cold, the levels are built; warm, they are found.
+        levels = {}
         for _ in range(2):
             with pytest.raises(BudgetExceededError) as caught:
-                counts(source, masks - 1, clean)
+                counts(source, masks - 1, levels)
             assert str(caught.value) == message
-            assert len(counts(source, masks, clean)[1]) == masks
+            assert len(counts(source, masks, levels)) == masks
     # A dirty root and its marked children meet no budget, so one far
     # below its tableaux holds: (10,20) has 10,015,005 tableaux.
-    _clear_memos()
-    assert counts((10, 20), 1000, clean) == (30, None)
+    assert counts((10, 20), 1000, {}) is None
 
 
 @pytest.mark.parametrize(
@@ -410,18 +401,21 @@ def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
     # so a dirty child (a mask with two fillings in one entry) makes a
     # dirty parent, and a wide child (three masks) a wide parent.  The
     # pruned levels hold a marker exactly where the full profile fails the
-    # keep test, and the full profile elsewhere.
+    # keep test, and the full profile elsewhere.  The sweep stores each
+    # root below max_n, as a ``verify`` sweep does.
     q = qschur.qsym
     keep, moves = getattr(q, keep), getattr(q, moves)
     _clear_memos()
+    pruned: dict = {}
+    read = q._sweep_counts(pruned, keep, max_n, None)
     kept = failed = compared = 0
     for n in range(1, max_n + 1):
         for source in sources_of(n):
             q._counts(source, None)
-            q._counts(source, None, keep)
+            read(source)
         if n < 3:
             continue
-        full, pruned = q._PROFILES, q._PRUNED[keep]
+        full = q._PROFILES
         for parent, prof in full[n - 1].items():
             # A root is read up to its first marker child, so a pruned level
             # may lack a child that no root read.
@@ -466,12 +460,18 @@ def _rotated_partitions(n):
     return (SkewShape(lam).rotate180() for lam in enumerate_partitions(n))
 
 
+def _two_part_compositions(n):
+    """The compositions of n with at most two parts."""
+    return [(n,)] + [(a, n - a) for a in range(1, n)]
+
+
 @pytest.mark.parametrize(
     "parents, moves, keep, states_of, full_to",
     [
         (qschur.qsym._skew_parents, "_skew_moves", "_clean", enumerate_skew_shapes, 9),
         (qschur.qsym._rotated_parents, "_skew_moves", "_clean", _rotated_partitions, 10),
         (covers_up, "_qs_moves", "_narrow", enumerate_compositions, 10),
+        (qschur.qsym._two_part_parents, "_qs_moves", "_clean", _two_part_compositions, 10),
     ],
 )
 def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, full_to):
@@ -497,6 +497,9 @@ def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, f
             if any(not keep(below[child]) for _, child, _ in moves(s)):
                 assert not keep(prof)
         below = full
+        if parents is q._two_part_parents:
+            # The closure never leaves the compositions of at most two parts.
+            assert all(len(p) <= 2 for s in states for p in parents(s))
         # The states whose counts pass too: the multiplicity-free clean ones.
         passing = list(filter(q._closure_counts(level, keep, False, None), level))
         sizes.append((len(level), len(passing)))
