@@ -38,9 +38,10 @@ Schur, two-part and qs-components truth off these levels, holding two at a
 time: a root is multiplicity-free iff it is clean with no repeated mask,
 and has more than two masks iff it is not narrow.  It reads each partition
 rotated by 180 degrees, which has the same expansion and rotated partitions
-as its children and clean parents, and a composition with at most two
-parts, whose children have at most two parts too.  ``schur_f`` keeps the
-straight shape, where 1 has a single place.
+as its children and clean parents; ``schur_f`` keeps the straight shape,
+where 1 has a single place.  Likewise ``_two_part_parents`` keeps the
+parents with at most two parts, since the children of a composition with
+at most two parts have at most two parts too.
 
 Families asks whether every rearrangement of a partition is clean with no
 repeated mask, and can stop at the first that is not, where a closure
@@ -49,11 +50,11 @@ through pruned levels of ``_clean`` that the caller builds and holds:
 ``_sweep_counts`` reads a root off them, one move at a time up to its first
 marker child, where a state with a marker child, or whose profile fails
 the test, is stored as None, a marker, with no profile.  A child missing
-from level n - 1, such as the one-part child of (1, n - 1), is built
-top-down by ``_level_below`` as in a public call, but in those levels.
-``verify`` keeps levels n - 2 to n and stores each root below its last
-degree for the degree above; ``brute_family_fmf`` holds its levels for one
-call and stores no root.  Neither touches a module-level memo.  Either way
+from level n - 1, such as a rearrangement that an earlier family skipped,
+is built top-down by ``_level_below`` as in a public call, but in those
+levels.  ``verify`` keeps levels n - 2 to n and stores each root below its
+last degree for the degree above; ``brute_family_fmf`` holds its levels for
+one call and stores no root.  Neither touches a module-level memo.  Either way
 the budget is checked, by ``_passing``, on a root below the last degree
 that passes the test, as a state stored with a profile, and on a root
 whose counts pass.  A closure level is built whole, unchecked, before
