@@ -7,13 +7,12 @@ instances of each degree, the label key of an instance, and its check.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .compositions import (
     Composition,
     Partition,
     _descent_mask,
-    conjugate,
     enumerate_compositions,
     enumerate_partitions,
     rearrangements,
@@ -23,7 +22,7 @@ from .qsym import _EMPTY_LEVEL, _clean, _closure_counts, _closure_step, _counts,
 from .qsym import _f_expansion, _narrow, _qs_moves, _rotated_parents, _skew_moves
 from .qsym import _skew_parents, _sweep_counts, _two_part_parents
 from .qsym import multiplicity_witnesses
-from .shapes import SkewShape, enumerate_skew_shapes
+from .shapes import SkewShape, _check_partition, enumerate_skew_shapes
 
 DEFAULT_MAX_TABLEAUX = 10_000_000
 
@@ -50,32 +49,31 @@ def in_c2_prime(alpha: Composition) -> bool:
 
 
 def _schur_listed(lam: Partition) -> bool:
-    n = sum(lam)
-    if lam in ((3, 3), (4, 4)):
-        return True
-    if len(lam) == 2 and lam[1] == 2 and n >= 4:
-        return True
-    if all(p == 1 for p in lam[1:]):  # hooks, rows, and columns
-        return True
-    return False
+    """:func:`predict_schur` on a partition, unchecked.  A later part is at
+    most ``lam[1]``, so ``lam[1] == 1`` makes a hook; the others listed are
+    (m, 2), (3, 3) and (4, 4), and their conjugates (2, 2, 1, ..., 1),
+    (2, 2, 2) and (2, 2, 2, 2)."""
+    if len(lam) < 3:
+        return len(lam) < 2 or lam[1] <= 2 or lam in ((3, 3), (4, 4))
+    return lam[1] == 1 or lam[:3] == (2, 2, 1) or lam in ((2, 2, 2), (2, 2, 2, 2))
 
 
 def predict_schur(lam: Partition) -> bool:
     """Multiplicity-freeness of the Schur function of ``lam``: the partition
     or its conjugate is (3,3), (4,4), a two-row shape (n-2,2), or a hook."""
     lam = tuple(lam)
-    return _schur_listed(lam) or _schur_listed(conjugate(lam))
+    _check_partition(lam, "partition")
+    return _schur_listed(lam)
 
 
 def _row_below_left_of_column(shape: SkewShape) -> bool:
     """True iff ``shape`` is a row of m >= 1 cells with a column of k >= 1
     cells placed disjointly above-right of it: k rows (m, m+1] over a last
-    row (0, m].  In basic form the last row always starts in column 1."""
+    row (0, m].  In basic form the last row always starts in column 1, and
+    as the starts and ends weakly decrease, the rows above it are (m, m+1]
+    when the first and the last of them are."""
     ivs = shape.row_intervals()
-    if len(ivs) < 2:
-        return False
-    m = ivs[-1][1]
-    return all(iv == (m, m + 1) for iv in ivs[:-1])
+    return len(ivs) > 1 and ivs[0] == ivs[-2] == (ivs[-1][1], ivs[-1][1] + 1)
 
 
 def predict_skew(shape: SkewShape) -> bool:
@@ -92,48 +90,63 @@ def predict_skew(shape: SkewShape) -> bool:
 
     Transposing maps each family to itself, since :func:`predict_schur`
     also checks the conjugate, so no transpose is checked.  Rotating swaps
-    the first two families and the last two, so no rotation is built.
+    the first two families and the last two, so no rotation is built.  The
+    starts and the ends of the rows weakly decrease, so every row ends in
+    the last column when the last row does, and the rows below the first
+    are (0, 1] when the second and the last are.
     """
     ivs = shape.row_intervals()
     if not ivs or not ivs[0][0]:
-        return predict_schur(shape.outer)
+        return _schur_listed(shape.outer)
     width = ivs[0][1]
-    if all(b == width for _, b in ivs):
-        return predict_schur(tuple(width - a for a, _ in reversed(ivs)))
+    if ivs[-1][1] == width:
+        return _schur_listed(tuple(width - a for a, _ in reversed(ivs)))
     return _row_below_left_of_column(shape) or (
-        ivs[0][0] == 1 and all(iv == (0, 1) for iv in ivs[1:])
+        ivs[0][0] == 1 and ivs[1] == ivs[-1] == (0, 1)
     )
-
-
-def _tails_after_optional_part(alpha: Composition) -> Iterator[Composition]:
-    yield alpha
-    if alpha:
-        yield alpha[1:]
-
-
-def _two_component(alpha: Composition) -> bool:
-    # One defect pair of rows, everything else forced: the defect is either
-    # (1,3) or (2,2)/(2,3) at the very front, or (2,2)/(2,3) reached through
-    # a 1-led run ending in 2, optionally preceded by one part of any size.
-    if alpha[:2] == (1, 3) and in_c2(alpha[2:]):
-        return True
-    if alpha[:2] in ((2, 2), (2, 3)) and in_c2(alpha[2:]):
-        return True
-    for tail in _tails_after_optional_part(alpha):
-        for i, part in enumerate(tail):
-            if part in (2, 3) and in_c2_prime(tail[:i]) and in_c2(tail[i + 1 :]):
-                return True
-    return False
 
 
 def predict_qs_components(alpha: Composition) -> str:
     """Number of F-terms of the quasisymmetric Schur function of ``alpha``,
-    classified as "one", "two", or "more"."""
+    classified as "one", "two", or "more".
+
+    "one": ``alpha`` lies in C2 (:func:`in_c2`) after at most one free
+    leading part.  "two": it is (1, 3), (2, 2) or (2, 3) followed by a
+    member of C2; or, after at most one free leading part, a member of C2'
+    (:func:`in_c2_prime`), then a 2 or a 3, then a member of C2.
+
+    One right-to-left pass finds ``start``, where the longest suffix of 1s
+    and 2s with no two adjacent 2s begins, and checks every part; the
+    suffix from i lies in C2 iff i >= start and it is empty or led by a 1.
+    Then one left-to-right pass from each of positions 0 and 1 extends a
+    C2' prefix as far as it goes.  A part below 1 raises
+    :class:`ValueError`.
+    """
     alpha = tuple(alpha)
-    if any(in_c2(tail) for tail in _tails_after_optional_part(alpha)):
+    n = start = len(alpha)
+    padded = alpha + (1,)  # the empty suffix lies in C2
+    for i in range(n - 1, -1, -1):
+        part = alpha[i]
+        if part < 1:
+            raise ValueError(f"not a composition: {alpha}")
+        if start == i + 1 and (part == 1 or part == 2 and padded[i + 1] == 1):
+            start = i
+    # The suffix from i lies in C2 iff start <= i and padded[i] == 1.
+    if start == 0 and padded[0] == 1 or start <= 1 and padded[1] == 1:
         return "one"
-    if _two_component(alpha):
+    if alpha[:2] in ((1, 3), (2, 2), (2, 3)) and start <= 2 and padded[2] == 1:
         return "two"
+    for s in (0, 1):
+        if padded[s] != 1:  # a C2' prefix starts with a 1
+            continue
+        prev = 1
+        for j in range(s + 1, n):
+            part = alpha[j]
+            if prev == 2 and part in (2, 3) and start <= j + 1 and padded[j + 1] == 1:
+                return "two"
+            if part > 2 or part == prev == 2:
+                break
+            prev = part
     return "more"
 
 
@@ -143,6 +156,8 @@ def predict_two_part(alpha: Composition) -> bool:
     if len(alpha) != 2:
         raise ValueError(f"expected a two-part composition: {alpha}")
     a, b = alpha
+    if a < 1 or b < 1:
+        raise ValueError(f"not a composition: {alpha}")
     n = a + b
     if b == 1 or a == 1:
         return True
@@ -159,24 +174,17 @@ def predict_family(lam: Partition) -> bool:
     """True iff every rearrangement of ``lam`` indexes a multiplicity-free
     quasisymmetric Schur function."""
     lam = tuple(lam)
-    if lam in ((3, 3), (4, 3), (4, 4)):
-        return True
-    if all(p == 1 for p in lam[1:]):  # hooks
-        return True
-    if (
-        len(lam) >= 2
-        and lam[0] >= 3
-        and lam[1] == 2
-        and all(p == 1 for p in lam[2:])
-    ):
-        return True
-    if lam and lam[0] == 2:
-        twos = sum(1 for p in lam if p == 2)
-        if all(p == 1 for p in lam[twos:]) and 2 <= twos <= 4:
-            return True
-    if lam[:3] == (3, 2, 2) and all(p == 1 for p in lam[3:]):
-        return True
-    return False
+    _check_partition(lam, "partition")
+    # A part is at most the one before it, so lam[i] == 1 makes every part
+    # from i on a 1, and lam[i : i + 1] in ((), (1,)) says they all are.
+    if len(lam) < 2 or lam[1] == 1 or lam in ((3, 3), (4, 3), (4, 4)):
+        return True  # hooks, and three more
+    if lam[1] != 2:
+        return False
+    if lam[0] == 2:  # two to four 2s, then 1s
+        return lam[4:5] != (2,)
+    # (m, 2, 1, ..., 1) with m >= 3, and (3, 2, 2, 1, ..., 1)
+    return lam[2:3] in ((), (1,)) or lam[:3] == (3, 2, 2) and lam[3:4] in ((), (1,))
 
 
 def _family_kept(lam: Partition, kept) -> bool:

@@ -159,15 +159,18 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def enumerate_compositions(n: int) -> Iterator[Composition]:
-    """All compositions of ``n`` in lexicographic order."""
+    """All compositions of ``n`` in lexicographic order: from (1, ..., 1),
+    each is followed by its successor (..., x, y) -> (..., x + 1, 1, ..., 1),
+    with y - 1 trailing 1s, until a single part is left."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in enumerate_compositions(n - first):
-            yield (first,) + rest
+    alpha = [1] * n
+    yield tuple(alpha)
+    while len(alpha) > 1:
+        y = alpha.pop()
+        alpha[-1] += 1
+        alpha += [1] * (y - 1)
+        yield tuple(alpha)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -70,20 +70,22 @@ def covers_up(beta: Composition) -> list[Composition]:
     return out
 
 
-def _down_moves(alpha: Composition) -> list[tuple[int, Composition]]:
-    """Inverse cover moves as (removed column, smaller shape) pairs.
+def _down_moves(alpha: Composition) -> Iterator[tuple[int, Composition]]:
+    """Inverse cover moves as (removed column, smaller shape) pairs, yielded
+    one at a time, so that a caller may stop at any move.
 
     Deleting the leading part needs that part to be 1; decrementing part i
     needs no earlier part of size alpha_i - 1, otherwise the inverse of the
-    "first part of its size" rule would pick the earlier position.
+    "first part of its size" rule would pick the earlier position.  The
+    sizes of the earlier parts are kept in a set as the parts are read.
     """
-    out: list[tuple[int, Composition]] = []
     if alpha[0] == 1:
-        out.append((1, alpha[1:]))
+        yield 1, alpha[1:]
+    seen: set[int] = set()
     for i, part in enumerate(alpha):
-        if part >= 2 and (part - 1) not in alpha[:i]:
-            out.append((part, alpha[:i] + (part - 1,) + alpha[i + 1 :]))
-    return out
+        if part >= 2 and part - 1 not in seen:
+            yield part, alpha[:i] + (part - 1,) + alpha[i + 1 :]
+        seen.add(part)
 
 
 def covers_down(alpha: Composition) -> list[Composition]:

@@ -281,7 +281,8 @@ def _passing(
     ``stored``, which the level above is built from."""
     by_mask = dict(zip(*_merged(prof)))
     passes = keep(((0, by_mask.keys(), by_mask.values()),))
-    _stored(prof, None, budget if passes or stored else None, source)
+    if budget is not None and (passes or stored) and sum(by_mask.values()) > budget:
+        raise BudgetExceededError(_label(source), budget)
     return by_mask if passes else None
 
 

@@ -171,9 +171,9 @@ def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
 def _order_key(shape: SkewShape) -> bytes:
     """A key that sorts shapes as (outer, inner): the ends, a 0 that puts a
     shorter outer first, then the starts, whose order given the outer is that
-    of the inner.  Bytes keep the keys of a whole degree small while they are
-    sorted.  A part of a shape of n cells is at most n, so every n up to 255
-    fits, far past any n whose shapes fit in memory."""
+    of the inner.  Bytes keep the keys small while they are sorted.  A part
+    of a shape of n cells is at most n, so every n up to 255 fits, far past
+    any n whose shapes fit in memory."""
     ivs = shape.row_intervals()
     return bytes([b for _, b in ivs] + [0] + [a for a, _ in ivs])
 
@@ -186,6 +186,10 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     occupied by the last row (a_r = 0).  The rows from row i down cover
     columns 1..b_i, so b_i is at most the cells left for them; a last row
     then holds all the cells left, so it starts at 0.
+
+    The end b_1 of the first row is the first byte of the sort key, so the
+    shapes are built, sorted and yielded one b_1 at a time, b_1 = 1, ..., n;
+    only the shapes of one b_1 are held at once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -198,19 +202,16 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
         if remaining == 0:
             found.append(_from_intervals(tuple(acc)))
             return
-        if acc:
-            prev_a, prev_b = acc[-1]
-            b_lo, b_hi = max(1, prev_a), min(prev_b, remaining)
-            a_cap = prev_a
-        else:
-            b_lo, b_hi = 1, n
-            a_cap = n
-        for b in range(b_lo, b_hi + 1):
-            for a in range(min(b - 1, a_cap) + 1):
+        prev_a, prev_b = acc[-1]
+        for b in range(max(1, prev_a), min(prev_b, remaining) + 1):
+            for a in range(min(b - 1, prev_a) + 1):
                 acc.append((a, b))
                 rec(acc, remaining - (b - a))
                 acc.pop()
 
-    rec([], n)
-    found.sort(key=_order_key)
-    yield from found
+    for first in range(1, n + 1):
+        for a in range(first):
+            rec([(a, first)], n - first + a)
+        found.sort(key=_order_key)
+        yield from found
+        found.clear()

@@ -22,11 +22,14 @@ from qschur import (
     des_p,
     enumerate_sct,
     enumerate_syt,
+    in_c2,
+    in_c2_prime,
     qs_f,
     refinements,
 )
-from qschur.classify import _row_below_left_of_column, _schur_listed
+from qschur.classify import _row_below_left_of_column
 from qschur.errors import capped
+from qschur.shapes import _from_intervals, _order_key
 
 
 def hook_length_count(lam: tuple[int, ...]) -> int:
@@ -93,6 +96,97 @@ def skew_shapes_by_pairs(n: int) -> set[SkewShape]:
     return found
 
 
+def skew_shapes_by_sort(n: int) -> list[SkewShape]:
+    """Every basic-form skew shape with ``n`` cells, ordered by (outer,
+    inner): the rows are built by one recursion over the whole degree, which
+    is then sorted at once."""
+    if n == 0:
+        return [SkewShape()]
+    found: list[SkewShape] = []
+
+    def rec(acc: list[tuple[int, int]], remaining: int) -> None:
+        if remaining == 0:
+            found.append(_from_intervals(tuple(acc)))
+            return
+        if acc:
+            prev_a, prev_b = acc[-1]
+            b_lo, b_hi = max(1, prev_a), min(prev_b, remaining)
+            a_cap = prev_a
+        else:
+            b_lo, b_hi = 1, n
+            a_cap = n
+        for b in range(b_lo, b_hi + 1):
+            for a in range(min(b - 1, a_cap) + 1):
+                acc.append((a, b))
+                rec(acc, remaining - (b - a))
+                acc.pop()
+
+    rec([], n)
+    found.sort(key=_order_key)
+    return found
+
+
+def compositions_by_cuts(n: int) -> list[tuple[int, ...]]:
+    """Every composition of ``n``, one per choice of cuts among the n - 1
+    gaps between n cells, sorted."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        out.append(tuple(parts + [run]) if n else ())
+    return sorted(out)
+
+
+def schur_listed(lam: tuple[int, ...]) -> bool:
+    """True iff the partition ``lam`` itself, not its conjugate, is (3,3),
+    (4,4), a two-row shape (n-2,2), or a hook."""
+    if lam in ((3, 3), (4, 4)):
+        return True
+    if len(lam) == 2 and lam[1] == 2 and sum(lam) >= 4:
+        return True
+    return all(p == 1 for p in lam[1:])
+
+
+def predict_family_by_counts(lam: tuple[int, ...]) -> bool:
+    """The families of partitions whose rearrangements are all
+    multiplicity-free, read off the parts one family at a time."""
+    if lam in ((3, 3), (4, 3), (4, 4)):
+        return True
+    if all(p == 1 for p in lam[1:]):  # hooks
+        return True
+    if len(lam) >= 2 and lam[0] >= 3 and lam[1] == 2:
+        if all(p == 1 for p in lam[2:]):
+            return True
+    if lam and lam[0] == 2:
+        twos = sum(1 for p in lam if p == 2)
+        if all(p == 1 for p in lam[twos:]) and 2 <= twos <= 4:
+            return True
+    return lam[:3] == (3, 2, 2) and all(p == 1 for p in lam[3:])
+
+
+def predict_qs_components_by_slices(alpha: tuple[int, ...]) -> str:
+    """"one", "two" or "more" F-terms of the quasisymmetric Schur function
+    of ``alpha``, by testing every slice against :func:`in_c2` and
+    :func:`in_c2_prime`."""
+    tails = [alpha, alpha[1:]] if alpha else [alpha]
+    if any(in_c2(tail) for tail in tails):
+        return "one"
+    # The defect is (1,3) or (2,2)/(2,3) at the very front, or (2,2)/(2,3)
+    # reached through a 1-led run ending in 2, optionally preceded by one
+    # part of any size.
+    if alpha[:2] in ((1, 3), (2, 2), (2, 3)) and in_c2(alpha[2:]):
+        return "two"
+    for tail in tails:
+        for i, part in enumerate(tail):
+            if part in (2, 3) and in_c2_prime(tail[:i]) and in_c2(tail[i + 1 :]):
+                return "two"
+    return "more"
+
+
 def transpose_by_cells(shape: SkewShape) -> SkewShape:
     """Transpose by reflecting every cell in the main diagonal."""
     return SkewShape.from_cells((j, i) for i, j in shape.cells)
@@ -117,7 +211,7 @@ def predict_skew_by_variants(shape: SkewShape) -> bool:
     variants = {shape, transposed, shape.rotate180(), transposed.rotate180()}
     for v in variants:
         if not v.inner:
-            if _schur_listed(v.outer):
+            if schur_listed(v.outer):
                 return True
         elif _row_below_left_of_column(v):
             return True

@@ -1,16 +1,23 @@
+import hashlib
 import json
 
 import pytest
 
 import qschur.classify
 import qschur.qsym
-from oracles import predict_skew_by_variants
+from oracles import (
+    predict_family_by_counts,
+    predict_qs_components_by_slices,
+    predict_skew_by_variants,
+    schur_listed,
+)
 from qschur import (
     BudgetExceededError,
     Disagreement,
     SkewShape,
     VerificationReport,
     brute_family_fmf,
+    conjugate,
     covers_up,
     disjoint_union,
     enumerate_compositions,
@@ -62,6 +69,29 @@ def test_predict_schur_examples():
     assert not predict_schur((4, 3))
 
 
+def test_predict_schur_and_family_match_their_oracles():
+    for n in range(0, 21):
+        for lam in enumerate_partitions(n):
+            assert predict_schur(lam) == (
+                schur_listed(lam) or schur_listed(conjugate(lam))
+            ), lam
+            assert predict_family(lam) == predict_family_by_counts(lam), lam
+
+
+def test_predicates_reject_non_instances():
+    for bad in ((1, 2), (0,), (2, 0), (3, -1, 1)):
+        with pytest.raises(ValueError):
+            predict_schur(bad)
+        with pytest.raises(ValueError):
+            predict_family(bad)
+    for bad in ((1, 0, 2), (0,), (-1, 1), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            predict_qs_components(bad)
+    for bad in ((0, 3), (3, 0), (-1, 4)):
+        with pytest.raises(ValueError):
+            predict_two_part(bad)
+
+
 def test_predict_skew_examples():
     assert predict_skew(disjoint_union(SkewShape((2,)), SkewShape((1,))))
     assert not predict_skew(SkewShape((3, 2, 2, 1), (1, 1)))
@@ -98,6 +128,14 @@ def test_predict_qs_components_examples():
     assert predict_qs_components((3, 3)) == "more"
     assert predict_qs_components((1, 4)) == "more"
     assert predict_qs_components((2, 2, 2)) == "more"
+
+
+def test_predict_qs_components_matches_slice_oracle():
+    # 65,536 compositions; the oracle slices and re-tests every position.
+    for n in range(0, 17):
+        for alpha in enumerate_compositions(n):
+            got = predict_qs_components(alpha)
+            assert got == predict_qs_components_by_slices(alpha), alpha
 
 
 def test_predict_two_part_examples():
@@ -611,6 +649,27 @@ def test_pruned_truth_matches_counts_at_acceptance_bounds():
         for lam in enumerate_partitions(n):
             expected = all(free(alpha) for alpha in rearrangements(lam))
             assert brute_family_fmf(lam) == expected
+
+
+# The sha256 of each benchmark sweep's report as ``verify --format json``
+# prints it, taken at commit 65ff898: a change that makes these sweeps
+# faster must not change what they print.
+SWEEP_DIGESTS = {
+    ("skew", 8): "8cfda0fd4e2f8fb4b9b0579e3883aa2e0a043149d533939c3fbd65a3315c9bc5",
+    ("schur", 13): "7126c6710df7a8636579dd78d235c1acd6d95979f4890ead7821c72de6a43191",
+    ("two-part", 18): "e16db7bd19ad7c7f0d77b61572266d37525444c4029c01ff55abc04e7bdd8625",
+    ("qs-components", 11): (
+        "487c25c0c81fd6488e6dd8affcaf05d8dfd2c7009ca500a66093186f2588ae07"
+    ),
+    ("families", 11): "23666f010758c61e5e73449fc1050f86942a308cca24f02cee8e082e8c1f15e2",
+}
+
+
+@pytest.mark.parametrize(("theorem", "max_n"), list(SWEEP_DIGESTS))
+def test_benchmark_sweeps_print_what_they_printed(theorem, max_n):
+    text = json.dumps(verify(theorem, max_n).to_json_obj(), indent=2)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SWEEP_DIGESTS[theorem, max_n]
 
 
 def test_two_part_30_fits_the_default_budget():

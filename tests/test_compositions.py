@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import compositions_by_cuts
 from qschur import (
     DescentSet,
     complement,
@@ -96,6 +97,15 @@ def test_enumeration_counts_and_order():
     assert len(parts) == 5
     assert parts == sorted(parts)
     assert list(enumerate_partitions(0)) == [()]
+
+
+def test_enumerate_compositions_matches_cut_oracle():
+    # 65,536 compositions in all; the successor rule must list each of
+    # degree n once, in lexicographic order.
+    with pytest.raises(ValueError):
+        list(enumerate_compositions(-1))
+    for n in range(0, 17):
+        assert list(enumerate_compositions(n)) == compositions_by_cuts(n), n
 
 
 def test_bijection_exhaustive():
