@@ -60,7 +60,9 @@ def _schur_listed(lam: Partition) -> bool:
 
 def predict_schur(lam: Partition) -> bool:
     """Multiplicity-freeness of the Schur function of ``lam``: the partition
-    or its conjugate is (3,3), (4,4), a two-row shape (n-2,2), or a hook."""
+    or its conjugate is (3,3), (4,4), a two-row shape (n-2,2), or a hook.
+    A part below 1 or an increasing pair of parts raises
+    :class:`ValueError`."""
     lam = tuple(lam)
     _check_partition(lam, "partition")
     return _schur_listed(lam)
@@ -151,7 +153,8 @@ def predict_qs_components(alpha: Composition) -> str:
 
 
 def predict_two_part(alpha: Composition) -> bool:
-    """Multiplicity-freeness for two-part composition shapes."""
+    """Multiplicity-freeness for two-part composition shapes.  Another
+    number of parts, or a part below 1, raises :class:`ValueError`."""
     alpha = tuple(alpha)
     if len(alpha) != 2:
         raise ValueError(f"expected a two-part composition: {alpha}")
@@ -172,7 +175,8 @@ def predict_two_part(alpha: Composition) -> bool:
 
 def predict_family(lam: Partition) -> bool:
     """True iff every rearrangement of ``lam`` indexes a multiplicity-free
-    quasisymmetric Schur function."""
+    quasisymmetric Schur function.  A part below 1 or an increasing pair of
+    parts raises :class:`ValueError`."""
     lam = tuple(lam)
     _check_partition(lam, "partition")
     # A part is at most the one before it, so lam[i] == 1 makes every part
@@ -346,16 +350,19 @@ def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
 # A check reads its truth through ``kept``: the counts of a source off the
 # closure level of its degree, for a theorem in ``_CLOSURES``, or else off
 # the clean levels of ``verify``'s bottom-up sweep; None where they fail the
-# keep test.  The checks call the module's predicates and engine by name at
-# call time, so that patching one of them on this module reaches ``verify``.
+# keep test.  The instances and the checks call the module's enumerators,
+# predicates and engine by name at call time, so that patching one of them
+# on this module, as a tracer does, reaches ``verify``.
 _THEOREMS = {
-    "schur": (enumerate_partitions, "partition", _schur_check),
-    "skew": (enumerate_skew_shapes, None, _skew_check),
-    "qs-components": (enumerate_compositions, "composition", _components_check),
+    "schur": (lambda n: enumerate_partitions(n), "partition", _schur_check),
+    "skew": (lambda n: enumerate_skew_shapes(n), None, _skew_check),
+    "qs-components": (
+        lambda n: enumerate_compositions(n), "composition", _components_check
+    ),
     "two-part": (
         lambda n: ((a, n - a) for a in range(1, n)), "composition", _two_part_check
     ),
-    "families": (enumerate_partitions, "partition", _families_check),
+    "families": (lambda n: enumerate_partitions(n), "partition", _families_check),
 }
 # The closure levels the truth of a theorem is read off: the parents and the
 # moves of its states, and its keep test.  Families sweeps the clean levels

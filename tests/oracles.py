@@ -91,7 +91,7 @@ def skew_shapes_by_pairs(n: int) -> set[SkewShape]:
             for inner in box_partitions(*box):
                 by_size[box].setdefault(sum(inner), []).append(inner)
         for inner in by_size[box].get(sum(outer) - n, []):
-            if all(inner[i] < outer[i] for i in range(len(inner))):
+            if all(map(int.__lt__, inner, outer)):  # rows all nonempty
                 found.add(SkewShape(outer, inner))
     return found
 

@@ -275,6 +275,31 @@ def _flip(monkeypatch, name, wrong):
     )
 
 
+def test_verify_reads_instances_through_module_names(monkeypatch):
+    # The benchmark's tracer wraps the enumerators where this module binds
+    # them, so verify must look them up there at call time.
+    seen = []
+    for name in ("enumerate_partitions", "enumerate_skew_shapes", "enumerate_compositions"):
+        right = getattr(qschur.classify, name)
+        monkeypatch.setattr(
+            qschur.classify,
+            name,
+            lambda n, right=right, name=name: seen.append((name, n)) or right(n),
+        )
+    for theorem in ("schur", "skew", "qs-components", "families"):
+        verify(theorem, 2)
+    assert seen == [
+        (name, n)
+        for name in (
+            "enumerate_partitions",
+            "enumerate_skew_shapes",
+            "enumerate_compositions",
+            "enumerate_partitions",
+        )
+        for n in (1, 2)
+    ]
+
+
 def _doctored(source, by_mask):
     """The counts ``by_mask`` of ``source``, with the own-shape term of
     (1,3) dropped and that of (2,3) doubled, so that the structural checks
