@@ -169,9 +169,9 @@ def predict_family_by_counts(lam: tuple[int, ...]) -> bool:
 
 
 def predict_qs_components_by_slices(alpha: tuple[int, ...]) -> str:
-    """"one", "two" or "more" F-terms of the quasisymmetric Schur function
-    of ``alpha``, by testing every slice against :func:`in_c2` and
-    :func:`in_c2_prime`."""
+    """Whether the quasisymmetric Schur function of ``alpha`` has "one",
+    "two" or "more" F-terms, by testing every slice against :func:`in_c2`
+    and :func:`in_c2_prime`."""
     tails = [alpha, alpha[1:]] if alpha else [alpha]
     if any(in_c2(tail) for tail in tails):
         return "one"
