@@ -18,8 +18,9 @@ from .compositions import (
     rearrangements,
 )
 from .ctableaux import covers_up
-from .qsym import _EMPTY_LEVEL, _clean, _closure_counts, _closure_step, _counts, _evict
-from .qsym import _f_expansion, _narrow, _qs_moves, _rotated_parents, _skew_moves
+from .qsym import _EMPTY_LEVEL, _clean_profile_of, _clean_root, _closure_counts
+from .qsym import _closure_step, _counts, _evict, _f_expansion, _narrow_profile_of
+from .qsym import _narrow_root, _qs_moves, _rotated_parents, _skew_moves
 from .qsym import _skew_parents, _sweep_counts, _two_part_parents
 from .qsym import multiplicity_witnesses
 from .shapes import SkewShape, _check_partition, enumerate_skew_shapes
@@ -192,20 +193,22 @@ def predict_family(lam: Partition) -> bool:
 
 
 def _family_kept(lam: Partition, kept) -> bool:
-    """Whether ``kept`` passes the counts of every rearrangement of
-    ``lam``; it stops at the first that fails."""
+    """Whether ``kept`` passes every rearrangement of ``lam``; it stops at
+    the first that fails."""
     return all(kept(alpha) is not None for alpha in rearrangements(tuple(lam)))
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     """Ground truth for :func:`predict_family`: whether every rearrangement
     of ``lam`` is multiplicity-free, read off clean levels of the qsym
-    engine that this call builds and holds for itself.  ``max_tableaux``
-    caps the tableaux of each state those levels store with a profile and
-    of each multiplicity-free rearrangement, so a rearrangement that is not
-    multiplicity-free may answer False where :func:`qsym.qs_f` would raise
-    :class:`BudgetExceededError`."""
-    return _family_kept(lam, _sweep_counts({}, _clean, 0, max_tableaux))
+    engine that this call builds and holds for itself.  Those levels store
+    only masks, one per tableau, and a rearrangement is multiplicity-free
+    iff it is clean and no mask repeats across its entries.
+    ``max_tableaux`` caps the tableaux of each state those levels store
+    with masks and of each multiplicity-free rearrangement, so a
+    rearrangement that is not multiplicity-free may answer False where
+    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`."""
+    return _family_kept(lam, _sweep_counts({}, 0, max_tableaux))
 
 
 class Disagreement(NamedTuple):
@@ -347,10 +350,10 @@ def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
 # Each theorem's instances of degree n, the label key of an instance that is
 # a tuple (a skew shape is labelled by its outer and inner partitions), and
 # its check: ``(predicted, truth, witnesses)`` for a disagreement, else None.
-# A check reads its truth through ``kept``: the counts of a source off the
-# closure level of its degree, for a theorem in ``_CLOSURES``, or else off
-# the clean levels of ``verify``'s bottom-up sweep; None where they fail the
-# keep test.  The instances and the checks call the module's enumerators,
+# A check reads its truth through ``kept``: what the level's reader finds of
+# a source off the closure level of its degree, for a theorem in
+# ``_CLOSURES``, or else its masks off the clean levels of ``verify``'s
+# bottom-up sweep; None where the source fails.  The instances and the checks call the module's enumerators,
 # predicates and engine by name at call time, so that patching one of them
 # on this module, as a tracer does, reaches ``verify``.
 _THEOREMS = {
@@ -365,14 +368,15 @@ _THEOREMS = {
     "families": (lambda n: enumerate_partitions(n), "partition", _families_check),
 }
 # The closure levels the truth of a theorem is read off: the parents and the
-# moves of its states, and its keep test.  Families sweeps the clean levels
+# moves of its states, and the level's builder and reader, which say what it
+# stores (qsym's ``Build`` and ``Read``).  Families sweeps the clean levels
 # bottom-up instead, as a multiplicity-free theorem left out of this table
 # would: a family stops at its first rearrangement that fails.
 _CLOSURES = {
-    "schur": (_rotated_parents, _skew_moves, _clean),
-    "skew": (_skew_parents, _skew_moves, _clean),
-    "qs-components": (covers_up, _qs_moves, _narrow),
-    "two-part": (_two_part_parents, _qs_moves, _clean),
+    "schur": (_rotated_parents, _skew_moves, _clean_profile_of, _clean_root),
+    "skew": (_skew_parents, _skew_moves, _clean_profile_of, _clean_root),
+    "qs-components": (covers_up, _qs_moves, _narrow_profile_of, _narrow_root),
+    "two-part": (_two_part_parents, _qs_moves, _clean_profile_of, _clean_root),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -389,8 +393,7 @@ def verify(
     builds and holds for itself, and a disagreement is reported through the
     counting engine.  Either way ``max_tableaux`` caps tableaux, but the
     truth checks it only on the instances below ``max_n`` it keeps with a
-    profile and on an instance whose counts pass the keep test, in instance
-    order.  A theorem in ``_CLOSURES`` builds one closure level per degree;
+    profile and on an instance that passes, in instance order.  A theorem in ``_CLOSURES`` builds one closure level per degree;
     families sweeps bottom-up, holding levels n - 2 to n, and stores each
     instance below ``max_n`` in level n for the degree above (see the qsym
     docstring)."""
@@ -402,12 +405,12 @@ def verify(
     checked = 0
     disagreements = []
     levels: dict = {}  # the sweep's clean levels
-    level, kept = _EMPTY_LEVEL, _sweep_counts(levels, _clean, max_n, max_tableaux)
+    level, kept = _EMPTY_LEVEL, _sweep_counts(levels, max_n, max_tableaux)
     for n in range(1, max_n + 1):
         _evict(levels, n)
         if closure:
-            level = _closure_step(level, *closure)
-            kept = _closure_counts(level, closure[2], n < max_n, max_tableaux)
+            level = _closure_step(level, *closure[:3])
+            kept = _closure_counts(level, closure[3], n < max_n, max_tableaux)
         # Counted as they go, so no list of a degree's instances is held.
         for inst in instances_of(n):
             checked += 1

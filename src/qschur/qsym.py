@@ -28,39 +28,47 @@ a child holds every mask m of the child as m << 1 | d, where d depends only
 on the key of the child's entry, with at least the child's count.  So a
 dirty child, one with a mask of count 2 or more in one entry, makes a dirty
 parent; and since m -> m << 1 | d is injective, a wide child, one with 3 or
-more distinct masks, makes a wide parent.  So the states that pass a keep
-test, ``_clean`` or ``_narrow``, form an upward closure: those of size n + 1
-are parents of those of size n.  ``_closure_step`` builds them upward, a
-level at a time, through the inverse of a move set: ``ctableaux.covers_up``
-for compositions, and ``_skew_parents`` for skew shapes, which widens a row
-or inserts a one-cell row, in a new column or not.  ``verify`` reads skew,
-Schur, two-part and qs-components truth off these levels, holding two at a
-time: a root is multiplicity-free iff it is clean with no repeated mask,
-and has more than two masks iff it is not narrow.  It reads each partition
-rotated by 180 degrees, which has the same expansion and rotated partitions
-as its children and clean parents; ``schur_f`` keeps the straight shape,
-where 1 has a single place.  Likewise ``_two_part_parents`` keeps the
-parents with at most two parts, since the children of a composition with
-at most two parts have at most two parts too.
+more distinct masks, makes a wide parent.  So the clean states, and the
+narrow ones, form upward closures: those of size n + 1 are parents of those
+of size n.  ``_closure_step`` builds them upward, a level at a time,
+through the inverse of a move set: ``ctableaux.covers_up`` for
+compositions, and ``_skew_parents`` for skew shapes, which widens a row or
+inserts a one-cell row, in a new column or not.  Each level has a builder,
+which profiles a state off the level below, and a reader of a root.  Every
+count in a clean profile is 1, so a clean level stores each entry as just
+(key, masks): ``_clean_profile_of`` concatenates each child's masks,
+shifted, and gives None, a marker, at a marker child or at the first mask
+an entry repeats, with no dict and no counts; ``_clean_root`` reads a root
+as multiplicity-free iff no mask repeats across its entries.  A narrow
+level stores full profiles, through ``_narrow_profile_of``, since the
+qs-components truth reads their counts.  ``verify`` reads skew, Schur,
+two-part and qs-components truth off these levels, holding two at a time,
+and takes each level's builder and reader from its table of closures.  It
+reads each partition rotated by 180 degrees, which has the same expansion
+and rotated partitions as its children and clean parents; ``schur_f``
+keeps the straight shape, where 1 has a single place.  Likewise
+``_two_part_parents`` keeps the parents with at most two parts, since the
+children of a composition with at most two parts have at most two parts
+too.
 
 Families asks whether every rearrangement of a partition is clean with no
 repeated mask, and can stop at the first that is not, where a closure
 builds every clean composition of a size.  So it sweeps bottom-up instead,
-through pruned levels of ``_clean`` that the caller builds and holds:
-``_sweep_counts`` reads a root off them, one move at a time up to its first
-marker child, where a state with a marker child, or whose profile fails
-the test, is stored as None, a marker, with no profile.  A child missing
-from level n - 1, such as a rearrangement that an earlier family skipped,
-is built top-down by ``_level_below`` as in a public call, but in those
-levels.  ``verify`` keeps levels n - 2 to n and stores each root below its
+through clean levels that the caller builds and holds: ``_sweep_counts``
+reads a root off them by ``_clean_profile_of``, one move at a time up to
+its first marker child or repeated mask, and a state that is not clean is
+stored as None, a marker.  A child missing from level n - 1, such as a
+rearrangement that an earlier family skipped, is built top-down by
+``_level_below`` as in a public call, but in those levels and by the clean
+builder.  ``verify`` keeps levels n - 2 to n and stores each root below its
 last degree for the degree above; ``brute_family_fmf`` holds its levels for
-one call and stores no root.  Neither touches a module-level memo.  Either way
-the budget is checked, by ``_passing``, on a root below the last degree
-that passes the test, as a state stored with a profile, and on a root
-whose counts pass.  A closure level is built whole, unchecked, before
-``verify`` reads its roots, so that the first root over the budget in
-instance order is the one named; every state it is built from has met the
-budget.
+one call and stores no root.  Neither touches a module-level memo.  Either
+way the budget is checked, by ``_passing``, on a clean root below the last
+degree, as a state stored with a profile, and on a root that passes; a
+clean profile has one filling per mask.  A closure level is built whole,
+unchecked, before ``verify`` reads its roots, so that the first root over
+the budget in instance order is the one named; every state it is built
+from has met the budget.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -123,12 +131,17 @@ Moves = Callable[[State], Iterator[Move]]
 # One entry per move of a state: the key of the cell holding 1, the descent
 # masks (bit t set = descent at t + 1) of the fillings that put 1 there, and
 # how many fillings have each mask.  Composition states may repeat a key.
-Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
-Profile = tuple[Entry, ...]
-# A level of pruned states maps some of them to None, a marker; a keep test
-# says which profiles a pruned level stores.
+# An entry of a clean level has one filling per mask, so it is just
+# (key, masks); the clean code reads only those two fields, so the empty
+# level serves it too.
+Profile = tuple[tuple, ...]
+# A level of pruned states maps some of them to None, a marker.  Its
+# builder gives the profile a state stores off the level below, or None;
+# its reader gives a root's fillings and what the truth needs of the root,
+# None where the root fails.
 Level = dict[State, Optional[Profile]]
-Keep = Callable[[Profile], bool]
+Build = Callable[[Iterable[Move], Level], Optional[Profile]]
+Read = Callable[[Profile], tuple[int, object]]
 
 # Shared across calls and across both kinds of state: _PROFILES[m] maps the
 # states with m cells to their profiles.  See _evict for what a call keeps.
@@ -193,7 +206,7 @@ def _two_part_parents(alpha: Composition) -> Iterator[Composition]:
     return (p for p in covers_up(alpha) if len(p) <= 2)
 
 
-def _merged(entries: Sequence[Entry]) -> tuple:
+def _merged(entries: Sequence[tuple]) -> tuple:
     """Masks and counts of the sum of some profile entries."""
     _, masks, counts = entries[0]
     if len(entries) == 1:
@@ -229,14 +242,56 @@ def _profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
     return tuple(out)
 
 
-def _clean(profile: Profile) -> bool:
-    """True iff no entry of ``profile`` has two fillings with one mask."""
-    return all(sum(counts) == len(counts) for _, _, counts in profile)
+def _clean_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
+    """The profile of a state off a clean level, as a clean level stores
+    it: per move, the key and the masks of the child's entries, shifted by
+    one bit, those below the threshold first, in :func:`_profile_of`'s
+    order.  None, a marker, where a child is one or an entry repeats a
+    mask, which is where the full profile has a count above 1."""
+    out = []
+    for key, child, t in moves:
+        entries = below[child]
+        if entries is None:
+            return None
+        masks = [m << 1 for e in entries if e[0] < t for m in e[1]]
+        masks += [m << 1 | 1 for e in entries if e[0] >= t for m in e[1]]
+        if len(set(masks)) < len(masks):
+            return None
+        out.append((key, tuple(masks)))
+    return tuple(out)
 
 
-def _narrow(profile: Profile) -> bool:
-    """True iff the entries of ``profile`` hold at most two distinct masks."""
-    return len(set().union(*[masks for _, masks, _ in profile])) <= 2
+def _clean_root(prof: Profile) -> tuple[int, set[int] | None]:
+    """The fillings of a root with a clean profile, one per mask, and its
+    masks, or None where two entries share a mask."""
+    masks = [m for e in prof for m in e[1]]
+    found = set(masks)
+    return len(masks), found if len(found) == len(masks) else None
+
+
+def _narrow_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
+    """The full profile of a state, or None, a marker, where a child is one
+    or its entries hold more than two distinct masks."""
+    prof = _profile_of(moves, below)
+    wide = prof is None or len(set().union(*[ms for _, ms, _ in prof])) > 2
+    return None if wide else prof
+
+
+def _narrow_root(prof: Profile) -> tuple[int, dict[int, int]]:
+    """The fillings of a root with a narrow profile and its counts per mask,
+    which are at most two."""
+    by_mask = dict(zip(*_merged(prof)))
+    return sum(by_mask.values()), by_mask
+
+
+def _tableaux(prof: Profile) -> int:
+    """The fillings of a full profile."""
+    return sum(sum(counts) for _, _, counts in prof)
+
+
+def _mask_count(prof: Profile) -> int:
+    """The fillings of a clean profile, one per mask."""
+    return sum(len(masks) for _, masks in prof)
 
 
 def _evict(memo: dict[int, dict], n: int) -> None:
@@ -246,58 +301,46 @@ def _evict(memo: dict[int, dict], n: int) -> None:
             memo.pop(level, None)
 
 
-def _stored(
-    prof: Profile | None, keep: Keep | None, budget: int | None, source: TableauSource
-) -> Profile | None:
-    """None where ``prof`` fails ``keep``, else ``prof``, which meets the budget."""
-    if prof is None or keep is not None and not keep(prof):
-        return None
-    if budget is not None and sum(sum(counts) for _, _, counts in prof) > budget:
-        raise BudgetExceededError(_label(source), budget)
-    return prof
-
-
-def _closure_step(level: Level, parents: Callable, moves: Moves, keep: Keep) -> Level:
-    """The states one cell larger than those of ``level`` whose profiles
-    pass ``keep``, with those profiles, where ``level`` holds every state of
-    its size that passes: a state that passes has only children that do, so
-    it is a parent of one.  A child missing from ``level`` is a marker.  No
-    budget is checked here; see :func:`_closure_counts`."""
+def _closure_step(level: Level, parents: Callable, moves: Moves, build: Build) -> Level:
+    """The states one cell larger than those of ``level`` that ``build``
+    stores with a profile, with those profiles, where ``level`` holds every
+    state of its size that it stores: a state stored has only children that
+    are, so it is a parent of one.  A child missing from ``level`` is a
+    marker.  No budget is checked here; see :func:`_closure_counts`."""
     up: Level = dict.fromkeys(p for state in level for p in parents(state))
     for p in up:
         try:
-            up[p] = _stored(_profile_of(moves(p), level), keep, None, p)
+            up[p] = build(moves(p), level)
         except KeyError:  # a child missing from ``level``: p is a marker
             pass
     return {p: prof for p, prof in up.items() if prof is not None}
 
 
 def _passing(
-    prof: Profile, keep: Keep, budget: int | None, stored: bool, source: TableauSource
-) -> dict[int, int] | None:
-    """The counts per mask of a root with profile ``prof``, or None where
-    they, read as one entry, fail ``keep``.  The budget is checked as a
-    ``verify`` sweep checks it: on counts that pass, and on a root it
-    ``stored``, which the level above is built from."""
-    by_mask = dict(zip(*_merged(prof)))
-    passes = keep(((0, by_mask.keys(), by_mask.values()),))
-    if budget is not None and (passes or stored) and sum(by_mask.values()) > budget:
+    prof: Profile, read: Read, budget: int | None, stored: bool, source: TableauSource
+) -> object:
+    """What ``read`` finds of a root with profile ``prof``, None where the
+    root fails.  The budget is checked as a ``verify`` sweep checks it: on
+    a root that passes, and on a root it ``stored``, which the level above
+    is built from."""
+    tableaux, found = read(prof)
+    if budget is not None and (found is not None or stored) and tableaux > budget:
         raise BudgetExceededError(_label(source), budget)
-    return by_mask if passes else None
+    return found
 
 
 def _closure_counts(
-    level: Level, keep: Keep, stored: bool, budget: int | None
-) -> Callable[[TableauSource], Optional[dict[int, int]]]:
-    """The reader of a source's counts per mask off a level of
-    :func:`_closure_step`: None where the source is not in the level or its
-    counts fail ``keep``.  The budget is checked by :func:`_passing`, where
-    ``stored`` says whether the level above is built from this one."""
+    level: Level, read: Read, stored: bool, budget: int | None
+) -> Callable[[TableauSource], object]:
+    """The reader of a source off a level of :func:`_closure_step`: what
+    ``read`` finds of it, None where the source is not in the level or
+    fails.  The budget is checked by :func:`_passing`, where ``stored`` says
+    whether the level above is built from this one."""
 
-    def counts(source: TableauSource) -> dict[int, int] | None:
+    def counts(source: TableauSource) -> object:
         state = source.row_intervals() if isinstance(source, SkewShape) else source
         prof = level.get(state)
-        return None if prof is None else _passing(prof, keep, budget, stored, source)
+        return None if prof is None else _passing(prof, read, budget, stored, source)
 
     return counts
 
@@ -309,16 +352,17 @@ def _level_below(
     max_tableaux: int | None,
     source: TableauSource,
     memo: dict[int, Level],
-    keep: Keep | None = None,
+    build: Build,
+    tableaux: Callable[[Profile], int],
 ) -> tuple[list[Move], Level]:
     """The moves of ``state``, which has ``n`` >= 1 cells, and the level of
     ``memo`` holding its children, after building the states it still lacks
-    below it: they are found top-down, level by level, then stored bottom-up
-    by :func:`_stored`, with a ``keep`` test if one is given.  With a
-    budget, a level with more missing states than the budget aborts the
-    call, and so does a state stored with a profile of more fillings than
-    it: every filling of a state left after removing cells extends to one of
-    ``state``.  The error names ``source``.
+    below it: they are found top-down, level by level, then profiled
+    bottom-up by ``build`` and stored.  With a budget, a level with more
+    missing states than the budget aborts the call, and so does a state
+    stored with a profile of more fillings, as ``tableaux`` counts them,
+    than it: every filling of a state left after removing cells extends to
+    one of ``state``.  The error names ``source``.
     """
     # Hold each level here, so that another thread's eviction cannot pull
     # one from under this call.
@@ -343,7 +387,10 @@ def _level_below(
     for depth in range(len(missing) - 1, -1, -1):
         level, below = levels[n - 1 - depth], levels[n - 2 - depth]
         for s, ms in missing[depth]:
-            level[s] = _stored(_profile_of(ms, below), keep, max_tableaux, source)
+            prof = level[s] = build(ms, below)
+            if prof is not None and max_tableaux is not None:
+                if tableaux(prof) > max_tableaux:
+                    raise BudgetExceededError(_label(source), max_tableaux)
     return root_moves, levels[n - 1]
 
 
@@ -376,7 +423,7 @@ def _counts(
         _evict(_PROFILES, n)
         try:
             root_moves, below = _level_below(
-                state, n, moves, max_tableaux, source, _PROFILES
+                state, n, moves, max_tableaux, source, _PROFILES, _profile_of, _tableaux
             )
         finally:
             _evict(_PROFILES, n)
@@ -392,30 +439,33 @@ def _counts(
 
 
 def _sweep_counts(
-    levels: dict[int, Level], keep: Keep, last: int, budget: int | None
-) -> Callable[[TableauSource], Optional[dict[int, int]]]:
-    """The reader of a source's counts per mask off ``levels``, the pruned
-    levels of ``keep``: None where they fail it.  A root is profiled off
-    level n - 1, one move at a time up to its first marker child; a missing
-    child is built by :func:`_level_below`, in ``levels``.  A root of degree
-    n below ``last`` is stored in level n, as a marker where it fails
-    ``keep``; it then meets the budget if it passes, as do counts that pass.
+    levels: dict[int, Level], last: int, budget: int | None
+) -> Callable[[TableauSource], Optional[set[int]]]:
+    """The reader of a source's masks off ``levels``, the clean levels of a
+    bottom-up sweep: None where the source is not multiplicity-free.  A root
+    is profiled off level n - 1 by :func:`_clean_profile_of`, up to its
+    first marker child or repeated mask; a missing child is built by
+    :func:`_level_below`, in ``levels``.  A root of degree n below ``last``
+    is stored in level n, as a marker where it is not clean; it then meets
+    the budget, as does a root that is multiplicity-free.
     """
 
-    def counts(source: TableauSource) -> dict[int, int] | None:
+    def counts(source: TableauSource) -> set[int] | None:
         state, n, moves = _root(source)
         if not n:
-            return _passing(_EMPTY_LEVEL[()], keep, budget, False, source)
+            return _passing(_EMPTY_LEVEL[()], _clean_root, budget, False, source)
         try:
-            prof = _profile_of(moves(state), levels[n - 1])
+            prof = _clean_profile_of(moves(state), levels[n - 1])
         except KeyError:  # a child, or level n - 1 itself, is missing
             root_moves, below = _level_below(
-                state, n, moves, budget, source, levels, keep
+                state, n, moves, budget, source, levels, _clean_profile_of, _mask_count
             )
-            prof = _profile_of(root_moves, below)
+            prof = _clean_profile_of(root_moves, below)
         if n < last:
-            prof = levels.setdefault(n, {})[state] = _stored(prof, keep, None, source)
-        return None if prof is None else _passing(prof, keep, budget, n < last, source)
+            levels.setdefault(n, {})[state] = prof
+        if prof is None:
+            return None
+        return _passing(prof, _clean_root, budget, n < last, source)
 
     return counts
 

@@ -168,16 +168,6 @@ def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
     )
 
 
-def _order_key(shape: SkewShape) -> bytes:
-    """A key that sorts shapes as (outer, inner): the ends, a 0 that puts a
-    shorter outer first, then the starts, whose order given the outer is that
-    of the inner.  Bytes keep the keys small while they are sorted.  A part
-    of a shape of n cells is at most n, so every n up to 255 fits, far past
-    any n whose shapes fit in memory."""
-    ivs = shape.row_intervals()
-    return bytes([b for _, b in ivs] + [0] + [a for a, _ in ivs])
-
-
 def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     """All basic-form skew shapes with ``n`` cells, ordered by (outer, inner).
 
@@ -187,31 +177,32 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     columns 1..b_i, so b_i is at most the cells left for them; a last row
     then holds all the cells left, so it starts at 0.
 
-    The end b_1 of the first row is the first byte of the sort key, so the
-    shapes are built, sorted and yielded one b_1 at a time, b_1 = 1, ..., n;
-    only the shapes of one b_1 are held at once.
+    The shapes are sorted as (ends, starts) pairs of their row ends and
+    starts: the ends are the outer, and given the outer the starts are the
+    inner padded with 0s, so tuple order on the pairs is (outer, inner).
+    The end b_1 of the first row leads, so the pairs are built, sorted and
+    yielded one b_1 at a time, b_1 = 1, ..., n; only the pairs of one b_1
+    are held at once, and a shape's rows are built as it is yielded.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield SkewShape()
         return
-    found: list[SkewShape] = []
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def rec(acc: list[tuple[int, int]], remaining: int) -> None:
+    def rec(ends: tuple[int, ...], starts: tuple[int, ...], remaining: int) -> None:
         if remaining == 0:
-            found.append(_from_intervals(tuple(acc)))
+            found.append((ends, starts))
             return
-        prev_a, prev_b = acc[-1]
-        for b in range(max(1, prev_a), min(prev_b, remaining) + 1):
-            for a in range(min(b - 1, prev_a) + 1):
-                acc.append((a, b))
-                rec(acc, remaining - (b - a))
-                acc.pop()
+        for b in range(max(1, starts[-1]), min(ends[-1], remaining) + 1):
+            for a in range(min(b - 1, starts[-1]) + 1):
+                rec(ends + (b,), starts + (a,), remaining - (b - a))
 
     for first in range(1, n + 1):
         for a in range(first):
-            rec([(a, first)], n - first + a)
-        found.sort(key=_order_key)
-        yield from found
+            rec((first,), (a,), n - first + a)
+        found.sort()
+        for ends, starts in found:
+            yield _from_intervals(tuple(zip(starts, ends)))
         found.clear()

@@ -29,7 +29,7 @@ from qschur import (
 )
 from qschur.classify import _row_below_left_of_column
 from qschur.errors import capped
-from qschur.shapes import _from_intervals, _order_key
+from qschur.shapes import _from_intervals
 
 
 def hook_length_count(lam: tuple[int, ...]) -> int:
@@ -122,7 +122,7 @@ def skew_shapes_by_sort(n: int) -> list[SkewShape]:
                 acc.pop()
 
     rec([], n)
-    found.sort(key=_order_key)
+    found.sort(key=lambda s: (s.outer, s.inner))
     return found
 
 

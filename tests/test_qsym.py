@@ -318,16 +318,17 @@ def test_tally_matches_counts_and_enumeration():
         tableaux, masks = expected
         # Cold, the children of the root are built; warm, they are found,
         # in the shared memo or in the levels of a sweep.  The pruned truth
-        # is None where its keep test fails, and the counts otherwise.
+        # is None where the source is not multiplicity-free, and its masks,
+        # one tableau each, otherwise.
         _clear_memos()
-        pruned = q._sweep_counts({}, q._clean, 0, None)
+        pruned = q._sweep_counts({}, 0, None)
         for _ in range(2):
             n, by_mask = q._counts(source, None)
             assert (sum(by_mask.values()), len(by_mask)) == expected
-            by_mask = pruned(source)
-            assert (by_mask is not None) == (tableaux == masks)
-            if by_mask is not None:
-                assert (sum(by_mask.values()), len(by_mask)) == expected
+            found = pruned(source)
+            assert (found is not None) == (tableaux == masks)
+            if found is not None:
+                assert found == set(by_mask) and len(found) == tableaux
         # ``check`` reads the counts: one component per descent set.
         if n:
             code, output = _check(source)
@@ -364,7 +365,7 @@ def test_pruned_budget_caps_stored_tableaux():
     q = qschur.qsym
 
     def counts(source, budget, levels):
-        return q._sweep_counts(levels, q._clean, 0, budget)(source)
+        return q._sweep_counts(levels, 0, budget)(source)
 
     # Multiplicity-free roots, so the clean levels keep every state below
     # them with its profile, and the root meets the budget.
@@ -388,6 +389,28 @@ def test_pruned_budget_caps_stored_tableaux():
     assert counts((10, 20), 1000, {}) is None
 
 
+def _clean_entries(prof):
+    """The entries a clean level stores for a full profile, (key, masks),
+    or None, a marker, where a count is not 1."""
+    if any(c != 1 for _, _, counts in prof for c in counts):
+        return None
+    return tuple((key, masks) for key, masks, _ in prof)
+
+
+def _narrow_entries(prof):
+    """A full profile, as a narrow level stores it, or None, a marker, where
+    its entries hold more than two distinct masks."""
+    return prof if len(set().union(*[ms for _, ms, _ in prof])) <= 2 else None
+
+
+# By the name of a level's kind: what it stores for a full profile, its
+# builder and its reader of a root.
+KINDS = {
+    "_clean": (_clean_entries, "_clean_profile_of", "_clean_root"),
+    "_narrow": (_narrow_entries, "_narrow_profile_of", "_narrow_root"),
+}
+
+
 @pytest.mark.parametrize(
     "keep, sources_of, moves, max_n",
     [
@@ -400,14 +423,14 @@ def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
     # by one bit and kept apart by bit 0, with counts at least the child's:
     # so a dirty child (a mask with two fillings in one entry) makes a
     # dirty parent, and a wide child (three masks) a wide parent.  The
-    # pruned levels hold a marker exactly where the full profile fails the
-    # keep test, and the full profile elsewhere.  The sweep stores each
-    # root below max_n, as a ``verify`` sweep does.
+    # pruned levels hold a marker exactly where the full profile is dirty,
+    # and elsewhere its keys and masks, whose counts are all 1.  The sweep
+    # stores each root below max_n, as a ``verify`` sweep does.
     q = qschur.qsym
-    keep, moves = getattr(q, keep), getattr(q, moves)
+    stored, moves = KINDS[keep][0], getattr(q, moves)
     _clear_memos()
     pruned: dict = {}
-    read = q._sweep_counts(pruned, keep, max_n, None)
+    read = q._sweep_counts(pruned, max_n, None)
     kept = failed = compared = 0
     for n in range(1, max_n + 1):
         for source in sources_of(n):
@@ -420,12 +443,12 @@ def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
             # A root is read up to its first marker child, so a pruned level
             # may lack a child that no root read.
             if parent in pruned[n - 1]:
-                assert pruned[n - 1][parent] == (prof if keep(prof) else None)
+                assert pruned[n - 1][parent] == stored(prof)
                 compared += 1
-            kept += keep(prof)
+            kept += stored(prof) is not None
             for _, child, _ in moves(parent):
-                if not keep(full[n - 2][child]):
-                    assert not keep(prof)
+                if stored(full[n - 2][child]) is None:
+                    assert stored(prof) is None
                     failed += 1
     assert kept and failed and compared
 
@@ -476,36 +499,102 @@ def _two_part_compositions(n):
 )
 def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, full_to):
     # Level n of a closure holds exactly the states of size n whose full
-    # profile passes the keep test, with that profile: a child that fails
-    # the test makes a parent that fails it, so a missing child is a marker.
-    # Past ``full_to``, only states whose children all pass are profiled:
-    # the 26,025 full profiles of skew shapes of size 10 take over 1 GB.
+    # profile passes the level's test, with what it stores of that profile:
+    # for a clean level, the keys and masks, whose counts are all 1.  A
+    # child that fails the test makes a parent that fails it, so a missing
+    # child is a marker.  Past ``full_to``, only states whose children all
+    # pass are profiled: the 26,025 full profiles of skew shapes of size 10
+    # take over 1 GB.
     q = qschur.qsym
-    moves, keep = getattr(q, moves), getattr(q, keep)
+    stored, build, read = KINDS[keep]
+    moves, build, read = getattr(q, moves), getattr(q, build), getattr(q, read)
+
+    def passes(prof):
+        return stored(prof) is not None
+
     level = below = q._EMPTY_LEVEL
     sizes = []
     for n in range(1, 11):
-        level = q._closure_step(level, parents, moves, keep)
+        level = q._closure_step(level, parents, moves, build)
         states = [s.row_intervals() if isinstance(s, SkewShape) else s for s in states_of(n)]
         full = {
             s: q._profile_of(moves(s), below)
             for s in states
-            if n <= full_to or all(keep(below[child]) for _, child, _ in moves(s))
+            if n <= full_to or all(passes(below[child]) for _, child, _ in moves(s))
         }
-        assert level == {s: prof for s, prof in full.items() if keep(prof)}
+        assert level == {s: stored(prof) for s, prof in full.items() if passes(prof)}
         for s, prof in full.items():
-            if any(not keep(below[child]) for _, child, _ in moves(s)):
-                assert not keep(prof)
+            if any(not passes(below[child]) for _, child, _ in moves(s)):
+                assert not passes(prof)
         below = full
         if parents is q._two_part_parents:
             # The closure never leaves the compositions of at most two parts.
             assert all(len(p) <= 2 for s in states for p in parents(s))
-        # The states whose counts pass too: the multiplicity-free clean ones.
-        passing = list(filter(q._closure_counts(level, keep, False, None), level))
+        # The states the reader passes too: for a clean level, the
+        # multiplicity-free ones.
+        passing = list(filter(q._closure_counts(level, read, False, None), level))
         sizes.append((len(level), len(passing)))
     if parents is q._skew_parents:
         clean = [1, 3, 9, 19, 24, 31, 34, 38, 40, 44]
         assert sizes == list(zip(clean, [1, 3, 8, 13, 20, 26, 28, 34, 36, 40]))
+
+
+@pytest.mark.parametrize(
+    "moves, states_of, max_n",
+    [
+        ("_qs_moves", enumerate_compositions, 10),
+        ("_skew_moves", enumerate_skew_shapes, 8),
+        ("_skew_moves", _rotated_partitions, 12),
+        ("_qs_moves", _two_part_compositions, 14),
+    ],
+)
+def test_clean_builder_matches_the_full_engine(moves, states_of, max_n):
+    # Each size is built twice off the one below: in full by _profile_of,
+    # and clean by _clean_profile_of off the clean level, which holds every
+    # state of its size, None for a marker.  Where the full profile is
+    # clean, the clean profile has its keys and masks in its order, and
+    # every full count is 1; it is None exactly where a child is a marker
+    # or an entry repeats a mask.
+    q = qschur.qsym
+    moves = getattr(q, moves)
+    full_below = clean_below = q._EMPTY_LEVEL
+    markers = 0
+    for n in range(1, max_n + 1):
+        full, clean = {}, {}
+        for source in states_of(n):
+            s = source.row_intervals() if isinstance(source, SkewShape) else source
+            prof = full[s] = q._profile_of(moves(s), full_below)
+            got = clean[s] = q._clean_profile_of(moves(s), clean_below)
+            marked = any(clean_below[child] is None for _, child, _ in moves(s))
+            repeated = any(c > 1 for _, _, counts in prof for c in counts)
+            assert (got is None) == (marked or repeated), s
+            if got is not None:
+                assert got == tuple((key, masks) for key, masks, _ in prof)
+                assert all(c == 1 for _, _, counts in prof for c in counts)
+            markers += got is None
+        full_below, clean_below = full, clean
+    assert markers
+
+
+def test_clean_builder_on_the_smallest_states():
+    q = qschur.qsym
+    # One cell: 1 is never a descent, so the one filling has mask 0.
+    assert q._clean_profile_of(q._qs_moves((1,)), q._EMPTY_LEVEL) == ((1, (0,)),)
+    one_cell = q._clean_profile_of(q._skew_moves(((0, 1),)), q._EMPTY_LEVEL)
+    assert one_cell == ((0, (0,)),)
+    assert q._clean_root(one_cell) == (1, {0})
+    # The empty partition has one rearrangement, with one filling.
+    assert brute_family_fmf(())
+    assert brute_family_fmf((), 1)
+    # Three cells apart have the descent sets {1} and {2} twice each, in
+    # different entries: a root that is clean but not multiplicity-free.
+    level = q._EMPTY_LEVEL
+    for n in (1, 2, 3):
+        states = [shape.row_intervals() for shape in enumerate_skew_shapes(n)]
+        level = {s: q._clean_profile_of(q._skew_moves(s), level) for s in states}
+    apart = level[((2, 3), (1, 2), (0, 1))]
+    assert apart == ((0, (3, 1)), (1, (2, 1)), (2, (2, 0)))
+    assert q._clean_root(apart) == (6, None)
 
 
 def test_qs_f_matches_tableau_tally():
