@@ -353,9 +353,10 @@ def _families_check(lam: Partition, budget: int | None, kept) -> tuple | None:
 # A check reads its truth through ``kept``: what the level's reader finds of
 # a source off the closure level of its degree, for a theorem in
 # ``_CLOSURES``, or else its masks off the clean levels of ``verify``'s
-# bottom-up sweep; None where the source fails.  The instances and the checks call the module's enumerators,
-# predicates and engine by name at call time, so that patching one of them
-# on this module, as a tracer does, reaches ``verify``.
+# bottom-up sweep; None where the source fails.  The instances and the
+# checks call the module's enumerators, predicates and engine by name at
+# call time, so that patching one of them on this module, as a tracer does,
+# reaches ``verify``.
 _THEOREMS = {
     "schur": (lambda n: enumerate_partitions(n), "partition", _schur_check),
     "skew": (lambda n: enumerate_skew_shapes(n), None, _skew_check),
@@ -393,10 +394,10 @@ def verify(
     builds and holds for itself, and a disagreement is reported through the
     counting engine.  Either way ``max_tableaux`` caps tableaux, but the
     truth checks it only on the instances below ``max_n`` it keeps with a
-    profile and on an instance that passes, in instance order.  A theorem in ``_CLOSURES`` builds one closure level per degree;
-    families sweeps bottom-up, holding levels n - 2 to n, and stores each
-    instance below ``max_n`` in level n for the degree above (see the qsym
-    docstring)."""
+    profile and on an instance that passes, in instance order.  A theorem
+    in ``_CLOSURES`` builds one closure level per degree; families sweeps
+    bottom-up, holding levels n - 2 to n, and stores each instance below
+    ``max_n`` in level n for the degree above (see the qsym docstring)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if theorem not in _THEOREMS:
