@@ -12,6 +12,7 @@ from typing import NamedTuple, Union
 from .compositions import (
     Composition,
     Partition,
+    _check_partition,
     _descent_mask,
     enumerate_compositions,
     enumerate_partitions,
@@ -23,7 +24,7 @@ from .qsym import _closure_step, _counts, _evict, _f_expansion, _narrow_profile_
 from .qsym import _narrow_root, _qs_moves, _rotated_parents, _skew_moves
 from .qsym import _skew_parents, _sweep_counts, _two_part_parents
 from .qsym import multiplicity_witnesses
-from .shapes import SkewShape, _check_partition, enumerate_skew_shapes
+from .shapes import SkewShape, _from_intervals, enumerate_skew_shapes
 
 DEFAULT_MAX_TABLEAUX = 10_000_000
 
@@ -304,10 +305,16 @@ def _fmf_check(
 
 
 def _schur_check(lam: Partition, budget: int | None, kept) -> tuple | None:
-    # The rotation has the same expansion; see the qsym docstring.
-    shape = SkewShape(lam)
-    truth = kept(shape.rotate180()) is not None
-    return _fmf_check(predict_schur(lam), truth, shape, budget)
+    # The rotation has the same expansion; see the qsym docstring.  Its rows
+    # are (lam_1 - lam_i, lam_1], bottom row of lam first.  The shape of lam
+    # itself is built only for a disagreement's witnesses.
+    top = lam[0]
+    rotated = _from_intervals(tuple((top - part, top) for part in reversed(lam)))
+    truth = kept(rotated) is not None
+    predicted = predict_schur(lam)
+    if predicted == truth:
+        return None
+    return _fmf_check(predicted, truth, SkewShape(lam), budget)
 
 
 def _skew_check(shape: SkewShape, budget: int | None, kept) -> tuple | None:

@@ -151,8 +151,18 @@ def rearrangements(lam: Partition) -> list[Composition]:
         out.append(tuple(a))
 
 
+def _check_partition(parts: tuple[int, ...], what: str) -> None:
+    if any(p < 1 for p in parts):
+        raise ValueError(f"{what} has a part < 1: {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"{what} is not weakly decreasing: {parts}")
+
+
 def conjugate(lam: Partition) -> Partition:
-    """Column lengths of the diagram of ``lam``."""
+    """Column lengths of the diagram of ``lam``.  A part below 1 or an
+    increasing pair of parts raises :class:`ValueError`."""
+    lam = tuple(lam)
+    _check_partition(lam, "partition")
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))

@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .compositions import Partition
+from .compositions import Partition, _check_partition
 
 Intervals = tuple[tuple[int, int], ...]
-
-
-def _check_partition(parts: tuple[int, ...], what: str) -> None:
-    if any(p < 1 for p in parts):
-        raise ValueError(f"{what} has a part < 1: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"{what} is not weakly decreasing: {parts}")
 
 
 def _basic(ivs: list[tuple[int, int]]) -> Intervals:
@@ -175,34 +168,43 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     no empty column between consecutive rows (a_i <= b_{i+1}) and column 1
     occupied by the last row (a_r = 0).  The rows from row i down cover
     columns 1..b_i, so b_i is at most the cells left for them; a last row
-    then holds all the cells left, so it starts at 0.
+    then holds all the cells left, so it starts at 0, and it is added to
+    the shapes found without another call.
 
-    The shapes are sorted as (ends, starts) pairs of their row ends and
-    starts: the ends are the outer, and given the outer the starts are the
-    inner padded with 0s, so tuple order on the pairs is (outer, inner).
-    The end b_1 of the first row leads, so the pairs are built, sorted and
-    yielded one b_1 at a time, b_1 = 1, ..., n; only the pairs of one b_1
-    are held at once, and a shape's rows are built as it is yielded.
+    The shapes are sorted as (ends, rows) pairs: the ends are the outer,
+    and where the ends are equal, so is every b, so the rows compare as
+    their starts, which are the inner padded with 0s.  So tuple order on
+    the pairs is (outer, inner).  The end b_1 of the first row leads, so
+    the pairs are built, sorted and yielded one b_1 at a time, b_1 = 1,
+    ..., n; only the pairs of one b_1 are held at once.  Each row is a
+    shared ``(a, b)`` tuple from a table built once per call, and a shape
+    is yielded on the tuple of rows the recursion built, so no ``(a, b)``
+    is built per shape.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield SkewShape()
         return
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    ending = [[(a, b) for a in range(b)] for b in range(n + 1)]  # (a, b] at [b][a]
+    found: list[tuple[tuple[int, ...], Intervals]] = []
 
-    def rec(ends: tuple[int, ...], starts: tuple[int, ...], remaining: int) -> None:
-        if remaining == 0:
-            found.append((ends, starts))
-            return
-        for b in range(max(1, starts[-1]), min(ends[-1], remaining) + 1):
-            for a in range(min(b - 1, starts[-1]) + 1):
-                rec(ends + (b,), starts + (a,), remaining - (b - a))
+    def rec(ends: tuple[int, ...], rows: Intervals, remaining: int) -> None:
+        start = rows[-1][0]
+        for b in range(max(1, start), min(ends[-1], remaining) + 1):
+            pairs, new_ends = ending[b], ends + (b,)
+            if b == remaining:  # (0, b] is a last row
+                found.append((new_ends, rows + (pairs[0],)))
+            for a in range(b == remaining, min(b - 1, start) + 1):
+                rec(new_ends, rows + (pairs[a],), remaining - (b - a))
 
     for first in range(1, n + 1):
-        for a in range(first):
-            rec((first,), (a,), n - first + a)
+        pairs = ending[first]
+        if first == n:
+            found.append(((n,), (pairs[0],)))
+        for a in range(first == n, first):
+            rec((first,), (pairs[a],), n - first + a)
         found.sort()
-        for ends, starts in found:
-            yield _from_intervals(tuple(zip(starts, ends)))
+        for _, rows in found:
+            yield _from_intervals(rows)
         found.clear()

@@ -550,6 +550,24 @@ def test_verify_schur_builds_each_partition_once(monkeypatch):
     assert {_size(s) for s in built} == set(range(1, 14))
 
 
+def test_verify_schur_builds_no_validated_shapes(monkeypatch):
+    # The Schur check reads the rotated partition off lam; the validated
+    # shape of lam is built for a disagreement's witnesses only.
+    built = []
+    init = SkewShape.__init__
+
+    def watched(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SkewShape, "__init__", watched)
+    assert verify("schur", 13).verified
+    assert built == []
+    _flip(monkeypatch, "predict_schur", {(3, 2, 1): True})
+    assert not verify("schur", 6).verified
+    assert built == [((3, 2, 1),)]
+
+
 @pytest.mark.parametrize(
     "theorem, max_n, states_below",
     [

@@ -86,6 +86,10 @@ def test_conjugate():
     assert conjugate((5,)) == (1, 1, 1, 1, 1)
     assert conjugate((2, 2)) == (2, 2)
     assert conjugate(()) == ()
+    # An increasing pair of parts, and a part below 1, are no partition.
+    for bad in [(1, 2), (0,)]:
+        with pytest.raises(ValueError):
+            conjugate(bad)
 
 
 def test_enumeration_counts_and_order():

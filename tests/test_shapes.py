@@ -161,6 +161,16 @@ def test_enumerate_skew_shapes_streams_the_sorted_degree():
     assert 2 * peak < held
 
 
+def test_enumerate_skew_shapes_shares_rows():
+    # Within a degree, equal row intervals are one object, so the shapes
+    # held at once share their rows.
+    for n in range(0, 10):
+        first = {}
+        for s in enumerate_skew_shapes(n):
+            for row in s.row_intervals():
+                assert first.setdefault(row, row) is row, (n, s, row)
+
+
 def test_enumeration_is_deduplicated_and_sorted():
     for n in range(0, 9):
         shapes_n = list(enumerate_skew_shapes(n))
