@@ -21,7 +21,7 @@ from .compositions import (
 from .ctableaux import covers_up
 from .qsym import _EMPTY_LEVEL, _clean_profile_of, _clean_root, _closure_counts
 from .qsym import _closure_step, _counts, _evict, _f_expansion, _narrow_profile_of
-from .qsym import _narrow_root, _qs_moves, _rotated_parents, _skew_moves
+from .qsym import _narrow_root, _qs_moves, _rotated_parents, _rotated_rows, _skew_moves
 from .qsym import _skew_parents, _sweep_counts, _two_part_parents
 from .qsym import multiplicity_witnesses
 from .shapes import SkewShape, _from_intervals, enumerate_skew_shapes
@@ -208,7 +208,10 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     ``max_tableaux`` caps the tableaux of each state those levels store
     with masks and of each multiplicity-free rearrangement, so a
     rearrangement that is not multiplicity-free may answer False where
-    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`."""
+    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`.  A part
+    below 1 or an increasing pair of parts raises :class:`ValueError`."""
+    lam = tuple(lam)
+    _check_partition(lam, "partition")
     return _family_kept(lam, _sweep_counts({}, 0, max_tableaux))
 
 
@@ -305,12 +308,9 @@ def _fmf_check(
 
 
 def _schur_check(lam: Partition, budget: int | None, kept) -> tuple | None:
-    # The rotation has the same expansion; see the qsym docstring.  Its rows
-    # are (lam_1 - lam_i, lam_1], bottom row of lam first.  The shape of lam
-    # itself is built only for a disagreement's witnesses.
-    top = lam[0]
-    rotated = _from_intervals(tuple((top - part, top) for part in reversed(lam)))
-    truth = kept(rotated) is not None
+    # The rotation has the same expansion; see the qsym docstring.  The
+    # shape of lam itself is built only for a disagreement's witnesses.
+    truth = kept(_from_intervals(_rotated_rows(lam))) is not None
     predicted = predict_schur(lam)
     if predicted == truth:
         return None

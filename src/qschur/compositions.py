@@ -98,7 +98,10 @@ def _descent_set_of_mask(n: int, mask: int) -> DescentSet:
 
 
 def descent_set_of(alpha: Composition) -> DescentSet:
-    """Partial sums of all but the last part, as a subset of [n-1]."""
+    """Partial sums of all but the last part, as a subset of [n-1].  A part
+    below 1 raises :class:`ValueError`."""
+    alpha = tuple(alpha)
+    _check_composition(alpha)
     return _descent_set_of_mask(sum(alpha), _descent_mask(alpha))
 
 
@@ -113,7 +116,10 @@ def reverse(alpha: Composition) -> Composition:
 
 
 def complement(alpha: Composition) -> Composition:
-    """Composition whose descent set is the complement of ``alpha``'s."""
+    """Composition whose descent set is the complement of ``alpha``'s.  A
+    part below 1 raises :class:`ValueError`."""
+    alpha = tuple(alpha)
+    _check_composition(alpha)
     if not alpha:
         # Degree 0 has no descent positions, and no top bit to carry.
         return ()
@@ -149,6 +155,11 @@ def rearrangements(lam: Partition) -> list[Composition]:
         a[j], a[k] = a[k], a[j]
         a[j + 1 :] = a[: j : -1]
         out.append(tuple(a))
+
+
+def _check_composition(parts: tuple[int, ...]) -> None:
+    if any(p < 1 for p in parts):
+        raise ValueError(f"not a composition: {parts}")
 
 
 def _check_partition(parts: tuple[int, ...], what: str) -> None:

@@ -12,15 +12,34 @@ Three generators feed everything else, and none lists tableaux:
 All three run one engine, Stanley's transfer-matrix method (EC1 section
 4.7): the descent profile of a state is built from the profiles of the
 states left after removing the cell holding 1.  The engine takes a set of
-moves, one for compositions and one for skew shapes, and keeps one memo for
-both, ``_PROFILES``, shared by every public call and split by size.  A skew
-shape's state is the tuple of basic-form row intervals the shape stores, so
-a root enters the engine as it is, and removing a cell leaves a state in
-the same canonical form.  A public call never stores its root, the state
-asked about: ``_counts`` sums the entries of its children in level n - 1
-into a count per descent bitmask, and keeps only levels n - 2 and n - 1.
-Nothing is ever removed from a level, only whole levels from the memo, so a
-state that another thread's call found in the memo stays there for it.
+moves, one for compositions and one for skew shapes.  A skew shape's state
+is the tuple of basic-form row intervals the shape stores, and removing a
+cell leaves a state in the same canonical form.  A public call never stores
+its root, the state asked about: ``_counts`` sums the entries of its
+children in level n - 1 into a count per descent bitmask.
+
+Where those levels live depends on the root.  Rotating a shape by 180
+degrees leaves its expansion unchanged (EC2 ch. 7), and removing the cell
+holding 1 from a rotated partition leaves a rotated partition.  So
+``_counts`` reads a straight shape as its rotation, rows
+(lam_1 - lam_i, lam_1], bottom row first (``_rotated_rows``), and every
+state below it is one of the p(k) partitions of k cells, which every
+partition shares.  ``_PARTITIONS`` keeps those levels across calls, up to
+``_KEPT_CELLS`` = 10 cells; a call builds the levels above in a dict of its
+own.  The cap is set by the input, not by the number of calls: every
+partition of at most 10 cells holds 10,089 masks between them, under
+0.4 MB, where 11 cells would hold 31,271 and each cell after that about
+three times more.  A kept level only grows, so nothing is evicted, and a
+state that another thread's call found there stays there for it.
+
+Skew shapes and compositions share no such small family (the skew shapes
+of 10 cells once held 1.39 GB), so their levels live in ``_PROFILES``,
+split by size, and a call on a root of size n keeps only levels n - 2 and
+n - 1 (``_evict``).  A stream of calls whose sizes jump around thus
+rebuilds most of each downset.  Nothing is removed from a level there
+either, only whole levels from the memo, and a call holds its own
+references to the levels it reads, so another thread's eviction cannot
+pull one away.
 
 ``classify.verify`` asks less of a root: whether some mask has two
 tableaux, or whether it has one, two or more masks.  A parent's entry for
@@ -44,9 +63,8 @@ level stores full profiles, through ``_narrow_profile_of``, since the
 qs-components truth reads their counts.  ``verify`` reads skew, Schur,
 two-part and qs-components truth off these levels, holding two at a time,
 and takes each level's builder and reader from its table of closures.  It
-reads each partition rotated by 180 degrees, which has the same expansion
-and rotated partitions as its children and clean parents; ``schur_f``
-keeps the straight shape, where 1 has a single place.  Likewise
+reads each partition rotated by 180 degrees, as ``_counts`` does, since
+its children and clean parents are then rotated partitions.  Likewise
 ``_two_part_parents`` keeps the parents with at most two parts, since the
 children of a composition with at most two parts have at most two parts
 too.
@@ -93,6 +111,8 @@ from .compositions import (
     Composition,
     DescentSet,
     Partition,
+    _check_composition,
+    _check_partition,
     _composition_of_mask,
     _descent_mask,
     _descent_set_of_mask,
@@ -143,9 +163,15 @@ Level = dict[State, Optional[Profile]]
 Build = Callable[[Iterable[Move], Level], Optional[Profile]]
 Read = Callable[[Profile], tuple[int, object]]
 
-# Shared across calls and across both kinds of state: _PROFILES[m] maps the
-# states with m cells to their profiles.  See _evict for what a call keeps.
+# Shared across calls and across skew shapes and compositions: _PROFILES[m]
+# maps the states with m cells to their profiles.  See _evict for what a
+# call keeps.
 _PROFILES: dict[int, dict[State, Profile]] = {}
+# The levels below a straight root, read as its rotation, are rotated
+# partitions, shared by every partition: _PARTITIONS[m] maps those with m
+# cells to their profiles, for m up to _KEPT_CELLS.  They only grow.
+_KEPT_CELLS = 10
+_PARTITIONS: dict[int, dict[State, Profile]] = {}
 # The empty state has one filling; its key lies below every threshold, so
 # entry 1 of a one-cell state is never a descent.
 _EMPTY_LEVEL: dict[State, Profile] = {(): ((-1, (0,), (1,)),)}
@@ -192,6 +218,14 @@ def _skew_parents(ivs: Intervals) -> Iterator[Intervals]:
             yield ivs[:i] + ((b - 1, b),) + ivs[i:]
             yield right[:i] + ((b, b + 1),) + ivs[i:]
     yield right + ((0, 1),)
+
+
+def _rotated_rows(lam: Partition) -> Intervals:
+    """The row intervals of the nonempty partition ``lam`` rotated by 180
+    degrees, (lam_1 - lam_i, lam_1], bottom row of ``lam`` first: the same
+    expansion, in basic form."""
+    top = lam[0]
+    return tuple((top - part, top) for part in reversed(lam))
 
 
 def _rotated_parents(ivs: Intervals) -> Iterator[Intervals]:
@@ -399,8 +433,7 @@ def _root(source: TableauSource) -> tuple[State, int, Moves]:
     if isinstance(source, SkewShape):
         return source.row_intervals(), source.size, _skew_moves
     state = tuple(source)
-    if any(p < 1 for p in state):
-        raise ValueError(f"not a composition: {state}")
+    _check_composition(state)
     return state, sum(state), _qs_moves
 
 
@@ -414,19 +447,30 @@ def _label(source: TableauSource) -> str:
 def _counts(
     source: TableauSource, max_tableaux: int | None
 ) -> tuple[int, dict[int, int]]:
-    """Degree of ``source`` and its number of tableaux per descent mask,
-    built in ``_PROFILES``.  More tableaux than ``max_tableaux`` raise
-    :class:`BudgetExceededError`."""
+    """Degree of ``source`` and its number of tableaux per descent mask.
+    A straight shape is read as its rotation, off the levels of rotated
+    partitions that ``_PARTITIONS`` keeps up to ``_KEPT_CELLS`` cells, and
+    its levels above those are built for this call only; any other source
+    is built in ``_PROFILES``, which keeps levels n - 2 and n - 1 (see the
+    module docstring).  More tableaux than ``max_tableaux`` raise
+    :class:`BudgetExceededError`, which names ``source`` as given."""
     state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
     if n:
-        _evict(_PROFILES, n)
+        if isinstance(source, SkewShape) and not state[0][0]:
+            state = _rotated_rows(source.outer)
+            kept = range(1, min(n, _KEPT_CELLS + 1))
+            memo = {m: _PARTITIONS.setdefault(m, {}) for m in kept}
+        else:
+            memo = _PROFILES
+            _evict(memo, n)
         try:
             root_moves, below = _level_below(
-                state, n, moves, max_tableaux, source, _PROFILES, _profile_of, _tableaux
+                state, n, moves, max_tableaux, source, memo, _profile_of, _tableaux
             )
         finally:
-            _evict(_PROFILES, n)
+            if memo is _PROFILES:
+                _evict(memo, n)
         for _, child, t in root_moves:
             for key, ms, cs in below[child]:
                 d = key >= t
@@ -490,24 +534,34 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
 
     The coefficient of beta counts standard Young tableaux whose descent
     composition is beta (Gessel).  Rather than listing tableaux, this counts
-    them by descent set through the shared memo described in the module
-    docstring.  With ``max_tableaux``, a shape with more tableaux than the
-    budget raises :class:`BudgetExceededError` at a cost that grows with the
-    budget times the size, not with the number of tableaux.
+    them by descent set.  A straight shape is read as its rotation, off
+    the levels of rotated partitions kept across calls up to 10 cells,
+    where every partition's states lie; any other shape is built in the
+    shared memo's window of two levels (see the module docstring).  With
+    ``max_tableaux``, a shape with more tableaux than the budget raises
+    :class:`BudgetExceededError` at a cost that grows with the budget times
+    the size, not with the number of tableaux.  Anything but a
+    :class:`SkewShape` raises :class:`ValueError`.
     """
+    if not isinstance(shape, SkewShape):
+        raise ValueError(f"not a skew shape: {shape!r}")
     return _f_expansion(*_counts(shape, max_tableaux))
 
 
 def schur_f(lam: Partition, max_tableaux: int | None = None) -> Expansion:
-    """Fundamental expansion of the Schur function of the partition ``lam``."""
+    """Fundamental expansion of the Schur function of the partition
+    ``lam``: :func:`skew_schur_f` of its straight shape, read as its
+    rotation off the kept levels of rotated partitions."""
     return skew_schur_f(SkewShape(tuple(lam)), max_tableaux)
 
 
 def schur_via_qs(lam: Partition) -> Expansion:
     """Schur function assembled as the sum of the quasisymmetric Schur
     functions over all rearrangements of ``lam``; must agree with
-    :func:`schur_f`."""
+    :func:`schur_f`.  A part below 1 or an increasing pair of parts raises
+    :class:`ValueError`."""
     lam = tuple(lam)
+    _check_partition(lam, "partition")
     total = Expansion("F", sum(lam), {})
     for alpha in rearrangements(lam):
         total = total + qs_f(alpha)

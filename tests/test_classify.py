@@ -626,12 +626,15 @@ def test_verify_keeps_no_final_degree_roots(monkeypatch):
 def test_verify_touches_no_module_memo(theorem, max_n, checked):
     # Every sweep builds and holds its levels in its own locals: a verified
     # theorem leaves the shared memo as it found it, and so does the family
-    # truth, which builds levels of its own per call.
+    # truth, which builds levels of its own per call.  Neither adds to the
+    # kept rotated partitions.
     qschur.qsym._PROFILES.clear()
+    kept = {m: dict(level) for m, level in qschur.qsym._PARTITIONS.items()}
     assert verify(theorem, max_n) == VerificationReport(theorem, max_n, checked, ())
     assert qschur.qsym._PROFILES == {}
     assert brute_family_fmf((3, 2, 2))
     assert qschur.qsym._PROFILES == {}
+    assert qschur.qsym._PARTITIONS == kept
 
 
 def test_pruned_truth_matches_counts_at_acceptance_bounds():

@@ -2,9 +2,12 @@
 importing it loads nothing heavy."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qschur
 
@@ -93,3 +96,36 @@ def test_cold_import_loads_no_introspection_modules():
         check=True,
     ).stdout
     assert loaded.strip() == "[]"
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the call did not return within 3 s")
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (2, -1)])
+def test_non_instances_raise_value_error(bad):
+    # Each call runs under an alarm, so a call that never returns fails
+    # here instead of stalling the suite.  (1, 2) is a composition, but
+    # not a partition or a skew shape.
+    takes_partition = [
+        qschur.skew_schur_f,
+        qschur.schur_f,
+        qschur.schur_via_qs,
+        qschur.brute_family_fmf,
+        qschur.predict_family,
+        qschur.predict_schur,
+        qschur.conjugate,
+    ]
+    takes_composition = [qschur.complement, qschur.descent_set_of, qschur.qs_f]
+    calls = takes_partition + (takes_composition if min(bad) < 1 else [])
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    try:
+        for f in calls:
+            signal.alarm(3)
+            try:
+                with pytest.raises(ValueError):
+                    f(bad)
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -14,6 +14,7 @@ from oracles import (
     compositions_with_parts_12,
     descent_tally,
     f_to_m_by_refinements,
+    hook_length_count,
     multiplicity_witnesses_by_enumeration,
     qs_f_fast_12,
     qs_f_frontier,
@@ -117,16 +118,26 @@ def test_shared_memo_is_order_independent():
         for k in pair
         if k is not None
     ]
-    memo = qschur.qsym._PROFILES
+    memo, kept = qschur.qsym._PROFILES, qschur.qsym._PARTITIONS
     results = []
     for order in (ascending, ascending[::-1], shuffled, interleaved):
-        memo.clear()
+        _clear_memos()
         got = {}
         for k in order:
             f, arg, n = calls[k]
+            # A straight shape is read off the kept rotated partitions and
+            # leaves the window alone.
+            straight = n and f is skew_schur_f and not arg.inner
+            if straight:
+                window = {m: dict(level) for m, level in memo.items()}
             got[k] = f(arg)
+            if straight:
+                assert memo == window
+                for m, level in kept.items():
+                    assert m <= qschur.qsym._KEPT_CELLS
+                    assert all(_is_rotated_partition(s, m) for s in level)
             # A call on the empty state does not touch the memo.
-            if n:
+            elif n:
                 assert set(memo) <= {n - 2, n - 1}
         results.append(got)
     assert results[0] == results[1] == results[2]
@@ -141,7 +152,8 @@ def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
     for n in range(0, 7):
         for shape in enumerate_skew_shapes(n):
             skew_schur_f(shape)
-    # While a row of 9 cells is built, the levels below 8 hold only rows.
+    # While a one-part composition of 9 is built, the levels below 8 hold
+    # only one-part compositions, no skew shape of two rows or more.
     stale = []
     profile_of = qschur.qsym._profile_of
 
@@ -152,7 +164,7 @@ def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
         return profile_of(moves, below)
 
     monkeypatch.setattr(qschur.qsym, "_profile_of", watched)
-    assert skew_schur_f(SkewShape((9,))) == F(9, {(9,): 1})
+    assert qs_f((9,)) == F(9, {(9,): 1})
     assert stale == []
 
 
@@ -185,6 +197,121 @@ def test_shared_memo_survives_concurrent_calls():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def test_straight_counts_cross_the_kept_cap():
+    # Every partition of n <= 13, so roots of 12 and 13 cells build the
+    # levels above the cap for themselves.  Listing the tableaux of the
+    # partitions of 13 would take about 6 s, so those are checked by their
+    # totals, and every order and pass must give the same counts.
+    q = qschur.qsym
+    lams = [lam for n in range(0, 14) for lam in enumerate_partitions(n)]
+    expected = {
+        lam: descent_tally(SkewShape(lam)) if sum(lam) < 13 else None for lam in lams
+    }
+    shuffled = random.Random(11).sample(lams, len(lams))
+    seen = {}
+    for order in (lams, lams[::-1], shuffled):
+        _clear_memos()
+        for _ in range(2):  # cold, then warm
+            for lam in order:
+                n, by_mask = q._counts(SkewShape(lam), None)
+                assert n == sum(lam)
+                tally = (sum(by_mask.values()), len(by_mask))
+                if expected[lam] is None:
+                    assert tally[0] == hook_length_count(lam)
+                else:
+                    assert tally == expected[lam]
+                assert seen.setdefault(lam, by_mask) == by_mask
+    assert q._PROFILES == {}
+
+
+def test_repeated_straight_call_builds_no_profile(monkeypatch):
+    # Up to 11 cells every level below the root is kept, so a second call
+    # on a partition finds every child of its rotation.
+    built = []
+    profile_of = qschur.qsym._profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
+    )
+    _clear_memos()
+    for n in range(0, 12):
+        for lam in enumerate_partitions(n):
+            first = schur_f(lam)
+            built.clear()
+            assert schur_f(lam) == first
+            assert built == []
+
+
+def test_kept_levels_stop_at_the_cap():
+    # After every partition of n <= 14, the kept levels hold every rotated
+    # partition of at most 10 cells, 10,089 masks between them, and none
+    # of more cells.
+    q = qschur.qsym
+    _clear_memos()
+    for n in range(0, 15):
+        for lam in enumerate_partitions(n):
+            q._counts(SkewShape(lam), None)
+    assert sorted(q._PARTITIONS) == list(range(1, q._KEPT_CELLS + 1))
+    for m, level in q._PARTITIONS.items():
+        assert len(level) == sum(1 for _ in enumerate_partitions(m))
+        assert all(_is_rotated_partition(s, m) for s in level)
+    masks = sum(
+        len(ms) for level in q._PARTITIONS.values() for p in level.values() for _, ms, _ in p
+    )
+    assert masks == 10_089
+
+
+def test_kept_levels_survive_concurrent_calls():
+    # Three threads on two cores fill cold kept levels at once, each in its
+    # own order, with a tiny switch interval: two calls may build the same
+    # state, but each stores the same profile, and none is ever removed.
+    lams = [lam for n in range(0, 12) for lam in enumerate_partitions(n)]
+    expected = {lam: schur_f(lam) for lam in lams}
+    errors = []
+
+    def worker(seed):
+        try:
+            for lam in random.Random(seed).sample(lams, len(lams)):
+                if schur_f(lam) != expected[lam]:
+                    errors.append(f"wrong expansion of {lam}")
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seeds in ((1, 2, 3), (4, 5, 6), (7, 8, 9)):
+            _clear_memos()
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert max(qschur.qsym._PARTITIONS) == qschur.qsym._KEPT_CELLS
+
+
+def test_straight_budget_names_the_partition():
+    # Below the cap and across it: the root is read as its rotation, but
+    # the error names the partition, cold and warm alike.
+    for lam, what in [
+        ((3, 3), "3,3"),
+        ((4, 3, 1), "4,3,1"),
+        ((5, 4, 2), "5,4,2"),
+        ((4, 4, 4), "4,4,4"),
+    ]:
+        total = hook_length_count(lam)
+        message = f"tableaux of shape {what} exceeded the tableau budget of {total - 1}"
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as caught:
+                schur_f(lam, total - 1)
+            assert str(caught.value) == message
+            assert sum(schur_f(lam, total).terms.values()) == total
 
 
 def test_sweep_roots_stay_out_of_the_shared_memo():
@@ -295,6 +422,18 @@ def _tally_sources():
 
 def _clear_memos():
     qschur.qsym._PROFILES.clear()
+    qschur.qsym._PARTITIONS.clear()
+
+
+def _is_rotated_partition(state, m):
+    """Whether ``state`` is a partition of ``m`` rotated by 180 degrees, in
+    basic form: its rows end in one column and the last starts in column 1."""
+    return (
+        _size(state) == m
+        and state[-1][0] == 0
+        and all(b == state[0][1] for _, b in state)
+        and all(x >= y for (x, _), (y, _) in zip(state, state[1:]))
+    )
 
 
 def _check(source, *options):
