@@ -12,13 +12,15 @@ from typing import NamedTuple, Union
 from .compositions import (
     Composition,
     Partition,
+    _check_composition,
     _check_partition,
     _descent_mask,
+    _rearranged,
     enumerate_compositions,
     enumerate_partitions,
     rearrangements,
 )
-from .ctableaux import covers_up
+from .ctableaux import _covers_up
 from .qsym import _EMPTY_LEVEL, _clean_profile_of, _clean_root, _closure_counts
 from .qsym import _closure_step, _counts, _evict, _f_expansion, _narrow_profile_of
 from .qsym import _narrow_root, _qs_moves, _rotated_parents, _rotated_rows, _skew_moves
@@ -33,8 +35,10 @@ Instance = Union[Composition, Partition, SkewShape]
 
 def in_c2(alpha: Composition) -> bool:
     """Interleaved runs of 1s separated by single 2s: all parts in {1, 2},
-    no leading 2, no two adjacent 2s.  Contains the empty composition."""
+    no leading 2, no two adjacent 2s.  Contains the empty composition.  A
+    part below 1 raises :class:`ValueError`."""
     alpha = tuple(alpha)
+    _check_composition(alpha)
     if any(p not in (1, 2) for p in alpha):
         return False
     if alpha and alpha[0] == 2:
@@ -45,9 +49,10 @@ def in_c2(alpha: Composition) -> bool:
 
 
 def in_c2_prime(alpha: Composition) -> bool:
-    """The members of :func:`in_c2` that start with a 1 and end with a 2."""
+    """The members of :func:`in_c2` that start with a 1 and end with a 2.
+    A part below 1 raises :class:`ValueError`."""
     alpha = tuple(alpha)
-    return bool(alpha) and alpha[-1] == 2 and alpha[0] == 1 and in_c2(alpha)
+    return in_c2(alpha) and bool(alpha) and alpha[-1] == 2 and alpha[0] == 1
 
 
 def _schur_listed(lam: Partition) -> bool:
@@ -194,9 +199,10 @@ def predict_family(lam: Partition) -> bool:
 
 
 def _family_kept(lam: Partition, kept) -> bool:
-    """Whether ``kept`` passes every rearrangement of ``lam``; it stops at
-    the first that fails."""
-    return all(kept(alpha) is not None for alpha in rearrangements(tuple(lam)))
+    """Whether ``kept`` passes every rearrangement of the checked partition
+    ``lam``, in the order of :func:`rearrangements`; the rearrangements are
+    made one at a time, and none after the first that fails."""
+    return all(kept(alpha) is not None for alpha in _rearranged(lam))
 
 
 def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
@@ -209,7 +215,10 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     with masks and of each multiplicity-free rearrangement, so a
     rearrangement that is not multiplicity-free may answer False where
     :func:`qsym.qs_f` would raise :class:`BudgetExceededError`.  A part
-    below 1 or an increasing pair of parts raises :class:`ValueError`."""
+    below 1 or an increasing pair of parts raises :class:`ValueError`; that
+    check is the only one, since the engine reads the rearrangements of a
+    checked partition unchecked, one at a time, up to the first that is
+    not multiplicity-free."""
     lam = tuple(lam)
     _check_partition(lam, "partition")
     return _family_kept(lam, _sweep_counts({}, 0, max_tableaux))
@@ -383,7 +392,7 @@ _THEOREMS = {
 _CLOSURES = {
     "schur": (_rotated_parents, _skew_moves, _clean_profile_of, _clean_root),
     "skew": (_skew_parents, _skew_moves, _clean_profile_of, _clean_root),
-    "qs-components": (covers_up, _qs_moves, _narrow_profile_of, _narrow_root),
+    "qs-components": (_covers_up, _qs_moves, _narrow_profile_of, _narrow_root),
     "two-part": (_two_part_parents, _qs_moves, _clean_profile_of, _clean_root),
 }
 THEOREMS = tuple(_THEOREMS)

@@ -112,6 +112,10 @@ def composition_of(descents: DescentSet) -> Composition:
 
 
 def reverse(alpha: Composition) -> Composition:
+    """The parts of ``alpha`` in reverse order.  A part below 1 raises
+    :class:`ValueError`."""
+    alpha = tuple(alpha)
+    _check_composition(alpha)
     return alpha[::-1]
 
 
@@ -128,33 +132,49 @@ def complement(alpha: Composition) -> Composition:
 
 
 def refinements(beta: Composition) -> Iterator[Composition]:
-    """All compositions refining ``beta``, deterministically ordered."""
+    """All compositions refining ``beta``, deterministically ordered.  A
+    part below 1 raises :class:`ValueError` at the call, not at the first
+    step of the iterator."""
+    beta = tuple(beta)
+    _check_composition(beta)
     pools = [list(enumerate_compositions(part)) for part in beta]
-    for choice in itertools.product(*pools):
-        yield tuple(itertools.chain.from_iterable(choice))
+    return (
+        tuple(itertools.chain.from_iterable(choice))
+        for choice in itertools.product(*pools)
+    )
 
 
-def rearrangements(lam: Partition) -> list[Composition]:
-    """All distinct orderings of the parts of ``lam``, sorted lexicographically.
+def _rearranged(lam: Composition) -> Iterator[Composition]:
+    """The distinct orderings of the parts of ``lam``, unchecked, one at a
+    time in lexicographic order, so that a caller may stop at any of them.
 
     Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) visits each multiset
     permutation once, in lexicographic order, starting from the sorted one.
     """
     a = sorted(lam)
     n = len(a)
-    out = [tuple(a)]
+    yield tuple(a)
     while True:
         j = n - 2
         while j >= 0 and a[j] >= a[j + 1]:
             j -= 1
         if j < 0:
-            return out
+            return
         k = n - 1
         while a[k] <= a[j]:
             k -= 1
         a[j], a[k] = a[k], a[j]
         a[j + 1 :] = a[: j : -1]
-        out.append(tuple(a))
+        yield tuple(a)
+
+
+def rearrangements(lam: Partition) -> list[Composition]:
+    """All distinct orderings of the parts of ``lam``, sorted
+    lexicographically: the list of :func:`_rearranged`.  A part below 1
+    raises :class:`ValueError`."""
+    lam = tuple(lam)
+    _check_composition(lam)
+    return list(_rearranged(lam))
 
 
 def _check_composition(parts: tuple[int, ...]) -> None:

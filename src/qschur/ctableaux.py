@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, composition_of
+from .compositions import Composition, DescentSet, _check_composition, composition_of
 
 
 class CompositionTableau:
@@ -57,10 +57,8 @@ class CompositionTableau:
         return [list(row) for row in self.rows]
 
 
-def covers_up(beta: Composition) -> list[Composition]:
-    """All compositions covering ``beta``: the prepend, then one increment
-    per distinct part value (applied to its first occurrence)."""
-    beta = tuple(beta)
+def _covers_up(beta: Composition) -> list[Composition]:
+    """:func:`covers_up` on a composition, unchecked."""
     out = [(1,) + beta]
     seen: set[int] = set()
     for i, part in enumerate(beta):
@@ -70,31 +68,45 @@ def covers_up(beta: Composition) -> list[Composition]:
     return out
 
 
-def _down_moves(alpha: Composition) -> Iterator[tuple[int, Composition]]:
-    """Inverse cover moves as (removed column, smaller shape) pairs, yielded
-    one at a time, so that a caller may stop at any move.
+def covers_up(beta: Composition) -> list[Composition]:
+    """All compositions covering ``beta``: the prepend, then one increment
+    per distinct part value (applied to its first occurrence).  A part
+    below 1 raises :class:`ValueError`."""
+    beta = tuple(beta)
+    _check_composition(beta)
+    return _covers_up(beta)
+
+
+def _down_moves(alpha: Composition) -> list[tuple[int, Composition, int]]:
+    """Inverse cover moves of the nonempty composition ``alpha``, as the
+    qsym engine takes them: (column, child, column), where the column is
+    that of the removed cell and the child the smaller shape.  Entry 1 is a
+    descent when entry 2 sits weakly right of it, in a column at least the
+    first one's, which is the engine's threshold.
 
     Deleting the leading part needs that part to be 1; decrementing part i
     needs no earlier part of size alpha_i - 1, otherwise the inverse of the
     "first part of its size" rule would pick the earlier position.  The
     sizes of the earlier parts are kept in a set as the parts are read.
     """
-    if alpha[0] == 1:
-        yield 1, alpha[1:]
+    moves = [(1, alpha[1:], 1)] if alpha[0] == 1 else []
     seen: set[int] = set()
     for i, part in enumerate(alpha):
         if part >= 2 and part - 1 not in seen:
-            yield part, alpha[:i] + (part - 1,) + alpha[i + 1 :]
+            moves.append((part, alpha[:i] + (part - 1,) + alpha[i + 1 :], part))
         seen.add(part)
+    return moves
 
 
 def covers_down(alpha: Composition) -> list[Composition]:
     """All compositions covered by ``alpha`` (delete-leading-1 first, then
-    decrements by ascending row index)."""
+    decrements by ascending row index).  A part below 1 raises
+    :class:`ValueError`."""
     alpha = tuple(alpha)
+    _check_composition(alpha)
     if not alpha:
         raise ValueError("the empty composition covers nothing")
-    return [child for _, child in _down_moves(alpha)]
+    return [child for _, child, _ in _down_moves(alpha)]
 
 
 def _sct_walk(alpha: Composition) -> Iterator[tuple[int, list[list[int]]]]:
@@ -217,6 +229,6 @@ def is_valid_sct(t: CompositionTableau) -> bool:
         sizes[r] -= 1
         if not sizes[lead]:
             lead += 1
-        if (c, tuple(sizes[lead:])) not in _down_moves(alpha):
+        if (c, tuple(sizes[lead:]), c) not in _down_moves(alpha):
             return False
     return True

@@ -12,18 +12,22 @@ Three generators feed everything else, and none lists tableaux:
 All three run one engine, Stanley's transfer-matrix method (EC1 section
 4.7): the descent profile of a state is built from the profiles of the
 states left after removing the cell holding 1.  The engine takes a set of
-moves, one for compositions and one for skew shapes.  A skew shape's state
-is the tuple of basic-form row intervals the shape stores, and removing a
-cell leaves a state in the same canonical form.  A public call never stores
-its root, the state asked about: ``_counts`` sums the entries of its
+moves, one for compositions and one for skew shapes.  The moves of a
+composition are one list per state, ``ctableaux._down_moves``, the inverse
+cover moves that ``covers_down`` and ``is_valid_sct`` read too, so the
+cover rule is written once.  A skew shape's state is the tuple of
+basic-form row intervals the shape stores, and removing a cell leaves a
+state in the same canonical form.  A public call checks its root once, in
+``_root``, and never stores it: ``_counts`` sums the entries of the root's
 children in level n - 1 into a count per descent bitmask.
 
 Where those levels live depends on the root.  Rotating a shape by 180
 degrees leaves its expansion unchanged (EC2 ch. 7), and removing the cell
 holding 1 from a rotated partition leaves a rotated partition.  So
 ``_counts`` reads a straight shape as its rotation, rows
-(lam_1 - lam_i, lam_1], bottom row first (``_rotated_rows``), and every
-state below it is one of the p(k) partitions of k cells, which every
+(lam_1 - lam_i, lam_1], bottom row first (``_rotated_rows``), and a skew
+shape whose rows all end in one column, a rotated partition, as it is; every
+state below either is one of the p(k) partitions of k cells, which every
 partition shares.  ``_PARTITIONS`` keeps those levels across calls, up to
 ``_KEPT_CELLS`` = 10 cells; a call builds the levels above in a dict of its
 own.  The cap is set by the input, not by the number of calls: every
@@ -72,10 +76,14 @@ too.
 Families asks whether every rearrangement of a partition is clean with no
 repeated mask, and can stop at the first that is not, where a closure
 builds every clean composition of a size.  So it sweeps bottom-up instead,
-through clean levels that the caller builds and holds: ``_sweep_counts``
-reads a root off them by ``_clean_profile_of``, one move at a time up to
-its first marker child or repeated mask, and a state that is not clean is
-stored as None, a marker.  A child missing from level n - 1, such as a
+through clean levels that the caller builds and holds, and makes the
+rearrangements one at a time (``compositions._rearranged``), none after
+the first that fails.  ``_sweep_counts`` reads a root off those levels by
+``_clean_profile_of``, one move at a time up to its first marker child or
+repeated mask, and a state that is not clean is stored as None, a marker.
+It reads a root unchecked, through ``_state``: its roots are ``verify``'s
+own instances, or rearrangements of a partition that ``brute_family_fmf``
+has checked.  A child missing from level n - 1, such as a
 rearrangement that an earlier family skipped, is built top-down by
 ``_level_below`` as in a public call, but in those levels and by the clean
 builder.  ``verify`` keeps levels n - 2 to n and stores each root below its
@@ -120,7 +128,7 @@ from .compositions import (
     rearrangements,
     reverse,
 )
-from .ctableaux import CompositionTableau, _down_moves, _sct_walk, covers_up
+from .ctableaux import CompositionTableau, _covers_up, _down_moves, _sct_walk
 from .errors import BudgetExceededError
 from .expansion import Expansion
 from .shapes import Intervals, SkewShape
@@ -147,7 +155,7 @@ def _f_expansion(n: int, by_mask: dict[int, int]) -> Expansion:
 # key >= threshold.
 State = Union[Composition, Intervals]
 Move = tuple[int, State, int]
-Moves = Callable[[State], Iterator[Move]]
+Moves = Callable[[State], Iterable[Move]]
 # One entry per move of a state: the key of the cell holding 1, the descent
 # masks (bit t set = descent at t + 1) of the fillings that put 1 there, and
 # how many fillings have each mask.  Composition states may repeat a key.
@@ -177,10 +185,11 @@ _PARTITIONS: dict[int, dict[State, Profile]] = {}
 _EMPTY_LEVEL: dict[State, Profile] = {(): ((-1, (0,), (1,)),)}
 
 
-def _qs_moves(alpha: Composition) -> Iterator[Move]:
-    """Inverse cover moves of a composition; entry 1 is a descent when
-    entry 2 sits weakly right of it."""
-    return ((col, child, col) for col, child in _down_moves(alpha))
+# The moves of a composition are its inverse cover moves, listed by
+# ``ctableaux._down_moves`` in the engine's form: the column of the cell
+# holding 1 is both its key and the threshold, since entry 1 is a descent
+# when entry 2 sits weakly right of it.
+_qs_moves = _down_moves
 
 
 def _skew_moves(ivs: Intervals) -> Iterator[Move]:
@@ -237,7 +246,7 @@ def _rotated_parents(ivs: Intervals) -> Iterator[Intervals]:
 def _two_part_parents(alpha: Composition) -> Iterator[Composition]:
     """The parents of a composition with at most two parts that have at
     most two parts."""
-    return (p for p in covers_up(alpha) if len(p) <= 2)
+    return (p for p in _covers_up(alpha) if len(p) <= 2)
 
 
 def _merged(entries: Sequence[tuple]) -> tuple:
@@ -264,6 +273,11 @@ def _profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
         entries = below[child]
         if entries is None:
             return None
+        if len(entries) == 1:  # nothing to merge
+            k, ms, cs = entries[0]
+            d = k >= t
+            out.append((key, tuple([m << 1 | d for m in ms]), cs))
+            continue
         groups = ([e for e in entries if e[0] < t], [e for e in entries if e[0] >= t])
         keys: list[int] = []
         counts: list[int] = []
@@ -287,6 +301,12 @@ def _clean_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
         entries = below[child]
         if entries is None:
             return None
+        if len(entries) == 1:
+            # A stored entry repeats no mask, and neither does its shift.
+            e = entries[0]
+            d = e[0] >= t
+            out.append((key, tuple([m << 1 | d for m in e[1]])))
+            continue
         masks = [m << 1 for e in entries if e[0] < t for m in e[1]]
         masks += [m << 1 | 1 for e in entries if e[0] >= t for m in e[1]]
         if len(set(masks)) < len(masks):
@@ -297,10 +317,16 @@ def _clean_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
 
 def _clean_root(prof: Profile) -> tuple[int, set[int] | None]:
     """The fillings of a root with a clean profile, one per mask, and its
-    masks, or None where two entries share a mask."""
-    masks = [m for e in prof for m in e[1]]
-    found = set(masks)
-    return len(masks), found if len(found) == len(masks) else None
+    masks, or None where two entries share a mask: one pass counts and
+    collects them.  An entry's masks are read as ``e[1]``, since the empty
+    level's entry has a third field."""
+    found: set[int] = set()
+    tableaux = 0
+    for e in prof:
+        masks = e[1]
+        tableaux += len(masks)
+        found.update(masks)
+    return tableaux, found if len(found) == tableaux else None
 
 
 def _narrow_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
@@ -428,13 +454,21 @@ def _level_below(
     return root_moves, levels[n - 1]
 
 
-def _root(source: TableauSource) -> tuple[State, int, Moves]:
-    """The state of ``source``, its size and its moves."""
+def _state(source: TableauSource) -> tuple[State, int, Moves]:
+    """The state of ``source``, a skew shape or a composition as a tuple of
+    positive parts, its size and its moves."""
     if isinstance(source, SkewShape):
         return source.row_intervals(), source.size, _skew_moves
-    state = tuple(source)
-    _check_composition(state)
-    return state, sum(state), _qs_moves
+    return source, sum(source), _qs_moves
+
+
+def _root(source: TableauSource) -> tuple[State, int, Moves]:
+    """:func:`_state` of ``source`` after checking a composition; a part
+    below 1 raises :class:`ValueError`."""
+    if not isinstance(source, SkewShape):
+        source = tuple(source)
+        _check_composition(source)
+    return _state(source)
 
 
 def _label(source: TableauSource) -> str:
@@ -448,17 +482,21 @@ def _counts(
     source: TableauSource, max_tableaux: int | None
 ) -> tuple[int, dict[int, int]]:
     """Degree of ``source`` and its number of tableaux per descent mask.
-    A straight shape is read as its rotation, off the levels of rotated
-    partitions that ``_PARTITIONS`` keeps up to ``_KEPT_CELLS`` cells, and
-    its levels above those are built for this call only; any other source
-    is built in ``_PROFILES``, which keeps levels n - 2 and n - 1 (see the
-    module docstring).  More tableaux than ``max_tableaux`` raise
-    :class:`BudgetExceededError`, which names ``source`` as given."""
+    A straight shape is read as its rotation, and a rotated partition as it
+    is, off the levels of rotated partitions that ``_PARTITIONS`` keeps up
+    to ``_KEPT_CELLS`` cells, and their levels above those are built for
+    this call only; any other source is built in ``_PROFILES``, which keeps
+    levels n - 2 and n - 1 (see the module docstring).  More tableaux than
+    ``max_tableaux`` raise :class:`BudgetExceededError`, which names
+    ``source`` as given."""
     state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
     if n:
+        # A straight shape is read as its rotation; a rotated partition,
+        # whose rows all end in the last column, is read as it is.
         if isinstance(source, SkewShape) and not state[0][0]:
             state = _rotated_rows(source.outer)
+        if isinstance(source, SkewShape) and state[-1][1] == state[0][1]:
             kept = range(1, min(n, _KEPT_CELLS + 1))
             memo = {m: _PARTITIONS.setdefault(m, {}) for m in kept}
         else:
@@ -486,7 +524,9 @@ def _sweep_counts(
     levels: dict[int, Level], last: int, budget: int | None
 ) -> Callable[[TableauSource], Optional[set[int]]]:
     """The reader of a source's masks off ``levels``, the clean levels of a
-    bottom-up sweep: None where the source is not multiplicity-free.  A root
+    bottom-up sweep: None where the source is not multiplicity-free.  The
+    source is a skew shape or a tuple of positive parts, read unchecked
+    through :func:`_state`; its caller has built or checked it.  A root
     is profiled off level n - 1 by :func:`_clean_profile_of`, up to its
     first marker child or repeated mask; a missing child is built by
     :func:`_level_below`, in ``levels``.  A root of degree n below ``last``
@@ -495,7 +535,7 @@ def _sweep_counts(
     """
 
     def counts(source: TableauSource) -> set[int] | None:
-        state, n, moves = _root(source)
+        state, n, moves = _state(source)
         if not n:
             return _passing(_EMPTY_LEVEL[()], _clean_root, budget, False, source)
         try:

@@ -692,11 +692,45 @@ def test_pruned_truth_matches_counts_at_acceptance_bounds():
             assert brute_family_fmf(lam) == expected
 
 
+def test_family_stops_at_its_first_failing_rearrangement():
+    # A recording reader that fails one chosen rearrangement of (3, 2, 1, 1)
+    # (12 of them) is asked about exactly those up to and including it, in
+    # the order of rearrangements; one that fails none is asked about all.
+    # Then the sweep's own reader, on every partition of n <= 9 (about
+    # 0.05 s), is asked up to the first rearrangement it fails.
+    lam = (3, 2, 1, 1)
+    every = rearrangements(lam)
+    for stop in [*every, None]:
+        asked = []
+
+        def kept(alpha):
+            asked.append(alpha)
+            return None if alpha == stop else set()
+
+        assert qschur.classify._family_kept(lam, kept) == (stop is None)
+        assert asked == (every[: every.index(stop) + 1] if stop else every)
+    read = qschur.qsym._sweep_counts({}, 0, None)
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            asked, found = [], []
+
+            def kept(alpha):
+                asked.append(alpha)
+                found.append(read(alpha))
+                return found[-1]
+
+            truth = qschur.classify._family_kept(lam, kept)
+            every = rearrangements(lam)
+            assert truth == (None not in found)
+            assert asked == (every if truth else every[: len(asked)])
+            assert None not in found[:-1]
+
+
 # The sha256 of each benchmark sweep's report as ``verify --format json``
 # prints it, taken at commit 65ff898: a change that makes these sweeps
-# faster must not change what they print.  The last four, taken at commit
-# c1b0cdc, reach past the benchmark's sizes, where the truth's levels hold
-# more states.
+# faster must not change what they print.  The four from families 13 on,
+# taken at commit c1b0cdc, and families 14, taken at commit bab657c, reach
+# past the benchmark's sizes, where the truth's levels hold more states.
 SWEEP_DIGESTS = {
     ("skew", 8): "8cfda0fd4e2f8fb4b9b0579e3883aa2e0a043149d533939c3fbd65a3315c9bc5",
     ("schur", 13): "7126c6710df7a8636579dd78d235c1acd6d95979f4890ead7821c72de6a43191",
@@ -709,6 +743,7 @@ SWEEP_DIGESTS = {
     ("schur", 16): "8fc3cf52e1aea5a2536176b3ab0ca555151e98295af03d503e22f84d0b05c175",
     ("two-part", 24): "5439e468d801bfb91c715b12b99f81f81f6484432a0ba1b2afadfa28f7bc0854",
     ("skew", 9): "64e5c60105f4e576f7caa8f711f0c55d24cccc6e46556ad1e7464dd77d8f414f",
+    ("families", 14): "db99aba268f1e9788b87247b741faac0d3be44a0e8e34ceae49b7326d409cb2c",
 }
 
 

@@ -18,7 +18,7 @@ from qschur import (
     refinements,
     reverse,
 )
-from qschur.compositions import _composition_of_mask, _descent_mask
+from qschur.compositions import _composition_of_mask, _descent_mask, _rearranged
 
 compositions = st.lists(st.integers(1, 5), max_size=5).map(tuple)
 partitions = compositions.map(lambda a: tuple(sorted(a, reverse=True)))
@@ -72,6 +72,17 @@ def test_rearrangements_match_distinct_permutations():
     for n in range(0, 9):
         for lam in enumerate_partitions(n):
             assert rearrangements(lam) == sorted(set(itertools.permutations(lam)))
+
+
+def test_rearrangements_list_the_lazy_walk():
+    # Every partition of n <= 10 (138 of them, about 0.01 s): the public
+    # list is the private generator's output, which yields one ordering at
+    # a time, the sorted one first.
+    for n in range(0, 11):
+        for lam in enumerate_partitions(n):
+            walk = _rearranged(lam)
+            assert next(walk) == tuple(sorted(lam))
+            assert rearrangements(lam) == [tuple(sorted(lam))] + list(walk)
 
 
 def test_rearrangements_never_visit_repeated_orderings():

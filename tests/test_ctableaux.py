@@ -14,6 +14,7 @@ from qschur import (
     enumerate_sct,
     is_valid_sct,
 )
+from qschur.ctableaux import _down_moves
 
 T_PRIME = CompositionTableau(((3, 1), (5, 4, 2), (7, 6), (8,)))
 
@@ -44,6 +45,24 @@ def test_covers_down_matches_brute_inversion():
                 ups.setdefault(gamma, []).append(beta)
         for alpha in enumerate_compositions(n):
             assert sorted(covers_down(alpha)) == sorted(ups.get(alpha, []))
+
+
+def test_down_moves_list_the_inverse_covers_in_order():
+    # The inverse cover moves of every composition of n <= 10 (1,023 of
+    # them, about 0.05 s): deleting a leading 1 first, then decrementing
+    # part i >= 2, for ascending i, wherever the smaller shape has alpha
+    # among its covers.  Each move is (column, child, column), the removed
+    # cell's column doubling as the engine's threshold.
+    for n in range(1, 11):
+        for alpha in enumerate_compositions(n):
+            expected = []
+            for i, part in enumerate(alpha):
+                if part == 1 and i:  # a 1 below the first row stays
+                    continue
+                child = alpha[:i] + ((part - 1,) if part > 1 else ()) + alpha[i + 1 :]
+                if alpha in covers_up(child):
+                    expected.append((part, child, part))
+            assert _down_moves(alpha) == expected
 
 
 def test_enumerate_sct_worked_examples():

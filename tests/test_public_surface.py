@@ -116,7 +116,18 @@ def test_non_instances_raise_value_error(bad):
         qschur.predict_schur,
         qschur.conjugate,
     ]
-    takes_composition = [qschur.complement, qschur.descent_set_of, qschur.qs_f]
+    takes_composition = [
+        qschur.complement,
+        qschur.descent_set_of,
+        qschur.qs_f,
+        qschur.covers_up,
+        qschur.covers_down,
+        qschur.rearrangements,
+        qschur.refinements,
+        qschur.reverse,
+        qschur.in_c2,
+        qschur.in_c2_prime,
+    ]
     calls = takes_partition + (takes_composition if min(bad) < 1 else [])
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:

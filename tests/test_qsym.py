@@ -125,13 +125,16 @@ def test_shared_memo_is_order_independent():
         got = {}
         for k in order:
             f, arg, n = calls[k]
-            # A straight shape is read off the kept rotated partitions and
-            # leaves the window alone.
-            straight = n and f is skew_schur_f and not arg.inner
-            if straight:
+            # A straight shape, read as its rotation, and a rotated
+            # partition are read off the kept rotated partitions and leave
+            # the window alone.
+            rotated = n and f is skew_schur_f and (
+                not arg.inner or _is_rotated_partition(arg.row_intervals(), n)
+            )
+            if rotated:
                 window = {m: dict(level) for m, level in memo.items()}
             got[k] = f(arg)
-            if straight:
+            if rotated:
                 assert memo == window
                 for m, level in kept.items():
                     assert m <= qschur.qsym._KEPT_CELLS
@@ -312,6 +315,30 @@ def test_straight_budget_names_the_partition():
                 schur_f(lam, total - 1)
             assert str(caught.value) == message
             assert sum(schur_f(lam, total).terms.values()) == total
+
+
+def test_rotated_partitions_are_read_off_the_kept_levels():
+    # Every partition of 1 <= n <= 12 (271 of them, about 0.4 s), rotated by
+    # 180 degrees: its rows end in one column, so it is read off the kept
+    # levels as its straight shape is, with the same expansion, and the
+    # window of the shared memo is left as it was.  A budget one tableau
+    # short names the rotated shape as given.
+    q = qschur.qsym
+    _clear_memos()
+    qs_f((2, 1, 3))
+    window = {m: dict(level) for m, level in q._PROFILES.items()}
+    assert window
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            rotated = SkewShape(lam).rotate180()
+            assert skew_schur_f(rotated) == schur_f(lam)
+            total = hook_length_count(lam)
+            budget = total - 1
+            message = f"tableaux of shape {rotated} exceeded the tableau budget of {budget}"
+            with pytest.raises(BudgetExceededError) as caught:
+                skew_schur_f(rotated, budget)
+            assert str(caught.value) == message
+            assert q._PROFILES == window
 
 
 def test_sweep_roots_stay_out_of_the_shared_memo():
