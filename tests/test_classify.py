@@ -697,7 +697,7 @@ def test_family_stops_at_its_first_failing_rearrangement():
     # (12 of them) is asked about exactly those up to and including it, in
     # the order of rearrangements; one that fails none is asked about all.
     # Then the sweep's own reader, on every partition of n <= 9 (about
-    # 0.05 s), is asked up to the first rearrangement it fails.
+    # 0.01 s), is asked up to the first rearrangement it fails.
     lam = (3, 2, 1, 1)
     every = rearrangements(lam)
     for stop in [*every, None]:

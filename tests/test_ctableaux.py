@@ -49,7 +49,7 @@ def test_covers_down_matches_brute_inversion():
 
 def test_down_moves_list_the_inverse_covers_in_order():
     # The inverse cover moves of every composition of n <= 10 (1,023 of
-    # them, about 0.05 s): deleting a leading 1 first, then decrementing
+    # them, about 0.01 s): deleting a leading 1 first, then decrementing
     # part i >= 2, for ascending i, wherever the smaller shape has alpha
     # among its covers.  Each move is (column, child, column), the removed
     # cell's column doubling as the engine's threshold.
