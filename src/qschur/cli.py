@@ -16,10 +16,11 @@ import click
 from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
 from .errors import BudgetExceededError, capped
-from .qsym import _counts, _f_expansion, _label, _walk
+from .ctableaux import enumerate_sct
+from .qsym import _counts, _f_expansion, _label
 from .qsym import f_to_m, multiplicity_witnesses
 from .shapes import SkewShape
-from .young import lr_expansion
+from .young import enumerate_syt, lr_expansion
 
 
 def _parse_parts(text: str | None, what: str) -> tuple[int, ...]:
@@ -156,9 +157,8 @@ def expand(source, kind, basis, fmt, budget) -> None:
 @_source_command()
 def tableaux(source, kind, fmt, budget) -> None:
     """Stream the standard tableaux of the requested shape."""
-    walk, snapshot = _walk(source)
-    # The walk overwrites its rows, so each tableau is snapshot as it comes.
-    stream = capped((snapshot(rows) for _, rows in walk), budget, _label(source))
+    listing = enumerate_sct(source) if kind == "qs" else enumerate_syt(source)
+    stream = capped(listing, budget, _label(source))
     if fmt == "json":
         _emit_json([t.to_json_obj() for t in stream])
     else:

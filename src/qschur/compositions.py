@@ -40,6 +40,15 @@ class DescentSet:
         self.degree = degree
         self.members = members
 
+    @classmethod
+    def _trusted(cls, degree: int, members: Iterable[int]) -> "DescentSet":
+        """The descent set of these members, known to lie in 1..degree - 1,
+        without re-checking them."""
+        obj = cls.__new__(cls)
+        obj.degree = degree
+        obj.members = frozenset(members)
+        return obj
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DescentSet)
@@ -92,9 +101,14 @@ def _descent_mask(alpha: Composition) -> int:
     return mask
 
 
+def _mask_members(n: int, mask: int) -> list[int]:
+    """The descents, ascending, of the degree-``n`` bitmask ``mask``."""
+    return [t + 1 for t in range(n - 1) if mask >> t & 1]
+
+
 def _descent_set_of_mask(n: int, mask: int) -> DescentSet:
     """The descent set of degree ``n`` whose bitmask is ``mask``."""
-    return DescentSet(n, [t + 1 for t in range(n - 1) if mask >> t & 1])
+    return DescentSet._trusted(n, _mask_members(n, mask))
 
 
 def descent_set_of(alpha: Composition) -> DescentSet:

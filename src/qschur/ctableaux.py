@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 from .compositions import Composition, DescentSet, _check_composition, composition_of
 
+Rows = tuple[tuple[int, ...], ...]
+
 
 class CompositionTableau:
     """Left-justified rows of integer entries on a composition diagram."""
@@ -26,11 +28,11 @@ class CompositionTableau:
         self.rows = rows
 
     @classmethod
-    def _trusted(cls, rows: list[list[int]]) -> "CompositionTableau":
-        """Snapshot nonempty rows, as the tableau walk produces them, without
-        re-checking them."""
+    def _trusted(cls, rows: Rows) -> "CompositionTableau":
+        """Wrap nonempty rows, a tuple of tuples as the tableau walk yields
+        them, without copying or re-checking them."""
         obj = cls.__new__(cls)
-        obj.rows = tuple(map(tuple, rows))
+        obj.rows = rows
         return obj
 
     @property
@@ -54,7 +56,7 @@ class CompositionTableau:
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
 
     def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
+        return list(map(list, self.rows))
 
 
 def _covers_up(beta: Composition) -> list[Composition]:
@@ -109,23 +111,25 @@ def covers_down(alpha: Composition) -> list[Composition]:
     return [child for _, child, _ in _down_moves(alpha)]
 
 
-def _sct_walk(alpha: Composition) -> Iterator[tuple[int, list[list[int]]]]:
+def _sct_walk(alpha: Composition) -> Iterator[tuple[int, Rows]]:
     """Depth-first walk over the standard composition tableaux of ``alpha``,
     in the order of :func:`enumerate_sct`.  Yields each tableau's descent
-    mask (bit t set = descent at t + 1) and the live rows, which the walk
-    overwrites.
+    mask (bit t set = descent at t + 1) and its rows, a tuple of tuples that
+    never changes: a row fills right to left, so an entry is prepended to
+    its row as it is placed and the row is restored on backtrack, and the
+    tableaux share their unchanged rows.
 
     Only a leading part can be deleted, so the deleted rows are always a
     prefix and every row keeps its index in ``alpha``: an entry removed from
     a row of current length s sits in column s.  Entry i is a descent when
     i + 1 is placed in a weakly later column.
     """
-    grid = [[0] * p for p in alpha]
     n = sum(alpha)
     if n == 0:
-        yield 0, grid
+        yield 0, ()
         return
     r = len(alpha)
+    rows: list[tuple[int, ...]] = [()] * r
     sizes = list(alpha)
     lead = 0  # first row not yet deleted
     placed: list[int] = []  # row of each entry but the last
@@ -146,20 +150,24 @@ def _sct_walk(alpha: Composition) -> Iterator[tuple[int, list[list[int]]]]:
             j = placed.pop()
             cols.pop()
             masks.pop()
+            rows[j] = rows[j][1:]
             sizes[j] += 1
             if sizes[j] == 1:
                 lead = j
             j += 1
             continue
         e = len(placed)  # entries placed so far
-        grid[j][s - 1] = e + 1
         m = masks[-1]
         if e and s >= cols[-1]:
             m |= 1 << (e - 1)
+        row = rows[j]
         if e + 1 == n:
-            yield m, grid
+            rows[j] = (n,) + row
+            yield m, tuple(rows)
+            rows[j] = row
             j += 1
             continue
+        rows[j] = (e + 1,) + row
         sizes[j] = s - 1
         if s == 1:
             lead = j + 1
@@ -174,13 +182,14 @@ def enumerate_sct(alpha: Composition) -> Iterator[CompositionTableau]:
 
     Chains are walked downward, one inverse cover move per entry: deleting
     a leading 1 first, then decrementing rows from the top.  Entries are
-    written at final-shape coordinates.
+    written at final-shape coordinates, and the tableaux share the walk's
+    rows, which never change.  A part below 1 raises :class:`ValueError` at
+    the call, not at the first step of the iterator.
     """
     alpha = tuple(alpha)
-    if any(p < 1 for p in alpha):
-        raise ValueError(f"not a composition: {alpha}")
-    for _, grid in _sct_walk(alpha):
-        yield CompositionTableau._trusted(grid)
+    _check_composition(alpha)
+    trusted = CompositionTableau._trusted
+    return (trusted(rows) for _, rows in _sct_walk(alpha))
 
 
 def des_c(t: CompositionTableau) -> DescentSet:

@@ -107,12 +107,13 @@ it adds its sum into the mask with it.  That costs at most n - 1 dict
 operations per M-term, and the masks no F-term lies under are never
 allocated.  ``multiplicity_witnesses`` reads the repeated masks off the
 engine's counts, then walks the tableaux, which yield their masks as they
-are filled, and stops when each repeated mask has been met twice.
+are filled, and stops when each repeated mask has been met twice.  The
+walks' rows never change, so a pair keeps them as they come.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .compositions import (
@@ -123,7 +124,7 @@ from .compositions import (
     _check_partition,
     _composition_of_mask,
     _descent_mask,
-    _descent_set_of_mask,
+    _mask_members,
     complement,
     rearrangements,
     reverse,
@@ -662,13 +663,20 @@ def f_component_count(e: Expansion) -> int:
     return len(e.terms)
 
 
-def _walk(source: TableauSource) -> tuple[Iterator, Callable]:
+def _walk(source: TableauSource) -> Iterator[tuple[int, tuple]]:
     """The depth-first walk over the standard tableaux of ``source``, which
-    yields each tableau's descent mask and its live rows, and the snapshot
-    that builds a tableau from those rows before the walk overwrites them."""
+    yields each tableau's descent mask and its rows.  The rows never change,
+    so they may be kept as they come and wrapped later by :func:`_tableau`."""
     if isinstance(source, SkewShape):
-        return _syt_walk(source), partial(SkewTableau._trusted, source)
-    return _sct_walk(tuple(source)), CompositionTableau._trusted
+        return _syt_walk(source)
+    return _sct_walk(tuple(source))
+
+
+def _tableau(source: TableauSource, rows: tuple):
+    """The tableau of ``source`` on rows that its walk yielded, uncopied."""
+    if isinstance(source, SkewShape):
+        return SkewTableau._trusted(source, rows)
+    return CompositionTableau._trusted(rows)
 
 
 def multiplicity_witnesses(
@@ -682,24 +690,27 @@ def multiplicity_witnesses(
     The descent counts come from the shared engine, which also enforces the
     budget, so a multiplicity-free source lists no tableau.  Otherwise one
     walk over the tableaux stops as soon as every repeated descent set has
-    its pair, and only the tableaux it keeps are built.
+    its pair.  The walk's rows never change, so the rows of a pair are kept
+    as they come, and only the tableaux of the pairs are built.
     """
     n, counts = _counts(source, max_tableaux)
     repeated = {mask for mask, c in counts.items() if c > 1}
     if not repeated:
         return []
-    walk, snapshot = _walk(source)
-    first: dict[int, object] = {}
+    first: dict[int, tuple] = {}
     found = []
-    for mask, rows in walk:
+    for mask, rows in _walk(source):
         if mask not in repeated:
             continue
         if mask not in first:
-            first[mask] = snapshot(rows)
+            first[mask] = rows
             continue
-        d = _descent_set_of_mask(n, mask)
-        found.append((d, first[mask], snapshot(rows)))
+        found.append((_mask_members(n, mask), first[mask], rows))
         repeated.discard(mask)
         if not repeated:
             break
-    return sorted(found, key=lambda w: tuple(w[0]))
+    found.sort(key=itemgetter(0))
+    return [
+        (DescentSet._trusted(n, members), _tableau(source, a), _tableau(source, b))
+        for members, a, b in found
+    ]

@@ -10,6 +10,8 @@ from .errors import BudgetExceededError
 from .expansion import Expansion
 from .shapes import SkewShape
 
+Rows = tuple[tuple[int, ...], ...]
+
 
 class SkewTableau:
     """Integer filling of a skew shape; ``rows[i]`` holds only the cells of
@@ -28,12 +30,12 @@ class SkewTableau:
         self.rows = rows
 
     @classmethod
-    def _trusted(cls, shape: SkewShape, rows: list[list[int]]) -> "SkewTableau":
-        """Snapshot rows that already fit ``shape``, as the tableau walks
-        produce them, without re-checking them."""
+    def _trusted(cls, shape: SkewShape, rows: Rows) -> "SkewTableau":
+        """Wrap rows that already fit ``shape``, a tuple of tuples as the
+        tableau walk yields them, without copying or re-checking them."""
         obj = cls.__new__(cls)
         obj.shape = shape
-        obj.rows = tuple(map(tuple, rows))
+        obj.rows = rows
         return obj
 
     def __eq__(self, other: object) -> bool:
@@ -57,7 +59,12 @@ class SkewTableau:
         )
 
     def to_json_obj(self) -> list[list[int | None]]:
+        """Each row as a list, padded with one ``None`` per empty cell left
+        of it.  The row starts weakly decrease, so when the top row starts
+        in column 1 the shape is straight and no row is padded."""
         ivs = self.shape.row_intervals()
+        if not ivs or not ivs[0][0]:
+            return list(map(list, self.rows))
         return [[None] * a + list(row) for row, (a, _) in zip(self.rows, ivs)]
 
 
@@ -90,54 +97,75 @@ def is_standard(t: SkewTableau) -> bool:
     return sorted(entries) == list(range(1, len(entries) + 1)) and is_semistandard(t)
 
 
-def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, list[list[int]]]]:
+def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, Rows]]:
     """Depth-first walk over the standard fillings of ``shape``, in the
     order of :func:`enumerate_syt`.  Yields each filling's descent mask (bit
-    t set = descent at t + 1) and the live rows, which the walk overwrites.
-    Entry i is a descent when i + 1 is placed in a lower row.
+    t set = descent at t + 1) and its rows, a tuple of tuples that never
+    changes: a row is extended by one entry as it is filled and restored on
+    backtrack, so the fillings share their unchanged rows.  Entry i is a
+    descent when i + 1 is placed in a lower row.
+
+    A state is the column of the next cell of each row.  Its moves, the
+    cells free for the next entry top row first, are built once per walk,
+    as ``(row, child)``; a child with one cell left is stored as that
+    cell's row, and the last entry is placed there with no state of its
+    own.  Row i's next cell is free when it lies in the row, and right of
+    the last cell of the row above or left of that row's next cell; the
+    top row has none above.
     """
     ivs = shape.row_intervals()
     n = shape.size
-    rows = [[0] * (b - a) for a, b in ivs]
-    if n == 0:
-        yield 0, rows
+    if n < 2:
+        yield 0, ((1,),) * n
         return
     r = len(ivs)
-    ptr = [a + 1 for a, _ in ivs]  # column of the next cell of each row
     ends = [b for _, b in ivs]
-    # Row i's next cell is free of the row above when it lies right of that
-    # row's last cell, or left of its next cell; the top row has none above.
     above = [-1] + ends[:-1]
-    placed: list[int] = []  # row of each entry but the last
-    masks = [0]  # descent mask of the first k entries
-    i = 0
-    while True:
-        while i < r:
+    moves: dict[tuple[int, ...], list] = {}
+
+    def moves_of(ptr: tuple[int, ...], left: int) -> list:
+        out = []
+        for i in range(r):
             p = ptr[i]
             if p <= ends[i] and (p > above[i] or p < ptr[i - 1]):
-                break
-            i += 1
+                child = ptr[:i] + (p + 1,) + ptr[i + 1 :]
+                if left == 2:
+                    last = next(j for j in range(r) if child[j] <= ends[j])
+                    out.append((i, last))
+                else:
+                    out.append((i, child))
+        moves[ptr] = out
+        return out
+
+    rows: list[tuple[int, ...]] = [()] * r
+    # Frame e, for e = 0, ..., n - 2 entries placed: the moves left to try
+    # for entry e + 1, the row of entry e (r in frame 0, which no row is
+    # below) and the descent mask of entries 1..e.
+    stack = [(iter(moves_of(tuple(a + 1 for a, _ in ivs), n)), r, 0)]
+    while True:
+        it, prev, mask = stack[-1]
+        e = len(stack) - 1
+        bit = 1 << e >> 1  # a descent at e, bit e - 1
+        for i, child in it:
+            m = mask | bit if i > prev else mask
+            row = rows[i]
+            rows[i] = row + (e + 1,)
+            if e + 2 == n:
+                # The last entry goes to the one cell left, row ``child``.
+                last = rows[child]
+                rows[child] = last + (n,)
+                yield (m | 1 << e if child > i else m), tuple(rows)
+                rows[child] = last
+                rows[i] = row
+                continue
+            child_moves = moves.get(child) or moves_of(child, n - e - 1)
+            stack.append((iter(child_moves), i, m))
+            break
         else:
-            if not placed:
+            if e == 0:
                 return
-            i = placed.pop()
-            masks.pop()
-            ptr[i] -= 1
-            i += 1
-            continue
-        e = len(placed)  # entries placed so far
-        rows[i][p - ivs[i][0] - 1] = e + 1
-        m = masks[-1]
-        if e and i > placed[-1]:
-            m |= 1 << (e - 1)
-        if e + 1 == n:
-            yield m, rows
-            i += 1
-            continue
-        ptr[i] = p + 1
-        placed.append(i)
-        masks.append(m)
-        i = 0
+            stack.pop()
+            rows[prev] = rows[prev][:-1]
 
 
 def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
@@ -145,10 +173,14 @@ def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
 
     Entries 1..n are placed in increasing order; the cells available for the
     next entry are those with no unfilled cell above or to the left, tried
-    top row first.
+    top row first.  The tableaux share the walk's rows, which never change.
+    Anything but a :class:`SkewShape` raises :class:`ValueError` at the
+    call, not at the first step of the iterator.
     """
-    for _, rows in _syt_walk(shape):
-        yield SkewTableau._trusted(shape, rows)
+    if not isinstance(shape, SkewShape):
+        raise ValueError(f"not a skew shape: {shape!r}")
+    trusted = SkewTableau._trusted
+    return (trusted(shape, rows) for _, rows in _syt_walk(shape))
 
 
 def des_p(t: SkewTableau) -> DescentSet:
@@ -171,7 +203,10 @@ def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion
     """Schur-basis expansion of the skew shape: the coefficient of a
     partition ``lam`` counts the lattice semistandard fillings of content
     ``lam``.  Fillings are enumerated cell by cell in reverse reading order
-    with the lattice condition checked incrementally."""
+    with the lattice condition checked incrementally.  Anything but a
+    :class:`SkewShape` raises :class:`ValueError`."""
+    if not isinstance(shape, SkewShape):
+        raise ValueError(f"not a skew shape: {shape!r}")
     n = shape.size
     ivs = shape.row_intervals()
     order: list[tuple[int, int]] = []

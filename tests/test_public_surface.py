@@ -106,7 +106,8 @@ def _timeout(signum, frame):
 def test_non_instances_raise_value_error(bad):
     # Each call runs under an alarm, so a call that never returns fails
     # here instead of stalling the suite.  (1, 2) is a composition, but
-    # not a partition or a skew shape.
+    # not a partition or a skew shape; no tuple is a skew shape.  The
+    # iterators raise at the call, before their first step.
     takes_partition = [
         qschur.skew_schur_f,
         qschur.schur_f,
@@ -127,8 +128,11 @@ def test_non_instances_raise_value_error(bad):
         qschur.reverse,
         qschur.in_c2,
         qschur.in_c2_prime,
+        qschur.enumerate_sct,
     ]
-    calls = takes_partition + (takes_composition if min(bad) < 1 else [])
+    takes_shape = [qschur.enumerate_syt, qschur.lr_expansion]
+    calls = takes_partition + takes_shape
+    calls += takes_composition if min(bad) < 1 else []
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:
         for f in calls:
