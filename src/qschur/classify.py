@@ -102,8 +102,11 @@ def predict_skew(shape: SkewShape) -> bool:
     the first two families and the last two, so no rotation is built.  The
     starts and the ends of the rows weakly decrease, so every row ends in
     the last column when the last row does, and the rows below the first
-    are (0, 1] when the second and the last are.
+    are (0, 1] when the second and the last are.  Anything but a
+    :class:`SkewShape` raises :class:`ValueError`.
     """
+    if not isinstance(shape, SkewShape):
+        raise ValueError(f"not a skew shape: {shape!r}")
     ivs = shape.row_intervals()
     if not ivs or not ivs[0][0]:
         return _schur_listed(shape.outer)

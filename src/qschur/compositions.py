@@ -35,8 +35,8 @@ class DescentSet:
             raise ValueError("degree must be nonnegative")
         members = frozenset(members)
         for m in members:
-            if not 1 <= m <= degree - 1:
-                raise ValueError(f"descent {m} outside 1..{degree - 1}")
+            if not (isinstance(m, int) and 1 <= m <= degree - 1):
+                raise ValueError(f"descent {m!r} is not an int in 1..{degree - 1}")
         self.degree = degree
         self.members = members
 
@@ -192,11 +192,13 @@ def rearrangements(lam: Partition) -> list[Composition]:
 
 
 def _check_composition(parts: tuple[int, ...]) -> None:
-    if any(p < 1 for p in parts):
+    if not all(isinstance(p, int) and p >= 1 for p in parts):
         raise ValueError(f"not a composition: {parts}")
 
 
 def _check_partition(parts: tuple[int, ...], what: str) -> None:
+    if not all(isinstance(p, int) for p in parts):
+        raise ValueError(f"{what} has a part that is not an int: {parts}")
     if any(p < 1 for p in parts):
         raise ValueError(f"{what} has a part < 1: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -213,12 +215,21 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
+def _check_degree(n: int) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer: {n!r}")
+
+
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """All compositions of ``n`` in lexicographic order: from (1, ..., 1),
     each is followed by its successor (..., x, y) -> (..., x + 1, 1, ..., 1),
-    with y - 1 trailing 1s, until a single part is left."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    with y - 1 trailing 1s, until a single part is left.  ``n`` that is not
+    a nonnegative int raises :class:`ValueError` at the call."""
+    _check_degree(n)
+    return _compositions(n)
+
+
+def _compositions(n: int) -> Iterator[Composition]:
     alpha = [1] * n
     yield tuple(alpha)
     while len(alpha) > 1:
@@ -229,9 +240,9 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``n`` in lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """All partitions of ``n`` in lexicographic order.  ``n`` that is not a
+    nonnegative int raises :class:`ValueError` at the call."""
+    _check_degree(n)
 
     def parts(m: int, cap: int) -> Iterator[Partition]:
         if m == 0:
@@ -241,4 +252,4 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             for rest in parts(m - first, first):
                 yield (first,) + rest
 
-    yield from parts(n, n)
+    return parts(n, n)

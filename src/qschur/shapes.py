@@ -14,11 +14,13 @@ intervals.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .compositions import Partition, _check_partition
+from .compositions import Partition, _check_degree, _check_partition
 
 Intervals = tuple[tuple[int, int], ...]
+_Pairs = list[tuple[tuple[int, ...], Intervals]]  # (ends, rows), as sorted
 
 
 def _basic(ivs: list[tuple[int, int]]) -> Intervals:
@@ -167,43 +169,95 @@ def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:
     Shapes are generated as weakly decreasing row intervals (a_i, b_i] with
     no empty column between consecutive rows (a_i <= b_{i+1}) and column 1
     occupied by the last row (a_r = 0).  The rows from row i down cover
-    columns 1..b_i, so b_i is at most the cells left for them; a last row
-    then holds all the cells left, so it starts at 0, and it is added to
-    the shapes found without another call.
+    columns 1..b_i, so b_i is at most the cells left for them, and a last
+    row holds all the cells left, so it starts at 0.
+
+    The rows under a row (a, b] with r cells left depend only on (a, b, r).
+    So for each r <= n // 2 the (ends, rows) suffixes that fill r cells are
+    built once per call, each from the lists of smaller r, and listed under
+    every row (a, b] with a <= b <= r that they may follow (no row under it
+    ends past r).  A prefix that leaves at most n // 2 cells is completed by
+    concatenating it with each suffix of its list, with no recursion under
+    it.  The cap is read off n, so the lists stay small next to the shapes
+    they complete: at n = 12, 400 suffixes listed 2,548 times, where a cap
+    of n would build every shape of at most 12 cells as a suffix and list
+    them 4,552,796 times.
 
     The shapes are sorted as (ends, rows) pairs: the ends are the outer,
     and where the ends are equal, so is every b, so the rows compare as
     their starts, which are the inner padded with 0s.  So tuple order on
     the pairs is (outer, inner).  The end b_1 of the first row leads, so
     the pairs are built, sorted and yielded one b_1 at a time, b_1 = 1,
-    ..., n; only the pairs of one b_1 are held at once.  Each row is a
-    shared ``(a, b)`` tuple from a table built once per call, and a shape
-    is yielded on the tuple of rows the recursion built, so no ``(a, b)``
-    is built per shape.
+    ..., n; only the pairs of one b_1 are held at once.  Each suffix list
+    is sorted, so a completed prefix adds a sorted run.  Each row is a
+    shared ``(a, b)`` tuple from a table built once per call, and the pairs
+    of one b_1 share their equal ends, so a shape holds only its tuple of
+    rows.  ``n`` that is not a nonnegative int raises :class:`ValueError`
+    at the call, not at the first step of the iterator.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_degree(n)
+    return _skew_shapes(n)
+
+
+def _skew_shapes(n: int) -> Iterator[SkewShape]:
     if n == 0:
         yield SkewShape()
         return
     ending = [[(a, b) for a in range(b)] for b in range(n + 1)]  # (a, b] at [b][a]
-    found: list[tuple[tuple[int, ...], Intervals]] = []
+    cap = n // 2
+    # below[r][b][a]: the sorted suffixes that put r <= cap cells under a
+    # row (a, b], for a <= b <= r.  No cells are put by the empty suffix.
+    below: list[list[list[_Pairs]]] = [[[[((), ())]]]]
+    outers: dict[tuple[int, ...], tuple[int, ...]] = {}  # of one b_1
+    shared = outers.setdefault
 
-    def rec(ends: tuple[int, ...], rows: Intervals, remaining: int) -> None:
-        start = rows[-1][0]
-        for b in range(max(1, start), min(ends[-1], remaining) + 1):
-            pairs, new_ends = ending[b], ends + (b,)
-            if b == remaining:  # (0, b] is a last row
-                found.append((new_ends, rows + (pairs[0],)))
-            for a in range(b == remaining, min(b - 1, start) + 1):
-                rec(new_ends, rows + (pairs[a],), remaining - (b - a))
+    def under(start: int, top: int, r: int) -> list[tuple[int, int]]:
+        """The rows (a, b] that may follow a row (start, top] with r cells
+        left: no empty column between the two (b >= start), a and b weakly
+        decrease, and b <= r."""
+        return [
+            ending[b][a]
+            for b in range(max(1, start), min(top, r) + 1)
+            for a in range(min(b - 1, start) + 1)
+        ]
 
+    def place(
+        out: _Pairs, ends: tuple[int, ...], rows: Intervals, left: int
+    ) -> None:
+        """Append to ``out`` each shape whose first rows are ``rows``,
+        which leave ``left`` cells."""
+        a, b = rows[-1]
+        if left > cap:
+            for row in under(a, b, left):
+                place(out, ends + (row[1],), rows + (row,), left - row[1] + row[0])
+            return
+        # The rows so far took at most the cells they had, so a <= left.
+        out += [
+            (shared(outer, outer), rows + tail)
+            for tail_ends, tail in below[left][min(b, left)][a]
+            for outer in (ends + tail_ends,)
+        ]
+
+    for r in range(1, cap + 1):
+        starting: dict[tuple[int, int], _Pairs] = {}  # by their first row
+        for b in range(1, r + 1):
+            for row in ending[b]:
+                place(starting.setdefault(row, []), (b,), (row,), r - b + row[0])
+        below.append(
+            [
+                [
+                    sorted(chain.from_iterable(map(starting.get, under(a, b, r))))
+                    for a in range(b + 1)
+                ]
+                for b in range(r + 1)
+            ]
+        )
+
+    found: _Pairs = []
     for first in range(1, n + 1):
-        pairs = ending[first]
-        if first == n:
-            found.append(((n,), (pairs[0],)))
-        for a in range(first == n, first):
-            rec((first,), (pairs[a],), n - first + a)
+        outers.clear()
+        for row in ending[first]:
+            place(found, (first,), (row,), n - first + row[0])
         found.sort()
         for _, rows in found:
             yield _from_intervals(rows)

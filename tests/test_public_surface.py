@@ -102,13 +102,17 @@ def _timeout(signum, frame):
     raise TimeoutError("the call did not return within 3 s")
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (0,), (2, -1)])
+@pytest.mark.parametrize(
+    "bad", [(1, 2), (0,), (2, -1), (2.5,), ("3",), (2.0, 1), (3, 1.5)]
+)
 def test_non_instances_raise_value_error(bad):
     # Each call runs under an alarm, so a call that never returns fails
     # here instead of stalling the suite.  (1, 2) is a composition, but
-    # not a partition or a skew shape; no tuple is a skew shape.  The
-    # iterators raise at the call, before their first step.
+    # not a partition or a skew shape; no tuple is a skew shape.  Parts
+    # that are not ints make no instance, even 2.0.  The iterators raise
+    # at the call, before their first step.
     takes_partition = [
+        qschur.SkewShape,
         qschur.skew_schur_f,
         qschur.schur_f,
         qschur.schur_via_qs,
@@ -130,9 +134,9 @@ def test_non_instances_raise_value_error(bad):
         qschur.in_c2_prime,
         qschur.enumerate_sct,
     ]
-    takes_shape = [qschur.enumerate_syt, qschur.lr_expansion]
+    takes_shape = [qschur.enumerate_syt, qschur.lr_expansion, qschur.predict_skew]
     calls = takes_partition + takes_shape
-    calls += takes_composition if min(bad) < 1 else []
+    calls += takes_composition if bad != (1, 2) else []
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:
         for f in calls:
@@ -144,3 +148,27 @@ def test_non_instances_raise_value_error(bad):
                 signal.alarm(0)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_descent_sets_take_int_members():
+    with pytest.raises(ValueError, match=r"descent 1\.5 is not an int in 1\.\.2"):
+        qschur.DescentSet(3, [1.5])
+    with pytest.raises(ValueError):
+        qschur.DescentSet(3, ["1"])
+    assert qschur.DescentSet(3, [1, 2]) == qschur.DescentSet(3, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "enumerate_n",
+    [
+        qschur.enumerate_skew_shapes,
+        qschur.enumerate_partitions,
+        qschur.enumerate_compositions,
+    ],
+)
+def test_enumerators_check_the_degree_at_the_call(enumerate_n):
+    # No next(): a generator function would raise only at its first step.
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            enumerate_n(bad)
+    assert list(enumerate_n(0)) in ([()], [qschur.SkewShape()])
