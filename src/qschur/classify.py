@@ -131,15 +131,15 @@ def predict_qs_components(alpha: Composition) -> str:
     and 2s with no two adjacent 2s begins, and checks every part; the
     suffix from i lies in C2 iff i >= start and it is empty or led by a 1.
     Then one left-to-right pass from each of positions 0 and 1 extends a
-    C2' prefix as far as it goes.  A part below 1 raises
-    :class:`ValueError`.
+    C2' prefix as far as it goes.  A part that is not an int of at least 1
+    raises :class:`ValueError`.
     """
     alpha = tuple(alpha)
     n = start = len(alpha)
     padded = alpha + (1,)  # the empty suffix lies in C2
     for i in range(n - 1, -1, -1):
         part = alpha[i]
-        if part < 1:
+        if not isinstance(part, int) or part < 1:
             raise ValueError(f"not a composition: {alpha}")
         if start == i + 1 and (part == 1 or part == 2 and padded[i + 1] == 1):
             start = i
@@ -164,12 +164,13 @@ def predict_qs_components(alpha: Composition) -> str:
 
 def predict_two_part(alpha: Composition) -> bool:
     """Multiplicity-freeness for two-part composition shapes.  Another
-    number of parts, or a part below 1, raises :class:`ValueError`."""
+    number of parts, or a part that is not an int of at least 1, raises
+    :class:`ValueError`."""
     alpha = tuple(alpha)
     if len(alpha) != 2:
         raise ValueError(f"expected a two-part composition: {alpha}")
     a, b = alpha
-    if a < 1 or b < 1:
+    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
         raise ValueError(f"not a composition: {alpha}")
     n = a + b
     if b == 1 or a == 1:
@@ -417,8 +418,8 @@ def verify(
     in ``_CLOSURES`` builds one closure level per degree; families sweeps
     bottom-up, holding levels n - 2 to n, and stores each instance below
     ``max_n`` in level n for the degree above (see the qsym docstring)."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    if not isinstance(max_n, int) or max_n < 1:
+        raise ValueError(f"max_n must be an int of at least 1: {max_n!r}")
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)

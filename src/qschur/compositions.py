@@ -31,8 +31,8 @@ class DescentSet:
     __slots__ = ("degree", "members")
 
     def __init__(self, degree: int, members: Iterable[int] = ()) -> None:
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if not isinstance(degree, int) or degree < 0:
+            raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
         members = frozenset(members)
         for m in members:
             if not (isinstance(m, int) and 1 <= m <= degree - 1):

@@ -140,7 +140,9 @@ def _sct_walk(alpha: Composition) -> Iterator[tuple[int, Rows]]:
         while j < r:
             s = sizes[j]
             # Delete the leading part when it is 1, or decrement a part with
-            # no earlier part one smaller.
+            # no earlier part one smaller: the rule of _down_moves, tested in
+            # place, since building each state's move list costs more than
+            # the few tableaux of a shape repay.
             if s == 1 and j == lead or s >= 2 and s - 1 not in sizes[lead:j]:
                 break
             j += 1
@@ -209,7 +211,10 @@ def com_c(t: CompositionTableau) -> Composition:
 
 
 def canonical_filling(alpha: Composition) -> CompositionTableau:
-    """Row i holds its consecutive block of entries, decreasing to the right."""
+    """Row i holds its consecutive block of entries, decreasing to the right.
+    A part that is not an int of at least 1 raises :class:`ValueError`."""
+    alpha = tuple(alpha)
+    _check_composition(alpha)
     rows = []
     total = 0
     for part in alpha:

@@ -28,8 +28,8 @@ class Expansion:
     ) -> None:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if not isinstance(degree, int) or degree < 0:
+            raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Composition, int] = {}
         for key, coeff in items:
@@ -40,7 +40,8 @@ class Expansion:
                 continue
             if coeff < 0:
                 raise ValueError(f"negative coefficient for {key}: {coeff}")
-            if sum(key) != degree or any(p < 1 for p in key):
+            positive = all(isinstance(p, int) and p >= 1 for p in key)
+            if not positive or sum(key) != degree:
                 raise ValueError(f"key {key} is not a composition of {degree}")
             if basis == "schur" and any(
                 key[i] < key[i + 1] for i in range(len(key) - 1)

@@ -14,36 +14,34 @@ All three run one engine, Stanley's transfer-matrix method (EC1 section
 states left after removing the cell holding 1.  The engine takes a set of
 moves, one for compositions and one for skew shapes.  The moves of a
 composition are one list per state, ``ctableaux._down_moves``, the inverse
-cover moves that ``covers_down`` and ``is_valid_sct`` read too, so the
-cover rule is written once.  A skew shape's state is the tuple of
-basic-form row intervals the shape stores, and removing a cell leaves a
-state in the same canonical form.  A public call checks its root once, in
-``_root``, and never stores it: ``_counts`` sums the entries of the root's
-children in level n - 1 into a count per descent bitmask.
+cover moves that ``covers_down`` and ``is_valid_sct`` read too.  The tableau
+walk ``ctableaux._sct_walk`` tests the same rule in place on its row sizes:
+a walk over ``_down_moves`` lists was no faster, since a composition of 11
+has about 35 tableaux and building the lists dominates.  A skew
+shape's state is the tuple of basic-form row intervals the shape stores,
+and removing a cell leaves a state in the same canonical form.  A public
+call checks its root once, in ``_root``, and never stores it: ``_counts``
+sums the entries of the root's children in level n - 1 into a count per
+descent bitmask.
 
-Where those levels live depends on the root.  Rotating a shape by 180
-degrees leaves its expansion unchanged (EC2 ch. 7), and removing the cell
-holding 1 from a rotated partition leaves a rotated partition.  So
-``_counts`` reads a straight shape as its rotation, rows
-(lam_1 - lam_i, lam_1], bottom row first (``_rotated_rows``), and a skew
-shape whose rows all end in one column, a rotated partition, as it is; every
-state below either is one of the p(k) partitions of k cells, which every
-partition shares.  ``_PARTITIONS`` keeps those levels across calls, up to
-``_KEPT_CELLS`` = 10 cells; a call builds the levels above in a dict of its
-own.  The cap is set by the input, not by the number of calls: every
+Every public call keeps its levels in one memo, ``_KEPT``, split by size,
+up to a cap set by the kind of its root, and builds the levels above the
+cap in a dict of its own.  Rotating a shape by 180 degrees leaves its
+expansion unchanged (EC2 ch. 7), and removing the cell holding 1 from a
+rotated partition leaves a rotated partition.  So ``_counts`` reads a
+straight shape as its rotation, rows (lam_1 - lam_i, lam_1], bottom row
+first (``_rotated_rows``), and a skew shape whose rows all end in one
+column, a rotated partition, as it is; every state below either is one of
+the p(k) partitions of k cells, which every partition shares.  Such a root
+and a composition keep levels up to ``_KEPT_CELLS`` = 10 cells: every
 partition of at most 10 cells holds 10,089 masks between them, under
-0.4 MB, where 11 cells would hold 31,271 and each cell after that about
-three times more.  A kept level only grows, so nothing is evicted, and a
-state that another thread's call found there stays there for it.
-
-Skew shapes and compositions share no such small family (the skew shapes
-of 10 cells once held 1.39 GB), so their levels live in ``_PROFILES``,
-split by size, and a call on a root of size n keeps only levels n - 2 and
-n - 1 (``_evict``).  A stream of calls whose sizes jump around thus
-rebuilds most of each downset.  Nothing is removed from a level there
-either, only whole levels from the memo, and a call holds its own
-references to the levels it reads, so another thread's eviction cannot
-pull one away.
+0.4 MB, and every composition 12,784.  Any other skew root keeps levels up
+to ``_KEPT_SKEW_CELLS`` = 8 cells: every skew shape of at most 8 cells
+holds 786,393 masks, about 17 MB, where those of 10 cells alone once held
+1.39 GB.  The caps are set by the input, not by the number of calls, and
+a smaller skew cap would slow the callers that walk every skew shape in
+order.  A kept level only grows, so nothing is evicted, and a state that
+another thread's call found there stays there for it.
 
 ``classify.verify`` asks less of a root: whether some mask has two
 tableaux, or whether it has one, two or more masks.  A parent's entry for
@@ -172,15 +170,13 @@ Level = dict[State, Optional[Profile]]
 Build = Callable[[Iterable[Move], Level], Optional[Profile]]
 Read = Callable[[Profile], tuple[int, object]]
 
-# Shared across calls and across skew shapes and compositions: _PROFILES[m]
-# maps the states with m cells to their profiles.  See _evict for what a
-# call keeps.
-_PROFILES: dict[int, dict[State, Profile]] = {}
-# The levels below a straight root, read as its rotation, are rotated
-# partitions, shared by every partition: _PARTITIONS[m] maps those with m
-# cells to their profiles, for m up to _KEPT_CELLS.  They only grow.
+# Shared across calls and across kinds of state: _KEPT[m] maps the states
+# with m cells to their profiles.  A call keeps the levels up to its root's
+# cap, _KEPT_CELLS for a straight or rotated-partition root and for a
+# composition, _KEPT_SKEW_CELLS for any other skew shape.  They only grow.
 _KEPT_CELLS = 10
-_PARTITIONS: dict[int, dict[State, Profile]] = {}
+_KEPT_SKEW_CELLS = 8
+_KEPT: dict[int, dict[State, Profile]] = {}
 # The empty state has one filling; its key lies below every threshold, so
 # entry 1 of a one-cell state is never a descent.
 _EMPTY_LEVEL: dict[State, Profile] = {(): ((-1, (0,), (1,)),)}
@@ -425,8 +421,6 @@ def _level_below(
     than it: every filling of a state left after removing cells extends to
     one of ``state``.  The error names ``source``.
     """
-    # Hold each level here, so that another thread's eviction cannot pull
-    # one from under this call.
     levels = {0: _EMPTY_LEVEL}
     root_moves = list(moves(state))
     missing: list[list[tuple[State, list[Move]]]] = []
@@ -484,32 +478,23 @@ def _counts(
 ) -> tuple[int, dict[int, int]]:
     """Degree of ``source`` and its number of tableaux per descent mask.
     A straight shape is read as its rotation, and a rotated partition as it
-    is, off the levels of rotated partitions that ``_PARTITIONS`` keeps up
-    to ``_KEPT_CELLS`` cells, and their levels above those are built for
-    this call only; any other source is built in ``_PROFILES``, which keeps
-    levels n - 2 and n - 1 (see the module docstring).  More tableaux than
-    ``max_tableaux`` raise :class:`BudgetExceededError`, which names
-    ``source`` as given."""
+    is.  The levels below the root are built in ``_KEPT`` up to the cap of
+    the root's kind, and above it for this call only (see the module
+    docstring).  More tableaux than ``max_tableaux`` raise
+    :class:`BudgetExceededError`, which names ``source`` as given."""
     state, n, moves = _root(source)
     by_mask = {} if n else {0: 1}
     if n:
+        skew = isinstance(source, SkewShape)
         # A straight shape is read as its rotation; a rotated partition,
         # whose rows all end in the last column, is read as it is.
-        if isinstance(source, SkewShape) and not state[0][0]:
+        if skew and not state[0][0]:
             state = _rotated_rows(source.outer)
-        if isinstance(source, SkewShape) and state[-1][1] == state[0][1]:
-            kept = range(1, min(n, _KEPT_CELLS + 1))
-            memo = {m: _PARTITIONS.setdefault(m, {}) for m in kept}
-        else:
-            memo = _PROFILES
-            _evict(memo, n)
-        try:
-            root_moves, below = _level_below(
-                state, n, moves, max_tableaux, source, memo, _profile_of, _tableaux
-            )
-        finally:
-            if memo is _PROFILES:
-                _evict(memo, n)
+        cap = _KEPT_SKEW_CELLS if skew and state[-1][1] != state[0][1] else _KEPT_CELLS
+        memo = {m: _KEPT.setdefault(m, {}) for m in range(1, min(n, cap + 1))}
+        root_moves, below = _level_below(
+            state, n, moves, max_tableaux, source, memo, _profile_of, _tableaux
+        )
         for _, child, t in root_moves:
             for key, ms, cs in below[child]:
                 d = key >= t
@@ -561,8 +546,8 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     composition tableaux of shape alpha with descent composition beta.
 
     Removing the cells 1, 2, ..., n in order walks an inverse cover chain
-    down to the empty composition, so this counts chains by descent set
-    through the shared memo described in the module docstring.  With
+    down to the empty composition, so this counts chains by descent set,
+    off the levels kept across calls up to 10 cells.  With
     ``max_tableaux``, a shape with more tableaux than the budget raises
     :class:`BudgetExceededError` at a cost that grows with the budget times
     the size, not with the number of tableaux.
@@ -575,14 +560,14 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
 
     The coefficient of beta counts standard Young tableaux whose descent
     composition is beta (Gessel).  Rather than listing tableaux, this counts
-    them by descent set.  A straight shape is read as its rotation, off
-    the levels of rotated partitions kept across calls up to 10 cells,
-    where every partition's states lie; any other shape is built in the
-    shared memo's window of two levels (see the module docstring).  With
-    ``max_tableaux``, a shape with more tableaux than the budget raises
-    :class:`BudgetExceededError` at a cost that grows with the budget times
-    the size, not with the number of tableaux.  Anything but a
-    :class:`SkewShape` raises :class:`ValueError`.
+    them by descent set.  A straight shape is read as its rotation, where
+    every state below is a rotated partition, off the levels kept across
+    calls up to 10 cells; any other shape keeps levels up to 8 cells (see
+    the module docstring).  With ``max_tableaux``, a shape with more
+    tableaux than the budget raises :class:`BudgetExceededError` at a cost
+    that grows with the budget times the size, not with the number of
+    tableaux.  Anything but a :class:`SkewShape` raises
+    :class:`ValueError`.
     """
     if not isinstance(shape, SkewShape):
         raise ValueError(f"not a skew shape: {shape!r}")

@@ -155,7 +155,10 @@ def _from_intervals(ivs: Intervals) -> SkewShape:
 
 
 def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
-    """Place ``d2`` strictly north-east of ``d1``, sharing no rows or columns."""
+    """Place ``d2`` strictly north-east of ``d1``, sharing no rows or columns.
+    Anything but two :class:`SkewShape` objects raises :class:`ValueError`."""
+    if not (isinstance(d1, SkewShape) and isinstance(d2, SkewShape)):
+        raise ValueError(f"not two skew shapes: {d1!r}, {d2!r}")
     below = d1.row_intervals()
     width = below[0][1] if below else 0
     return _from_intervals(

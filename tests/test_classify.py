@@ -483,7 +483,7 @@ def _pruned_builds(monkeypatch):
     """The states the sweeps after this call store in their pruned levels,
     each appended to the returned list as it is stored; the public memo is
     cleared, and the sweeps must leave it empty."""
-    qschur.qsym._PROFILES.clear()
+    qschur.qsym._KEPT.clear()
     built = []
 
     class Level(dict):
@@ -506,7 +506,7 @@ def _closure_builds(monkeypatch):
     """The states that the closure steps after this call profile, each
     appended to the returned list as its moves are taken; the public memo
     is cleared."""
-    qschur.qsym._PROFILES.clear()
+    qschur.qsym._KEPT.clear()
     built = []
     step = qschur.classify._closure_step
 
@@ -530,7 +530,7 @@ def test_closure_sweeps_build_each_state_once(monkeypatch, theorem, max_n):
     # and the shared memo is not touched.
     built = _closure_builds(monkeypatch)
     assert verify(theorem, max_n).verified
-    assert qschur.qsym._PROFILES == {}
+    assert qschur.qsym._KEPT == {}
     assert len(built) == len(set(built))
     assert {_size(s) for s in built} == set(range(1, max_n + 1))
 
@@ -538,7 +538,7 @@ def test_closure_sweeps_build_each_state_once(monkeypatch, theorem, max_n):
 def test_verify_schur_builds_each_partition_once(monkeypatch):
     built = _closure_builds(monkeypatch)
     assert verify("schur", 13).verified
-    assert qschur.qsym._PROFILES == {}
+    assert qschur.qsym._KEPT == {}
     # Only rotated partitions are built, each once, up to the last degree.
     assert len(built) == len(set(built))
     rotated = {
@@ -588,7 +588,7 @@ def test_verify_profiles_no_final_degree_root(monkeypatch, theorem, max_n, state
     built = _pruned_builds(monkeypatch)
     monkeypatch.delitem(qschur.classify._CLOSURES, theorem, raising=False)
     assert verify(theorem, max_n).verified
-    assert qschur.qsym._PROFILES == {}
+    assert qschur.qsym._KEPT == {}
     assert 0 < len(built) <= states_below
     assert max(map(_size, built)) == max_n - 1
     # Each state is built once.  A family stops at its first rearrangement
@@ -625,16 +625,18 @@ def test_verify_keeps_no_final_degree_roots(monkeypatch):
 )
 def test_verify_touches_no_module_memo(theorem, max_n, checked):
     # Every sweep builds and holds its levels in its own locals: a verified
-    # theorem leaves the shared memo as it found it, and so does the family
-    # truth, which builds levels of its own per call.  Neither adds to the
-    # kept rotated partitions.
-    qschur.qsym._PROFILES.clear()
-    kept = {m: dict(level) for m, level in qschur.qsym._PARTITIONS.items()}
+    # theorem leaves the kept levels as it found them, and so does the
+    # family truth, which builds levels of its own per call.
+    q = qschur.qsym
+    q._KEPT.clear()
+    q.schur_f((3, 2, 1))
+    q.qs_f((2, 1, 3))
+    q.skew_schur_f(SkewShape((3, 2), (1,)))
+    kept = {m: dict(level) for m, level in q._KEPT.items()}
     assert verify(theorem, max_n) == VerificationReport(theorem, max_n, checked, ())
-    assert qschur.qsym._PROFILES == {}
+    assert q._KEPT == kept
     assert brute_family_fmf((3, 2, 2))
-    assert qschur.qsym._PROFILES == {}
-    assert qschur.qsym._PARTITIONS == kept
+    assert q._KEPT == kept
 
 
 def test_pruned_truth_matches_counts_at_acceptance_bounds():

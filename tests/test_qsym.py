@@ -103,103 +103,35 @@ def test_shared_engine_matches_per_shape_memo():
 
 
 def test_shared_memo_is_order_independent():
+    # Every skew shape and composition of at most 7 cells, and seeded
+    # samples past each kind's cap: skew shapes of 10 cells, partitions of
+    # 11 and 12 and compositions of 12 (about 1 s in all).  Every order
+    # gives the same answers and keeps no state past the cap of its kind.
+    # Skew shapes and compositions alternate in the last order, so both
+    # kinds share every kept level.
+    q = qschur.qsym
+    rng = random.Random(7)
     shapes = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
+    shapes += itertools.islice(enumerate_skew_shapes(10), 0, None, 1000)
+    shapes += [SkewShape(lam) for n in (11, 12) for lam in enumerate_partitions(n)][::7]
     comps = [a for n in range(0, 8) for a in enumerate_compositions(n)]
-    calls = [(skew_schur_f, s, s.size) for s in shapes]
-    calls += [(qs_f, a, sum(a)) for a in comps]
-    ascending = list(range(len(shapes)))
-    shuffled = ascending[:]
-    random.Random(7).shuffle(shuffled)
-    # Skew shapes and compositions alternate, so both kinds of state share
-    # every level of the memo.
-    interleaved = [
-        k
-        for pair in itertools.zip_longest(ascending, range(len(shapes), len(calls)))
-        for k in pair
-        if k is not None
-    ]
-    memo, kept = qschur.qsym._PROFILES, qschur.qsym._PARTITIONS
+    comps += rng.sample(list(enumerate_compositions(12)), 20)
+    calls = [(skew_schur_f, s) for s in shapes] + [(qs_f, a) for a in comps]
+    ascending = list(range(len(calls)))
+    shuffled = rng.sample(ascending, len(ascending))
+    pairs = itertools.zip_longest(range(len(shapes)), range(len(shapes), len(calls)))
+    interleaved = [k for pair in pairs for k in pair if k is not None]
     results = []
     for order in (ascending, ascending[::-1], shuffled, interleaved):
         _clear_memos()
-        got = {}
-        for k in order:
-            f, arg, n = calls[k]
-            # A straight shape, read as its rotation, and a rotated
-            # partition are read off the kept rotated partitions and leave
-            # the window alone.
-            rotated = n and f is skew_schur_f and (
-                not arg.inner or _is_rotated_partition(arg.row_intervals(), n)
-            )
-            if rotated:
-                window = {m: dict(level) for m, level in memo.items()}
-            got[k] = f(arg)
-            if rotated:
-                assert memo == window
-                for m, level in kept.items():
-                    assert m <= qschur.qsym._KEPT_CELLS
-                    assert all(_is_rotated_partition(s, m) for s in level)
-            # A call on the empty state does not touch the memo.
-            elif n:
-                assert set(memo) <= {n - 2, n - 1}
-        results.append(got)
-    assert results[0] == results[1] == results[2]
-    assert {k: results[3][k] for k in ascending} == results[0]
+        results.append({k: calls[k][0](calls[k][1]) for k in order})
+        _assert_kept_under_the_caps()
+    assert results[0] == results[1] == results[2] == results[3]
     for k in range(len(shapes), len(calls)):
-        assert results[3][k] == qs_f_frontier(calls[k][1])
-
-
-def test_shared_memo_drops_stale_levels_before_building(monkeypatch):
-    memo = qschur.qsym._PROFILES
-    memo.clear()
-    for n in range(0, 7):
-        for shape in enumerate_skew_shapes(n):
-            skew_schur_f(shape)
-    # While a one-part composition of 9 is built, the levels below 8 hold
-    # only one-part compositions, no skew shape of two rows or more.
-    stale = []
-    profile_of = qschur.qsym._profile_of
-
-    def watched(moves, below):
-        stale.extend(
-            s for m, level in memo.items() if m < 8 for s in level if len(s) > 1
-        )
-        return profile_of(moves, below)
-
-    monkeypatch.setattr(qschur.qsym, "_profile_of", watched)
-    assert qs_f((9,)) == F(9, {(9,): 1})
-    assert stale == []
-
-
-def test_shared_memo_survives_concurrent_calls():
-    # Small shapes are cheap, so levels come and go often.
-    shapes = [s for n in range(0, 4) for s in enumerate_skew_shapes(n)]
-    expected = {s: skew_schur_f(s) for s in shapes}
-    errors = []
-
-    def worker(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(50_000):
-                shape = rng.choice(shapes)
-                if skew_schur_f(shape) != expected[shape]:
-                    errors.append(f"wrong expansion of {shape}")
-        except Exception as exc:
-            errors.append(repr(exc))
-
-    # A tiny switch interval lets one thread's eviction land inside the
-    # other's walk over the memo.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
+        assert results[0][k] == qs_f_frontier(calls[k][1])
+    for k in range(len(shapes)):
+        if shapes[k].size >= 10:
+            assert results[0][k] == skew_schur_f_pointer(shapes[k])
 
 
 def test_straight_counts_cross_the_kept_cap():
@@ -226,7 +158,7 @@ def test_straight_counts_cross_the_kept_cap():
                 else:
                     assert tally == expected[lam]
                 assert seen.setdefault(lam, by_mask) == by_mask
-    assert q._PROFILES == {}
+    assert max(q._KEPT) == q._KEPT_CELLS
 
 
 def test_repeated_straight_call_builds_no_profile(monkeypatch):
@@ -255,12 +187,12 @@ def test_kept_levels_stop_at_the_cap():
     for n in range(0, 15):
         for lam in enumerate_partitions(n):
             q._counts(SkewShape(lam), None)
-    assert sorted(q._PARTITIONS) == list(range(1, q._KEPT_CELLS + 1))
-    for m, level in q._PARTITIONS.items():
+    assert sorted(q._KEPT) == list(range(1, q._KEPT_CELLS + 1))
+    for m, level in q._KEPT.items():
         assert len(level) == sum(1 for _ in enumerate_partitions(m))
         assert all(_is_rotated_partition(s, m) for s in level)
     masks = sum(
-        len(ms) for level in q._PARTITIONS.values() for p in level.values() for _, ms, _ in p
+        len(ms) for level in q._KEPT.values() for p in level.values() for _, ms, _ in p
     )
     assert masks == 10_089
 
@@ -269,15 +201,24 @@ def test_kept_levels_survive_concurrent_calls():
     # Three threads on two cores fill cold kept levels at once, each in its
     # own order, with a tiny switch interval: two calls may build the same
     # state, but each stores the same profile, and none is ever removed.
-    lams = [lam for n in range(0, 12) for lam in enumerate_partitions(n)]
-    expected = {lam: schur_f(lam) for lam in lams}
+    # The roots mix every partition of at most 11 cells with skew shapes of
+    # at most 5 and 9 cells and compositions of at most 8 and 11 cells, so
+    # every kind of state shares the levels, some past its cap (about 0.5 s).
+    rng = random.Random(5)
+    sources = [SkewShape(lam) for n in range(0, 12) for lam in enumerate_partitions(n)]
+    sources += [s for n in range(0, 6) for s in enumerate_skew_shapes(n)]
+    sources += rng.sample(list(enumerate_skew_shapes(9)), 30)
+    sources += [a for n in range(0, 9) for a in enumerate_compositions(n)]
+    sources += rng.sample(list(enumerate_compositions(11)), 30)
+    engines = {SkewShape: skew_schur_f, tuple: qs_f}
+    expected = {s: engines[type(s)](s) for s in sources}
     errors = []
 
     def worker(seed):
         try:
-            for lam in random.Random(seed).sample(lams, len(lams)):
-                if schur_f(lam) != expected[lam]:
-                    errors.append(f"wrong expansion of {lam}")
+            for s in random.Random(seed).sample(sources, len(sources)):
+                if engines[type(s)](s) != expected[s]:
+                    errors.append(f"wrong expansion of {s}")
         except Exception as exc:
             errors.append(repr(exc))
 
@@ -292,10 +233,10 @@ def test_kept_levels_survive_concurrent_calls():
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
+            _assert_kept_under_the_caps()
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert max(qschur.qsym._PARTITIONS) == qschur.qsym._KEPT_CELLS
 
 
 def test_straight_budget_names_the_partition():
@@ -320,14 +261,14 @@ def test_straight_budget_names_the_partition():
 def test_rotated_partitions_are_read_off_the_kept_levels():
     # Every partition of 1 <= n <= 12 (271 of them, about 0.4 s), rotated by
     # 180 degrees: its rows end in one column, so it is read off the kept
-    # levels as its straight shape is, with the same expansion, and the
-    # window of the shared memo is left as it was.  A budget one tableau
-    # short names the rotated shape as given.
+    # levels as its straight shape is, up to the cap of 10 cells, with the
+    # same expansion, and the composition states kept before stay.  A
+    # budget one tableau short names the rotated shape as given.
     q = qschur.qsym
     _clear_memos()
     qs_f((2, 1, 3))
-    window = {m: dict(level) for m, level in q._PROFILES.items()}
-    assert window
+    before = {m: dict(level) for m, level in q._KEPT.items()}
+    assert before
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
             rotated = SkewShape(lam).rotate180()
@@ -338,14 +279,17 @@ def test_rotated_partitions_are_read_off_the_kept_levels():
             with pytest.raises(BudgetExceededError) as caught:
                 skew_schur_f(rotated, budget)
             assert str(caught.value) == message
-            assert q._PROFILES == window
+    assert sorted(q._KEPT) == list(range(1, q._KEPT_CELLS + 1))
+    for m, level in q._KEPT.items():
+        assert before.get(m, {}).items() <= level.items()
+        assert all(s in before.get(m, ()) or _is_rotated_partition(s, m) for s in level)
 
 
 def test_sweep_roots_stay_out_of_the_shared_memo():
-    # No root is stored, so none is removed again.  A call that found a
-    # state in the memo during its walk reads it again in its build phase,
-    # so removing one there would fail that call.  Two families sweeps run
-    # beside the public calls, each on levels of its own.
+    # Two families sweeps run beside the public calls, each on levels of
+    # its own: the public calls keep their answers, and the kept levels
+    # hold no composition.
+    _clear_memos()
     shapes = list(enumerate_skew_shapes(5))
     expected = {s: skew_schur_f(s) for s in shapes}
     errors = []
@@ -383,6 +327,7 @@ def test_sweep_roots_stay_out_of_the_shared_memo():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    assert all(_is_skew(s) for level in qschur.qsym._KEPT.values() for s in level)
 
 
 def test_sweep_degrees_stay_in_their_own_threads():
@@ -448,8 +393,24 @@ def _tally_sources():
 
 
 def _clear_memos():
-    qschur.qsym._PROFILES.clear()
-    qschur.qsym._PARTITIONS.clear()
+    qschur.qsym._KEPT.clear()
+
+
+def _is_skew(state):
+    """Whether a nonempty ``state`` is a skew shape's, not a composition."""
+    return isinstance(state[0], tuple)
+
+
+def _assert_kept_under_the_caps():
+    """No kept state has more cells than the cap of its kind, and some kept
+    states reach each cap: a rotated partition or a composition keeps up to
+    10 cells, any other skew shape up to 8, as the docs state."""
+    top = {}
+    for m, level in qschur.qsym._KEPT.items():
+        for s in level:
+            skew = _is_skew(s) and not _is_rotated_partition(s, m)
+            top[skew] = max(top.get(skew, 0), m)
+    assert top == {True: 8, False: 10}
 
 
 def _is_rotated_partition(state, m):
@@ -604,7 +565,7 @@ def test_markers_propagate_to_every_parent(keep, sources_of, moves, max_n):
             read(source)
         if n < 3:
             continue
-        full = q._PROFILES
+        full = q._KEPT
         for parent, prof in full[n - 1].items():
             # A root is read up to its first marker child, so a pruned level
             # may lack a child that no root read.
@@ -1077,7 +1038,7 @@ def test_qs_f_budget_aborts_early(monkeypatch):
         qschur.qsym, "_profile_of", lambda *a: built.append(1) or profile_of(*a)
     )
     for budget in (10, 100):
-        qschur.qsym._PROFILES.clear()
+        qschur.qsym._KEPT.clear()
         built.clear()
         with pytest.raises(BudgetExceededError, match=f"tableau budget of {budget}$"):
             qs_f((6, 6, 6), max_tableaux=budget)
@@ -1100,7 +1061,7 @@ def test_budget_caps_the_walk_down(monkeypatch):
 
     monkeypatch.setattr(qschur.qsym, "_qs_moves", counted)
     for budget in (10, 1000):
-        qschur.qsym._PROFILES.clear()
+        qschur.qsym._KEPT.clear()
         calls.clear()
         with pytest.raises(BudgetExceededError, match=f"tableau budget of {budget}$"):
             qs_f((2,) * 25, max_tableaux=budget)
