@@ -12,15 +12,17 @@ from typing import NamedTuple, Union
 from .compositions import (
     Composition,
     Partition,
-    _check_composition,
-    _check_partition,
+    _composition,
     _descent_mask,
+    _instance,
+    _partition,
     _rearranged,
     enumerate_compositions,
     enumerate_partitions,
     rearrangements,
 )
 from .ctableaux import _covers_up
+from .errors import _budget
 from .qsym import _EMPTY_LEVEL, _clean_profile_of, _clean_root, _closure_counts
 from .qsym import _closure_step, _counts, _evict, _f_expansion, _narrow_profile_of
 from .qsym import _narrow_root, _qs_moves, _rotated_parents, _rotated_rows, _skew_moves
@@ -37,8 +39,7 @@ def in_c2(alpha: Composition) -> bool:
     """Interleaved runs of 1s separated by single 2s: all parts in {1, 2},
     no leading 2, no two adjacent 2s.  Contains the empty composition.  A
     part below 1 raises :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
+    alpha = _composition(alpha)
     if any(p not in (1, 2) for p in alpha):
         return False
     if alpha and alpha[0] == 2:
@@ -51,7 +52,7 @@ def in_c2(alpha: Composition) -> bool:
 def in_c2_prime(alpha: Composition) -> bool:
     """The members of :func:`in_c2` that start with a 1 and end with a 2.
     A part below 1 raises :class:`ValueError`."""
-    alpha = tuple(alpha)
+    alpha = _composition(alpha)
     return in_c2(alpha) and bool(alpha) and alpha[-1] == 2 and alpha[0] == 1
 
 
@@ -70,9 +71,7 @@ def predict_schur(lam: Partition) -> bool:
     or its conjugate is (3,3), (4,4), a two-row shape (n-2,2), or a hook.
     A part below 1 or an increasing pair of parts raises
     :class:`ValueError`."""
-    lam = tuple(lam)
-    _check_partition(lam, "partition")
-    return _schur_listed(lam)
+    return _schur_listed(_partition(lam))
 
 
 def _row_below_left_of_column(shape: SkewShape) -> bool:
@@ -105,9 +104,7 @@ def predict_skew(shape: SkewShape) -> bool:
     are (0, 1] when the second and the last are.  Anything but a
     :class:`SkewShape` raises :class:`ValueError`.
     """
-    if not isinstance(shape, SkewShape):
-        raise ValueError(f"not a skew shape: {shape!r}")
-    ivs = shape.row_intervals()
+    ivs = _instance(shape, SkewShape, "a skew shape").row_intervals()
     if not ivs or not ivs[0][0]:
         return _schur_listed(shape.outer)
     width = ivs[0][1]
@@ -139,7 +136,7 @@ def predict_qs_components(alpha: Composition) -> str:
     padded = alpha + (1,)  # the empty suffix lies in C2
     for i in range(n - 1, -1, -1):
         part = alpha[i]
-        if not isinstance(part, int) or part < 1:
+        if type(part) is not int or part < 1:
             raise ValueError(f"not a composition: {alpha}")
         if start == i + 1 and (part == 1 or part == 2 and padded[i + 1] == 1):
             start = i
@@ -166,12 +163,10 @@ def predict_two_part(alpha: Composition) -> bool:
     """Multiplicity-freeness for two-part composition shapes.  Another
     number of parts, or a part that is not an int of at least 1, raises
     :class:`ValueError`."""
-    alpha = tuple(alpha)
+    alpha = _composition(alpha)
     if len(alpha) != 2:
         raise ValueError(f"expected a two-part composition: {alpha}")
     a, b = alpha
-    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
-        raise ValueError(f"not a composition: {alpha}")
     n = a + b
     if b == 1 or a == 1:
         return True
@@ -188,8 +183,7 @@ def predict_family(lam: Partition) -> bool:
     """True iff every rearrangement of ``lam`` indexes a multiplicity-free
     quasisymmetric Schur function.  A part below 1 or an increasing pair of
     parts raises :class:`ValueError`."""
-    lam = tuple(lam)
-    _check_partition(lam, "partition")
+    lam = _partition(lam)
     # A part is at most the one before it, so lam[i] == 1 makes every part
     # from i on a 1, and lam[i : i + 1] in ((), (1,)) says they all are.
     if len(lam) < 2 or lam[1] == 1 or lam in ((3, 3), (4, 3), (4, 4)):
@@ -222,10 +216,9 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     below 1 or an increasing pair of parts raises :class:`ValueError`; that
     check is the only one, since the engine reads the rearrangements of a
     checked partition unchecked, one at a time, up to the first that is
-    not multiplicity-free."""
-    lam = tuple(lam)
-    _check_partition(lam, "partition")
-    return _family_kept(lam, _sweep_counts({}, 0, max_tableaux))
+    not multiplicity-free.  A budget that is not None or an int of at least
+    1 raises :class:`ValueError` too."""
+    return _family_kept(_partition(lam), _sweep_counts({}, 0, _budget(max_tableaux)))
 
 
 class Disagreement(NamedTuple):
@@ -417,9 +410,11 @@ def verify(
     profile and on an instance that passes, in instance order.  A theorem
     in ``_CLOSURES`` builds one closure level per degree; families sweeps
     bottom-up, holding levels n - 2 to n, and stores each instance below
-    ``max_n`` in level n for the degree above (see the qsym docstring)."""
-    if not isinstance(max_n, int) or max_n < 1:
+    ``max_n`` in level n for the degree above (see the qsym docstring).  A
+    bad theorem, ``max_n`` or budget raises :class:`ValueError`."""
+    if type(max_n) is not int or max_n < 1:
         raise ValueError(f"max_n must be an int of at least 1: {max_n!r}")
+    max_tableaux = _budget(max_tableaux)
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)

@@ -15,6 +15,7 @@ import click
 
 from . import classify
 from .classify import DEFAULT_MAX_TABLEAUX, THEOREMS
+from .compositions import _composition, _partition
 from .errors import BudgetExceededError, capped
 from .ctableaux import enumerate_sct
 from .qsym import _counts, _f_expansion, _label
@@ -27,46 +28,34 @@ def _parse_parts(text: str | None, what: str) -> tuple[int, ...]:
     if not text:
         raise click.UsageError(f"missing or empty {what}")
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise click.UsageError(f"malformed {what}: {text!r}")
-    if any(p < 1 for p in parts):
-        raise click.UsageError(f"{what} parts must be positive: {text!r}")
-    return parts
 
 
-def _parse_partition(text: str | None, what: str = "partition") -> tuple[int, ...]:
-    parts = _parse_parts(text, what)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise click.UsageError(f"{what} must be weakly decreasing: {text!r}")
-    return parts
-
-
-def _parse_shape(outer: str | None, inner: str | None) -> SkewShape:
-    outer_parts = _parse_partition(outer, "outer")
-    inner_parts = _parse_partition(inner, "inner") if inner else ()
-    try:
-        return SkewShape(outer_parts, inner_parts)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-# The index flags each --kind reads, in order, and how it reads them; an
-# index flag that its --kind does not read is a usage error.
+# The index flags each --kind reads, in order, and what it makes of their
+# parts, which the library checks; an index flag that its --kind does not
+# read is a usage error.
 _KINDS = {
-    "qs": (("composition",), lambda text: _parse_parts(text, "composition")),
-    "schur": (("partition",), lambda text: SkewShape(_parse_partition(text))),
-    "skew": (("outer", "inner"), _parse_shape),
+    "qs": (("composition",), _composition),
+    "schur": (("partition",), lambda parts: SkewShape(_partition(parts))),
+    "skew": (("outer", "inner"), SkewShape),
 }
 
 
 def _source(kind: str, flags: dict):
-    """Resolve --kind plus the index flags into a composition or shape."""
-    names, parse = _KINDS[kind]
+    """Resolve --kind plus the index flags into a composition or shape; an
+    input the library rejects is a usage error."""
+    names, make = _KINDS[kind]
     for name, value in flags.items():
         if value is not None and name not in names:
             raise click.UsageError(f"--{name} does not apply to --kind {kind}")
-    return parse(*(flags[name] for name in names))
+    # An omitted or empty --inner is the empty partition.
+    given = [name for name in names if flags[name] or name != "inner"]
+    try:
+        return make(*(_parse_parts(flags[name], name) for name in given))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _emit_json(obj) -> None:

@@ -13,8 +13,8 @@ descent-set functions here are built on it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -31,11 +31,11 @@ class DescentSet:
     __slots__ = ("degree", "members")
 
     def __init__(self, degree: int, members: Iterable[int] = ()) -> None:
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
         members = frozenset(members)
         for m in members:
-            if not (isinstance(m, int) and 1 <= m <= degree - 1):
+            if not (type(m) is int and 1 <= m <= degree - 1):
                 raise ValueError(f"descent {m!r} is not an int in 1..{degree - 1}")
         self.degree = degree
         self.members = members
@@ -114,13 +114,14 @@ def _descent_set_of_mask(n: int, mask: int) -> DescentSet:
 def descent_set_of(alpha: Composition) -> DescentSet:
     """Partial sums of all but the last part, as a subset of [n-1].  A part
     below 1 raises :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
+    alpha = _composition(alpha)
     return _descent_set_of_mask(sum(alpha), _descent_mask(alpha))
 
 
 def composition_of(descents: DescentSet) -> Composition:
-    """Inverse of :func:`descent_set_of`."""
+    """Inverse of :func:`descent_set_of`.  Anything but a
+    :class:`DescentSet` raises :class:`ValueError`."""
+    descents = _instance(descents, DescentSet, "a descent set")
     mask = sum(1 << (m - 1) for m in descents.members)
     return _composition_of_mask(mask | 1 << descents.degree >> 1)
 
@@ -128,16 +129,13 @@ def composition_of(descents: DescentSet) -> Composition:
 def reverse(alpha: Composition) -> Composition:
     """The parts of ``alpha`` in reverse order.  A part below 1 raises
     :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
-    return alpha[::-1]
+    return _composition(alpha)[::-1]
 
 
 def complement(alpha: Composition) -> Composition:
     """Composition whose descent set is the complement of ``alpha``'s.  A
     part below 1 raises :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
+    alpha = _composition(alpha)
     if not alpha:
         # Degree 0 has no descent positions, and no top bit to carry.
         return ()
@@ -149,9 +147,7 @@ def refinements(beta: Composition) -> Iterator[Composition]:
     """All compositions refining ``beta``, deterministically ordered.  A
     part below 1 raises :class:`ValueError` at the call, not at the first
     step of the iterator."""
-    beta = tuple(beta)
-    _check_composition(beta)
-    pools = [list(enumerate_compositions(part)) for part in beta]
+    pools = [list(_compositions(part)) for part in _composition(beta)]
     return (
         tuple(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*pools)
@@ -186,37 +182,52 @@ def rearrangements(lam: Partition) -> list[Composition]:
     """All distinct orderings of the parts of ``lam``, sorted
     lexicographically: the list of :func:`_rearranged`.  A part below 1
     raises :class:`ValueError`."""
-    lam = tuple(lam)
-    _check_composition(lam)
-    return list(_rearranged(lam))
+    return list(_rearranged(_composition(lam)))
 
 
-def _check_composition(parts: tuple[int, ...]) -> None:
-    if not all(isinstance(p, int) and p >= 1 for p in parts):
+# The input rules of every public callable: each helper returns the value it
+# checked, and code past it trusts that value.  A part is a plain int, so a
+# bool is none, nor is 2.0.
+def _instance(obj, cls: type, what: str):
+    """``obj``, checked to be a ``cls``, which ``what`` names."""
+    if not isinstance(obj, cls):
+        raise ValueError(f"not {what}: {obj!r}")
+    return obj
+
+
+def _composition(x: Iterable[int]) -> Composition:
+    """``x`` as a tuple, checked to be a composition: ints of at least 1."""
+    parts = x if type(x) is tuple else tuple(_instance(x, Iterable, "a composition"))
+    if not all(type(p) is int and p >= 1 for p in parts):
         raise ValueError(f"not a composition: {parts}")
+    return parts
 
 
-def _check_partition(parts: tuple[int, ...], what: str) -> None:
-    if not all(isinstance(p, int) for p in parts):
+def _partition(x: Iterable[int], what: str = "partition") -> Partition:
+    """``x`` as a tuple, checked to be a partition: weakly decreasing ints
+    of at least 1.  ``what`` names it in the error."""
+    iterable = x if type(x) is tuple else _instance(x, Iterable, f"an iterable {what}")
+    parts = tuple(iterable)
+    if not all(type(p) is int for p in parts):
         raise ValueError(f"{what} has a part that is not an int: {parts}")
-    if any(p < 1 for p in parts):
+    if parts and min(parts) < 1:
         raise ValueError(f"{what} has a part < 1: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if parts != tuple(sorted(parts, reverse=True)):
         raise ValueError(f"{what} is not weakly decreasing: {parts}")
+    return parts
 
 
 def conjugate(lam: Partition) -> Partition:
     """Column lengths of the diagram of ``lam``.  A part below 1 or an
     increasing pair of parts raises :class:`ValueError`."""
-    lam = tuple(lam)
-    _check_partition(lam, "partition")
+    lam = _partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
 def _check_degree(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer: {n!r}")
 
 

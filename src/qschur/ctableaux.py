@@ -9,9 +9,10 @@ from alpha removes the cells containing 1, 2, ..., n in that order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, _check_composition, composition_of
+from .compositions import Composition, DescentSet, _composition, _instance
+from .compositions import composition_of
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -22,7 +23,7 @@ class CompositionTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(_instance(r, Iterable, "a row of entries")) for r in rows)
         if any(not r for r in rows):
             raise ValueError("rows must be nonempty")
         self.rows = rows
@@ -74,9 +75,7 @@ def covers_up(beta: Composition) -> list[Composition]:
     """All compositions covering ``beta``: the prepend, then one increment
     per distinct part value (applied to its first occurrence).  A part
     below 1 raises :class:`ValueError`."""
-    beta = tuple(beta)
-    _check_composition(beta)
-    return _covers_up(beta)
+    return _covers_up(_composition(beta))
 
 
 def _down_moves(alpha: Composition) -> list[tuple[int, Composition, int]]:
@@ -104,8 +103,7 @@ def covers_down(alpha: Composition) -> list[Composition]:
     """All compositions covered by ``alpha`` (delete-leading-1 first, then
     decrements by ascending row index).  A part below 1 raises
     :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
+    alpha = _composition(alpha)
     if not alpha:
         raise ValueError("the empty composition covers nothing")
     return [child for _, child, _ in _down_moves(alpha)]
@@ -188,15 +186,14 @@ def enumerate_sct(alpha: Composition) -> Iterator[CompositionTableau]:
     rows, which never change.  A part below 1 raises :class:`ValueError` at
     the call, not at the first step of the iterator.
     """
-    alpha = tuple(alpha)
-    _check_composition(alpha)
     trusted = CompositionTableau._trusted
-    return (trusted(rows) for _, rows in _sct_walk(alpha))
+    return (trusted(rows) for _, rows in _sct_walk(_composition(alpha)))
 
 
 def des_c(t: CompositionTableau) -> DescentSet:
-    """Entries i such that i+1 sits weakly to the right of i."""
-    n = t.size
+    """Entries i such that i+1 sits weakly to the right of i.  Anything but
+    a :class:`CompositionTableau` raises :class:`ValueError`."""
+    n = _instance(t, CompositionTableau, "a composition tableau").size
     col_of = [0] * (n + 1)
     for row in t.rows:
         for c, v in enumerate(row, start=1):
@@ -213,11 +210,9 @@ def com_c(t: CompositionTableau) -> Composition:
 def canonical_filling(alpha: Composition) -> CompositionTableau:
     """Row i holds its consecutive block of entries, decreasing to the right.
     A part that is not an int of at least 1 raises :class:`ValueError`."""
-    alpha = tuple(alpha)
-    _check_composition(alpha)
     rows = []
     total = 0
-    for part in alpha:
+    for part in _composition(alpha):
         rows.append(tuple(range(total + part, total, -1)))
         total += part
     return CompositionTableau(rows)
@@ -225,8 +220,9 @@ def canonical_filling(alpha: Composition) -> CompositionTableau:
 
 def is_valid_sct(t: CompositionTableau) -> bool:
     """True iff deleting the cells 1, 2, ..., n in order realizes a chain of
-    inverse cover moves down to the empty composition."""
-    n = t.size
+    inverse cover moves down to the empty composition.  Anything but a
+    :class:`CompositionTableau` raises :class:`ValueError`."""
+    n = _instance(t, CompositionTableau, "a composition tableau").size
     pos: dict[int, tuple[int, int]] = {}
     for r, row in enumerate(t.rows):
         for c, v in enumerate(row, start=1):

@@ -16,6 +16,13 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _budget(budget: int | None) -> int | None:
+    """``budget``, checked to be None, for no cap, or an int of at least 1."""
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ValueError(f"a budget must be None or an int of at least 1: {budget!r}")
+    return budget
+
+
 def capped(items: Iterable[T], budget: int | None, what: str) -> Iterator[T]:
     """Re-yield ``items``, raising loudly after ``budget`` of them."""
     if budget is None:

@@ -28,19 +28,19 @@ class Expansion:
     ) -> None:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Composition, int] = {}
         for key, coeff in items:
             key = tuple(key)
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise ValueError(f"coefficient of {key} is not an integer: {coeff!r}")
             if coeff == 0:
                 continue
             if coeff < 0:
                 raise ValueError(f"negative coefficient for {key}: {coeff}")
-            positive = all(isinstance(p, int) and p >= 1 for p in key)
+            positive = all(type(p) is int and p >= 1 for p in key)
             if not positive or sum(key) != degree:
                 raise ValueError(f"key {key} is not a composition of {degree}")
             if basis == "schur" and any(

@@ -20,9 +20,10 @@ a walk over ``_down_moves`` lists was no faster, since a composition of 11
 has about 35 tableaux and building the lists dominates.  A skew
 shape's state is the tuple of basic-form row intervals the shape stores,
 and removing a cell leaves a state in the same canonical form.  A public
-call checks its root once, in ``_root``, and never stores it: ``_counts``
-sums the entries of the root's children in level n - 1 into a count per
-descent bitmask.
+call checks its root once, on entry, through the input helpers of
+``compositions``, and never stores it: ``_counts`` reads the checked root
+through ``_state`` and sums the entries of its children in level n - 1
+into a count per descent bitmask.
 
 Every public call keeps its levels in one memo, ``_KEPT``, split by size,
 up to a cap set by the kind of its root, and builds the levels above the
@@ -111,6 +112,7 @@ walks' rows never change, so a pair keeps them as they come.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -118,17 +120,18 @@ from .compositions import (
     Composition,
     DescentSet,
     Partition,
-    _check_composition,
-    _check_partition,
+    _composition,
     _composition_of_mask,
     _descent_mask,
+    _instance,
     _mask_members,
+    _partition,
+    _rearranged,
     complement,
-    rearrangements,
     reverse,
 )
 from .ctableaux import CompositionTableau, _covers_up, _down_moves, _sct_walk
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _budget
 from .expansion import Expansion
 from .shapes import Intervals, SkewShape
 from .young import SkewTableau, _syt_walk
@@ -450,39 +453,31 @@ def _level_below(
 
 
 def _state(source: TableauSource) -> tuple[State, int, Moves]:
-    """The state of ``source``, a skew shape or a composition as a tuple of
-    positive parts, its size and its moves."""
+    """The state of ``source``, a skew shape or a checked composition, its
+    size and its moves."""
     if isinstance(source, SkewShape):
         return source.row_intervals(), source.size, _skew_moves
     return source, sum(source), _qs_moves
-
-
-def _root(source: TableauSource) -> tuple[State, int, Moves]:
-    """:func:`_state` of ``source`` after checking a composition; a part
-    below 1 raises :class:`ValueError`."""
-    if not isinstance(source, SkewShape):
-        source = tuple(source)
-        _check_composition(source)
-    return _state(source)
 
 
 def _label(source: TableauSource) -> str:
     """What a budget error on ``source`` names; built only when raising."""
     if isinstance(source, SkewShape):
         return f"tableaux of shape {source}"
-    return f"composition tableaux of shape {tuple(source)}"
+    return f"composition tableaux of shape {source}"
 
 
 def _counts(
     source: TableauSource, max_tableaux: int | None
 ) -> tuple[int, dict[int, int]]:
-    """Degree of ``source`` and its number of tableaux per descent mask.
-    A straight shape is read as its rotation, and a rotated partition as it
-    is.  The levels below the root are built in ``_KEPT`` up to the cap of
-    the root's kind, and above it for this call only (see the module
-    docstring).  More tableaux than ``max_tableaux`` raise
-    :class:`BudgetExceededError`, which names ``source`` as given."""
-    state, n, moves = _root(source)
+    """Degree of ``source``, a skew shape or a checked composition, and its
+    number of tableaux per descent mask.  A straight shape is read as its
+    rotation, and a rotated partition as it is.  The levels below the root
+    are built in ``_KEPT`` up to the cap of the root's kind, and above it
+    for this call only (see the module docstring).  More tableaux than
+    ``max_tableaux`` raise :class:`BudgetExceededError`, which names
+    ``source`` as given."""
+    state, n, moves = _state(source)
     by_mask = {} if n else {0: 1}
     if n:
         skew = isinstance(source, SkewShape)
@@ -550,9 +545,11 @@ def qs_f(alpha: Composition, max_tableaux: int | None = None) -> Expansion:
     off the levels kept across calls up to 10 cells.  With
     ``max_tableaux``, a shape with more tableaux than the budget raises
     :class:`BudgetExceededError` at a cost that grows with the budget times
-    the size, not with the number of tableaux.
+    the size, not with the number of tableaux.  A part that is not an int
+    of at least 1, or a budget that is not None or an int of at least 1,
+    raises :class:`ValueError`.
     """
-    return _f_expansion(*_counts(tuple(alpha), max_tableaux))
+    return _f_expansion(*_counts(_composition(alpha), _budget(max_tableaux)))
 
 
 def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion:
@@ -566,19 +563,18 @@ def skew_schur_f(shape: SkewShape, max_tableaux: int | None = None) -> Expansion
     the module docstring).  With ``max_tableaux``, a shape with more
     tableaux than the budget raises :class:`BudgetExceededError` at a cost
     that grows with the budget times the size, not with the number of
-    tableaux.  Anything but a :class:`SkewShape` raises
-    :class:`ValueError`.
+    tableaux.  Anything but a :class:`SkewShape`, or a budget that is not
+    None or an int of at least 1, raises :class:`ValueError`.
     """
-    if not isinstance(shape, SkewShape):
-        raise ValueError(f"not a skew shape: {shape!r}")
-    return _f_expansion(*_counts(shape, max_tableaux))
+    shape = _instance(shape, SkewShape, "a skew shape")
+    return _f_expansion(*_counts(shape, _budget(max_tableaux)))
 
 
 def schur_f(lam: Partition, max_tableaux: int | None = None) -> Expansion:
     """Fundamental expansion of the Schur function of the partition
     ``lam``: :func:`skew_schur_f` of its straight shape, read as its
     rotation off the kept levels of rotated partitions."""
-    return skew_schur_f(SkewShape(tuple(lam)), max_tableaux)
+    return skew_schur_f(SkewShape(lam), max_tableaux)
 
 
 def schur_via_qs(lam: Partition) -> Expansion:
@@ -586,10 +582,9 @@ def schur_via_qs(lam: Partition) -> Expansion:
     functions over all rearrangements of ``lam``; must agree with
     :func:`schur_f`.  A part below 1 or an increasing pair of parts raises
     :class:`ValueError`."""
-    lam = tuple(lam)
-    _check_partition(lam, "partition")
+    lam = _partition(lam)
     total = Expansion("F", sum(lam), {})
-    for alpha in rearrangements(lam):
+    for alpha in _rearranged(lam):
         total = total + qs_f(alpha)
     return total
 
@@ -601,9 +596,12 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
     Computed as a sparse subset sum over descent masks, described in the
     module docstring.  With ``max_terms``, an M-expansion of more terms
     raises :class:`BudgetExceededError` as soon as the terms found pass it.
+    Anything but an F-expansion, or a budget that is not None or an int of
+    at least 1, raises :class:`ValueError`.
     """
-    if e.basis != "F":
+    if _instance(e, Expansion, "an expansion").basis != "F":
         raise ValueError("f_to_m expects an F-expansion")
+    max_terms = _budget(max_terms)
     n = e.degree
     acc = {_descent_mask(key): coeff for key, coeff in e.terms.items()}
     # Every F-term is an M-term, so the support alone may pass the cap.
@@ -631,7 +629,7 @@ def f_to_m(e: Expansion, max_terms: int | None = None) -> Expansion:
 def omega_f(e: Expansion) -> Expansion:
     """The involution sending the F-term at alpha to the F-term at the
     complement of the reverse of alpha."""
-    if e.basis != "F":
+    if _instance(e, Expansion, "an expansion").basis != "F":
         raise ValueError("omega_f expects an F-expansion")
     return Expansion(
         "F", e.degree, {complement(reverse(key)): c for key, c in e.terms.items()}
@@ -640,28 +638,12 @@ def omega_f(e: Expansion) -> Expansion:
 
 def is_fmf(e: Expansion) -> bool:
     """True iff every coefficient is 0 or 1."""
-    return all(c == 1 for c in e.terms.values())
+    return all(c == 1 for c in _instance(e, Expansion, "an expansion").terms.values())
 
 
 def f_component_count(e: Expansion) -> int:
     """Number of keys with nonzero coefficient."""
-    return len(e.terms)
-
-
-def _walk(source: TableauSource) -> Iterator[tuple[int, tuple]]:
-    """The depth-first walk over the standard tableaux of ``source``, which
-    yields each tableau's descent mask and its rows.  The rows never change,
-    so they may be kept as they come and wrapped later by :func:`_tableau`."""
-    if isinstance(source, SkewShape):
-        return _syt_walk(source)
-    return _sct_walk(tuple(source))
-
-
-def _tableau(source: TableauSource, rows: tuple):
-    """The tableau of ``source`` on rows that its walk yielded, uncopied."""
-    if isinstance(source, SkewShape):
-        return SkewTableau._trusted(source, rows)
-    return CompositionTableau._trusted(rows)
+    return len(_instance(e, Expansion, "an expansion").terms)
 
 
 def multiplicity_witnesses(
@@ -676,15 +658,19 @@ def multiplicity_witnesses(
     budget, so a multiplicity-free source lists no tableau.  Otherwise one
     walk over the tableaux stops as soon as every repeated descent set has
     its pair.  The walk's rows never change, so the rows of a pair are kept
-    as they come, and only the tableaux of the pairs are built.
+    as they come, and only the tableaux of the pairs are built.  A source
+    that is neither a :class:`SkewShape` nor a composition, or a budget that
+    is not None or an int of at least 1, raises :class:`ValueError`.
     """
-    n, counts = _counts(source, max_tableaux)
+    skew = isinstance(source, SkewShape)
+    source = source if skew else _composition(source)
+    n, counts = _counts(source, _budget(max_tableaux))
     repeated = {mask for mask, c in counts.items() if c > 1}
     if not repeated:
         return []
     first: dict[int, tuple] = {}
     found = []
-    for mask, rows in _walk(source):
+    for mask, rows in _syt_walk(source) if skew else _sct_walk(source):
         if mask not in repeated:
             continue
         if mask not in first:
@@ -695,7 +681,9 @@ def multiplicity_witnesses(
         if not repeated:
             break
     found.sort(key=itemgetter(0))
+    wrap = CompositionTableau._trusted
+    if skew:
+        wrap = partial(SkewTableau._trusted, source)
     return [
-        (DescentSet._trusted(n, members), _tableau(source, a), _tableau(source, b))
-        for members, a, b in found
+        (DescentSet._trusted(n, members), wrap(a), wrap(b)) for members, a, b in found
     ]

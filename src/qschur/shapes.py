@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .compositions import Partition, _check_degree, _check_partition
+from .compositions import Partition, _check_degree, _instance, _partition
 
 Intervals = tuple[tuple[int, int], ...]
 _Pairs = list[tuple[tuple[int, ...], Intervals]]  # (ends, rows), as sorted
@@ -46,10 +46,8 @@ class SkewShape:
     __slots__ = ("_ivs",)
 
     def __init__(self, outer: Iterable[int] = (), inner: Iterable[int] = ()) -> None:
-        outer = tuple(outer)
-        inner = tuple(inner)
-        _check_partition(outer, "outer")
-        _check_partition(inner, "inner")
+        outer = _partition(outer, "outer")
+        inner = _partition(inner, "inner")
         if len(inner) > len(outer) or any(
             inner[i] > outer[i] for i in range(len(inner))
         ):
@@ -73,8 +71,8 @@ class SkewShape:
             raise ValueError("cells do not form a skew diagram")
         if intervals and intervals[-1][0] < 0:
             # A cell in column 0 or left of it: name the part below 1.
-            _check_partition(tuple(b for _, b in intervals), "outer")
-            _check_partition(tuple(a for a, _ in intervals), "inner")
+            _partition([b for _, b in intervals], "outer")
+            _partition([a for a, _ in intervals], "inner")
         return _from_intervals(_basic(intervals))
 
     @property
@@ -157,13 +155,10 @@ def _from_intervals(ivs: Intervals) -> SkewShape:
 def disjoint_union(d1: SkewShape, d2: SkewShape) -> SkewShape:
     """Place ``d2`` strictly north-east of ``d1``, sharing no rows or columns.
     Anything but two :class:`SkewShape` objects raises :class:`ValueError`."""
-    if not (isinstance(d1, SkewShape) and isinstance(d2, SkewShape)):
-        raise ValueError(f"not two skew shapes: {d1!r}, {d2!r}")
-    below = d1.row_intervals()
+    below = _instance(d1, SkewShape, "a skew shape").row_intervals()
+    above = _instance(d2, SkewShape, "a skew shape").row_intervals()
     width = below[0][1] if below else 0
-    return _from_intervals(
-        tuple((a + width, b + width) for a, b in d2.row_intervals()) + below
-    )
+    return _from_intervals(tuple((a + width, b + width) for a, b in above) + below)
 
 
 def enumerate_skew_shapes(n: int) -> Iterator[SkewShape]:

@@ -3,10 +3,10 @@ the Schur-basis expansion of a skew shape."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, Partition, composition_of
-from .errors import BudgetExceededError
+from .compositions import Composition, DescentSet, Partition, _instance, composition_of
+from .errors import BudgetExceededError, _budget
 from .expansion import Expansion
 from .shapes import SkewShape
 
@@ -20,8 +20,8 @@ class SkewTableau:
     __slots__ = ("shape", "rows")
 
     def __init__(self, shape: SkewShape, rows: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(r) for r in rows)
-        ivs = shape.row_intervals()
+        ivs = _instance(shape, SkewShape, "a skew shape").row_intervals()
+        rows = tuple(tuple(_instance(r, Iterable, "a row of entries")) for r in rows)
         if len(rows) != len(ivs) or any(
             len(row) != b - a for row, (a, b) in zip(rows, ivs)
         ):
@@ -77,8 +77,9 @@ def _cell_values(t: SkewTableau) -> dict[tuple[int, int], int]:
 
 
 def is_semistandard(t: SkewTableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase downward."""
-    vals = _cell_values(t)
+    """Rows weakly increase left to right, columns strictly increase downward.
+    Anything but a :class:`SkewTableau` raises :class:`ValueError`."""
+    vals = _cell_values(_instance(t, SkewTableau, "a skew tableau"))
     for (i, j), v in vals.items():
         if v < 1:
             return False
@@ -92,8 +93,10 @@ def is_semistandard(t: SkewTableau) -> bool:
 
 
 def is_standard(t: SkewTableau) -> bool:
-    """Semistandard with entries exactly 1..n."""
-    entries = [v for row in t.rows for v in row]
+    """Semistandard with entries exactly 1..n.  Anything but a
+    :class:`SkewTableau` raises :class:`ValueError`."""
+    rows = _instance(t, SkewTableau, "a skew tableau").rows
+    entries = [v for row in rows for v in row]
     return sorted(entries) == list(range(1, len(entries) + 1)) and is_semistandard(t)
 
 
@@ -177,15 +180,15 @@ def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
     Anything but a :class:`SkewShape` raises :class:`ValueError` at the
     call, not at the first step of the iterator.
     """
-    if not isinstance(shape, SkewShape):
-        raise ValueError(f"not a skew shape: {shape!r}")
+    shape = _instance(shape, SkewShape, "a skew shape")
     trusted = SkewTableau._trusted
     return (trusted(shape, rows) for _, rows in _syt_walk(shape))
 
 
 def des_p(t: SkewTableau) -> DescentSet:
-    """Entries i such that i+1 sits in a strictly lower row than i."""
-    n = t.shape.size
+    """Entries i such that i+1 sits in a strictly lower row than i.  Anything
+    but a :class:`SkewTableau` raises :class:`ValueError`."""
+    n = _instance(t, SkewTableau, "a skew tableau").shape.size
     row_of = [0] * (n + 1)
     for i, row in enumerate(t.rows, start=1):
         for v in row:
@@ -204,11 +207,11 @@ def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion
     partition ``lam`` counts the lattice semistandard fillings of content
     ``lam``.  Fillings are enumerated cell by cell in reverse reading order
     with the lattice condition checked incrementally.  Anything but a
-    :class:`SkewShape` raises :class:`ValueError`."""
-    if not isinstance(shape, SkewShape):
-        raise ValueError(f"not a skew shape: {shape!r}")
+    :class:`SkewShape`, or a budget that is not None or an int of at least
+    1, raises :class:`ValueError`."""
+    ivs = _instance(shape, SkewShape, "a skew shape").row_intervals()
+    max_fillings = _budget(max_fillings)
     n = shape.size
-    ivs = shape.row_intervals()
     order: list[tuple[int, int]] = []
     for i, (a, b) in enumerate(ivs, start=1):
         order.extend((i, j) for j in range(b, a, -1))

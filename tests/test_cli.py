@@ -127,7 +127,15 @@ def test_usage_errors_exit_2():
     assert run("expand", "--kind", "qs", "--composition", "1,x").exit_code == 2
     assert run("expand", "--kind", "qs", "--composition", "0,1").exit_code == 2
     assert run("expand", "--kind", "qs").exit_code == 2
-    assert run("expand", "--kind", "schur", "--partition", "1,2").exit_code == 2
+    # The library checks the parts, and its message names the flag.
+    for args, message in (
+        (("--kind", "schur", "--partition", "1,2"), "partition is not weakly decreasing"),
+        (("--kind", "skew", "--outer", "2,0"), "outer has a part < 1"),
+        (("--kind", "qs", "--composition", "0,1"), "not a composition: (0, 1)"),
+    ):
+        result = run("expand", *args)
+        assert result.exit_code == 2
+        assert message in result.output
     assert run("expand", "--kind", "skew", "--outer", "2,1", "--inner", "3").exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "0").exit_code == 2
     assert run("verify", "--theorem", "schur", "--max-n", "4", "--threads", "2").exit_code == 2

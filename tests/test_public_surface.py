@@ -1,6 +1,7 @@
 """The package's public surface is exactly the names listed here, and
 importing it loads nothing heavy."""
 
+import inspect
 import os
 import signal
 import subprocess
@@ -134,7 +135,26 @@ TAKES_COMPOSITION = [
 TAKES_SHAPE = [qschur.enumerate_syt, qschur.lr_expansion, qschur.predict_skew]
 # Probed with the bad input on either side of an empty shape.
 TAKES_TWO_SHAPES = [qschur.disjoint_union]
-# The public callables the probe leaves out, and why.
+# Probed with the bad input as the shape of no rows.
+TAKES_SHAPE_AND_ROWS = [qschur.SkewTableau]
+# The public callables that take a tableau, rows of entries, an Expansion
+# or a DescentSet first, which test_non_objects_raise_value_error probes.
+TAKES_OBJECT = [
+    qschur.CompositionTableau,
+    qschur.composition_of,
+    qschur.com_c,
+    qschur.com_p,
+    qschur.des_c,
+    qschur.des_p,
+    qschur.is_semistandard,
+    qschur.is_standard,
+    qschur.is_valid_sct,
+    qschur.f_to_m,
+    qschur.omega_f,
+    qschur.is_fmf,
+    qschur.f_component_count,
+]
+# The public callables the probes leave out, and why.
 _DEGREE = "takes a degree: test_enumerators_check_the_degree_at_the_call"
 EXEMPT = {
     "Composition": "a type alias",
@@ -142,22 +162,8 @@ EXEMPT = {
     "BudgetExceededError": "an exception",
     "Disagreement": "a record of a verify run",
     "VerificationReport": "a record of a verify run",
-    "CompositionTableau": "takes rows of entries",
-    "SkewTableau": "takes a shape and rows of entries",
     "DescentSet": "takes a degree: test_descent_sets_take_int_members",
     "Expansion": "takes a degree: test_expansions_take_int_degrees_and_parts",
-    "composition_of": "takes a DescentSet",
-    "com_c": "takes a tableau",
-    "com_p": "takes a tableau",
-    "des_c": "takes a tableau",
-    "des_p": "takes a tableau",
-    "is_semistandard": "takes a tableau",
-    "is_standard": "takes a tableau",
-    "is_valid_sct": "takes a tableau",
-    "f_to_m": "takes an Expansion",
-    "omega_f": "takes an Expansion",
-    "is_fmf": "takes an Expansion",
-    "f_component_count": "takes an Expansion",
     "enumerate_compositions": _DEGREE,
     "enumerate_partitions": _DEGREE,
     "enumerate_skew_shapes": _DEGREE,
@@ -168,6 +174,7 @@ EXEMPT = {
 def test_every_public_callable_is_probed_or_exempt():
     # A public callable added to __all__ must join a probe list or EXEMPT.
     probed = TAKES_PARTITION + TAKES_COMPOSITION + TAKES_SHAPE + TAKES_TWO_SHAPES
+    probed += TAKES_SHAPE_AND_ROWS + TAKES_OBJECT
     names = {f.__name__ for f in probed}
     assert len(names) == len(probed)
     assert names.isdisjoint(EXEMPT)
@@ -175,20 +182,9 @@ def test_every_public_callable_is_probed_or_exempt():
     assert public == names | set(EXEMPT)
 
 
-@pytest.mark.parametrize(
-    "bad", [(1, 2), (0,), (2, -1), (2.5,), ("3",), (2.0, 1), (3, 1.5)]
-)
-def test_non_instances_raise_value_error(bad):
+def _assert_each_raises_value_error(calls, bad):
     # Each call runs under an alarm, so a call that never returns fails
-    # here instead of stalling the suite.  (1, 2) is a composition, but
-    # not a partition or a skew shape; no tuple is a skew shape.  Parts
-    # that are not ints make no instance, even 2.0.  The iterators raise
-    # at the call, before their first step.
-    empty = qschur.SkewShape()
-    calls = TAKES_PARTITION + TAKES_SHAPE
-    calls += TAKES_COMPOSITION if bad != (1, 2) else []
-    calls += [lambda x, f=f: f(x, empty) for f in TAKES_TWO_SHAPES]
-    calls += [lambda x, f=f: f(empty, x) for f in TAKES_TWO_SHAPES]
+    # here instead of stalling the suite.
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:
         for f in calls:
@@ -202,29 +198,108 @@ def test_non_instances_raise_value_error(bad):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize(
+    "bad", [(1, 2), (0,), (2, -1), (2.5,), ("3",), (2.0, 1), (3, 1.5), (True, 2)]
+)
+def test_non_instances_raise_value_error(bad):
+    # (1, 2) is a composition, but not a partition or a skew shape; no
+    # tuple is a skew shape.  Parts that are not plain ints make no
+    # instance, even 2.0 or True.  The iterators raise at the call, before
+    # their first step.
+    empty = qschur.SkewShape()
+    calls = TAKES_PARTITION + TAKES_SHAPE
+    calls += TAKES_COMPOSITION if bad != (1, 2) else []
+    calls += [lambda x, f=f: f(x, empty) for f in TAKES_TWO_SHAPES]
+    calls += [lambda x, f=f: f(empty, x) for f in TAKES_TWO_SHAPES]
+    calls += [lambda x, f=f: f(x, ()) for f in TAKES_SHAPE_AND_ROWS]
+    _assert_each_raises_value_error(calls, bad)
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (2.5,), (True, 2)])
+def test_non_objects_raise_value_error(bad):
+    # No tuple is a tableau, an Expansion or a DescentSet, and no int is a
+    # row of entries.
+    _assert_each_raises_value_error(TAKES_OBJECT, bad)
+
+
+def test_input_helpers_return_what_they_check():
+    # Each helper turns what it checked into the value the engine trusts,
+    # and a non-iterable is no composition or partition either.
+    from qschur.compositions import _composition, _instance, _partition
+    from qschur.errors import _budget
+
+    assert _composition([2, 1, 3]) == (2, 1, 3)
+    assert _partition(iter([3, 1, 1]), "outer") == (3, 1, 1)
+    shape = qschur.SkewShape((2, 1))
+    assert _instance(shape, qschur.SkewShape, "a skew shape") is shape
+    assert [_budget(b) for b in (None, 1, 10**7)] == [None, 1, 10**7]
+    for bad in (5, None):
+        with pytest.raises(ValueError, match="not a composition"):
+            _composition(bad)
+        with pytest.raises(ValueError, match="not an iterable outer"):
+            _partition(bad, "outer")
+    with pytest.raises(ValueError, match=r"not a skew shape: \(2, 1\)"):
+        _instance((2, 1), qschur.SkewShape, "a skew shape")
+
+
+def _takes_budget(f) -> bool:
+    try:
+        params = inspect.signature(f).parameters
+    except (TypeError, ValueError):  # no signature to read
+        return False
+    return any(p in params for p in ("max_tableaux", "max_terms", "max_fillings"))
+
+
+# Each public callable that takes a budget, on a valid first argument.
+BUDGETED = {
+    qschur.qs_f: ((1, 2),),
+    qschur.skew_schur_f: (qschur.SkewShape((2, 1)),),
+    qschur.schur_f: ((2, 1),),
+    qschur.multiplicity_witnesses: ((2, 2),),
+    qschur.brute_family_fmf: ((2, 1),),
+    qschur.verify: ("schur", 3),
+    qschur.f_to_m: (qschur.Expansion("F", 3, {(1, 2): 1}),),
+    qschur.lr_expansion: (qschur.SkewShape((2, 1)),),
+}
+
+
+def test_every_budget_is_checked():
+    # A budget is None or an int of at least 1, so not a bool either.
+    public = [getattr(qschur, name) for name in qschur.__all__]
+    assert set(BUDGETED) == {f for f in public if callable(f) and _takes_budget(f)}
+    for f, args in BUDGETED.items():
+        for bad in (0, -1, 2.5, "x", True):
+            with pytest.raises(ValueError, match="a budget must be None or an int"):
+                f(*args, bad)
+        f(*args, None)
+
+
 def test_descent_sets_take_int_members():
     with pytest.raises(ValueError, match=r"descent 1\.5 is not an int in 1\.\.2"):
         qschur.DescentSet(3, [1.5])
-    with pytest.raises(ValueError):
-        qschur.DescentSet(3, ["1"])
+    for member in ("1", True):
+        with pytest.raises(ValueError):
+            qschur.DescentSet(3, [member])
     assert qschur.DescentSet(3, [1, 2]) == qschur.DescentSet(3, (2, 1))
-    for degree in (2.5, "3", -1):
+    for degree in (2.5, "3", -1, True):
         with pytest.raises(ValueError, match="degree must be nonnegative, and an int"):
             qschur.DescentSet(degree, [1])
 
 
 def test_expansions_take_int_degrees_and_parts():
-    for degree in (2.5, "3", -1):
+    for degree in (2.5, "3", -1, True):
         with pytest.raises(ValueError, match="degree must be nonnegative, and an int"):
             qschur.Expansion("F", degree, {})
-    for key in [(1.5, 1.5), ("3",), (2.0, 1)]:
+    for key in [(1.5, 1.5), ("3",), (2.0, 1), (True, 2)]:
         with pytest.raises(ValueError, match="is not a composition of 3"):
             qschur.Expansion("F", 3, {key: 1})
+    with pytest.raises(ValueError, match=r"coefficient of \(3,\) is not an integer"):
+        qschur.Expansion("F", 3, {(3,): True})
     assert qschur.Expansion("F", 3, [([2, 1], 1)]).terms == {(2, 1): 1}
 
 
 def test_verify_checks_its_degree():
-    for bad in (2.5, "3", 0, None):
+    for bad in (2.5, "3", 0, None, True):
         with pytest.raises(ValueError, match="max_n must be an int of at least 1"):
             qschur.verify("skew", bad)
 

@@ -263,7 +263,8 @@ def test_rotated_partitions_are_read_off_the_kept_levels():
     # 180 degrees: its rows end in one column, so it is read off the kept
     # levels as its straight shape is, up to the cap of 10 cells, with the
     # same expansion, and the composition states kept before stay.  A
-    # budget one tableau short names the rotated shape as given.
+    # budget one tableau short names the rotated shape as given; for a row
+    # or a column, with one tableau, that is 0, which is no budget.
     q = qschur.qsym
     _clear_memos()
     qs_f((2, 1, 3))
@@ -275,6 +276,10 @@ def test_rotated_partitions_are_read_off_the_kept_levels():
             assert skew_schur_f(rotated) == schur_f(lam)
             total = hook_length_count(lam)
             budget = total - 1
+            if not budget:
+                with pytest.raises(ValueError, match="a budget must be None or an int"):
+                    skew_schur_f(rotated, budget)
+                continue
             message = f"tableaux of shape {rotated} exceeded the tableau budget of {budget}"
             with pytest.raises(BudgetExceededError) as caught:
                 skew_schur_f(rotated, budget)
