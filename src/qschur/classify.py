@@ -7,6 +7,7 @@ instances of each degree, the label key of an instance, and its check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple, Union
 
 from .compositions import (
@@ -40,13 +41,8 @@ def in_c2(alpha: Composition) -> bool:
     no leading 2, no two adjacent 2s.  Contains the empty composition.  A
     part below 1 raises :class:`ValueError`."""
     alpha = _composition(alpha)
-    if any(p not in (1, 2) for p in alpha):
-        return False
-    if alpha and alpha[0] == 2:
-        return False
-    return all(
-        not (alpha[i] == 2 and alpha[i + 1] == 2) for i in range(len(alpha) - 1)
-    )
+    # Each part is a 1, or a 2 after a 1; a 0 stands before the first part.
+    return all(p == 1 or p == 2 and q == 1 for q, p in zip((0,) + alpha, alpha))
 
 
 def in_c2_prime(alpha: Composition) -> bool:
@@ -131,7 +127,8 @@ def predict_qs_components(alpha: Composition) -> str:
     C2' prefix as far as it goes.  A part that is not an int of at least 1
     raises :class:`ValueError`.
     """
-    alpha = tuple(alpha)
+    if type(alpha) is not tuple:
+        alpha = tuple(_instance(alpha, Iterable, "a composition"))
     n = start = len(alpha)
     padded = alpha + (1,)  # the empty suffix lies in C2
     for i in range(n - 1, -1, -1):
@@ -167,16 +164,7 @@ def predict_two_part(alpha: Composition) -> bool:
     if len(alpha) != 2:
         raise ValueError(f"expected a two-part composition: {alpha}")
     a, b = alpha
-    n = a + b
-    if b == 1 or a == 1:
-        return True
-    if b == 2 and n >= 4:
-        return True
-    if a == 2 and n >= 4:
-        return True
-    if b == 3 and n >= 6:
-        return True
-    return alpha in ((3, 4), (4, 4), (4, 5))
+    return a <= 2 or b <= 3 or alpha in ((3, 4), (4, 4), (4, 5))
 
 
 def predict_family(lam: Partition) -> bool:
@@ -210,8 +198,8 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     only masks, one per tableau, and a rearrangement is multiplicity-free
     iff it is clean and no mask repeats across its entries.
     ``max_tableaux`` caps the tableaux of each state those levels store
-    with masks and of each multiplicity-free rearrangement, so a
-    rearrangement that is not multiplicity-free may answer False where
+    with masks and of each rearrangement read with a clean profile, so a
+    rearrangement that is not clean may answer False where
     :func:`qsym.qs_f` would raise :class:`BudgetExceededError`.  A part
     below 1 or an increasing pair of parts raises :class:`ValueError`; that
     check is the only one, since the engine reads the rearrangements of a
@@ -405,17 +393,17 @@ def verify(
 
     The truth is read off pruned states of the qsym engine that the call
     builds and holds for itself, and a disagreement is reported through the
-    counting engine.  Either way ``max_tableaux`` caps tableaux, but the
-    truth checks it only on the instances below ``max_n`` it keeps with a
-    profile and on an instance that passes, in instance order.  A theorem
-    in ``_CLOSURES`` builds one closure level per degree; families sweeps
-    bottom-up, holding levels n - 2 to n, and stores each instance below
-    ``max_n`` in level n for the degree above (see the qsym docstring).  A
-    bad theorem, ``max_n`` or budget raises :class:`ValueError`."""
+    counting engine.  Either way ``max_tableaux`` caps tableaux: the truth
+    checks it on every instance whose truth it reads off a clean or narrow
+    profile, in instance order.  A theorem in ``_CLOSURES`` builds one
+    closure level per degree; families sweeps bottom-up, holding levels
+    n - 2 to n, and stores each instance below ``max_n`` in level n for the
+    degree above (see the qsym docstring).  A bad theorem, ``max_n`` or
+    budget raises :class:`ValueError`."""
     if type(max_n) is not int or max_n < 1:
         raise ValueError(f"max_n must be an int of at least 1: {max_n!r}")
     max_tableaux = _budget(max_tableaux)
-    if theorem not in _THEOREMS:
+    if _instance(theorem, str, "a theorem name") not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     (instances_of, key, check), closure = _THEOREMS[theorem], _CLOSURES.get(theorem)
     checked = 0
@@ -426,7 +414,7 @@ def verify(
         _evict(levels, n)
         if closure:
             level = _closure_step(level, *closure[:3])
-            kept = _closure_counts(level, closure[3], n < max_n, max_tableaux)
+            kept = _closure_counts(level, closure[3], max_tableaux)
         # Counted as they go, so no list of a degree's instances is held.
         for inst in instances_of(n):
             checked += 1

@@ -33,7 +33,7 @@ class DescentSet:
     def __init__(self, degree: int, members: Iterable[int] = ()) -> None:
         if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
-        members = frozenset(members)
+        members = frozenset(_instance(members, Iterable, "an iterable of descents"))
         for m in members:
             if not (type(m) is int and 1 <= m <= degree - 1):
                 raise ValueError(f"descent {m!r} is not an int in 1..{degree - 1}")
@@ -215,6 +215,30 @@ def _partition(x: Iterable[int], what: str = "partition") -> Partition:
     if parts != tuple(sorted(parts, reverse=True)):
         raise ValueError(f"{what} is not weakly decreasing: {parts}")
     return parts
+
+
+def _row(x: Iterable[int]) -> tuple[int, ...]:
+    """``x`` as a tuple, checked to be a row of tableau entries: plain ints,
+    of any sign, since a semistandard test reads any filling."""
+    row = x if type(x) is tuple else tuple(_instance(x, Iterable, "a row of entries"))
+    if not all(type(v) is int for v in row):
+        raise ValueError(f"a row has an entry that is not an int: {row}")
+    return row
+
+
+def _places(rows: tuple[tuple[int, ...], ...]) -> list:
+    """Where each entry of ``rows`` sits, checked to be a standard filling:
+    ``places[v]`` is (row, column) of entry v, from 0 and from 1 in its row,
+    for v in 1..n.  Entries that are not 1..n, each once, raise
+    :class:`ValueError`."""
+    n = sum(map(len, rows))
+    places: list = [None] * (n + 1)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row, start=1):
+            if not 1 <= v <= n or places[v]:
+                raise ValueError("entries must be 1..n, each once")
+            places[v] = (r, c)
+    return places
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, _composition, _instance
-from .compositions import composition_of
+from .compositions import Composition, DescentSet, _composition, _instance, _places
+from .compositions import _row, composition_of
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -23,7 +23,7 @@ class CompositionTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(_instance(r, Iterable, "a row of entries")) for r in rows)
+        rows = tuple(map(_row, _instance(rows, Iterable, "an iterable of rows")))
         if any(not r for r in rows):
             raise ValueError("rows must be nonempty")
         self.rows = rows
@@ -192,15 +192,11 @@ def enumerate_sct(alpha: Composition) -> Iterator[CompositionTableau]:
 
 def des_c(t: CompositionTableau) -> DescentSet:
     """Entries i such that i+1 sits weakly to the right of i.  Anything but
-    a :class:`CompositionTableau` raises :class:`ValueError`."""
-    n = _instance(t, CompositionTableau, "a composition tableau").size
-    col_of = [0] * (n + 1)
-    for row in t.rows:
-        for c, v in enumerate(row, start=1):
-            if not 1 <= v <= n or col_of[v]:
-                raise ValueError("entries must be 1..n, each once")
-            col_of[v] = c
-    return DescentSet(n, [i for i in range(1, n) if col_of[i + 1] >= col_of[i]])
+    a :class:`CompositionTableau`, or entries that are not 1..n, each once,
+    raise :class:`ValueError`."""
+    places = _places(_instance(t, CompositionTableau, "a composition tableau").rows)
+    n = len(places) - 1
+    return DescentSet(n, [i for i in range(1, n) if places[i + 1][1] >= places[i][1]])
 
 
 def com_c(t: CompositionTableau) -> Composition:
@@ -221,20 +217,14 @@ def canonical_filling(alpha: Composition) -> CompositionTableau:
 def is_valid_sct(t: CompositionTableau) -> bool:
     """True iff deleting the cells 1, 2, ..., n in order realizes a chain of
     inverse cover moves down to the empty composition.  Anything but a
-    :class:`CompositionTableau` raises :class:`ValueError`."""
-    n = _instance(t, CompositionTableau, "a composition tableau").size
-    pos: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(t.rows):
-        for c, v in enumerate(row, start=1):
-            if not 1 <= v <= n or v in pos:
-                raise ValueError("entries must be 1..n, each once")
-            pos[v] = (r, c)
+    :class:`CompositionTableau`, or entries that are not 1..n, each once,
+    raise :class:`ValueError`."""
+    places = _places(_instance(t, CompositionTableau, "a composition tableau").rows)
     # Only a leading part can be deleted, so the deleted rows are the first
     # ``lead``; a row emptied below them leaves a 0, which no move leaves.
     sizes = list(t.shape)
     lead = 0
-    for e in range(1, n + 1):
-        r, c = pos[e]
+    for r, c in places[1:]:
         alpha = tuple(sizes[lead:])
         sizes[r] -= 1
         if not sizes[lead]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import Composition
+from .compositions import Composition, _instance
 
 BASES = ("F", "M", "schur")
 _SYMBOL = {"F": "F", "M": "M", "schur": "s"}
@@ -33,7 +33,7 @@ class Expansion:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Composition, int] = {}
         for key, coeff in items:
-            key = tuple(key)
+            key = tuple(_instance(key, Iterable, "a key"))
             if type(coeff) is not int:
                 raise ValueError(f"coefficient of {key} is not an integer: {coeff!r}")
             if coeff == 0:
@@ -70,7 +70,7 @@ class Expansion:
         return MappingProxyType(self._terms)
 
     def coefficient(self, key: Composition) -> int:
-        return self._terms.get(tuple(key), 0)
+        return self._terms.get(tuple(_instance(key, Iterable, "a key")), 0)
 
     def total(self) -> int:
         """Sum of all coefficients (the number of underlying tableaux)."""
@@ -107,7 +107,7 @@ class Expansion:
         return Expansion._trusted(self.basis, self.degree, terms)
 
     def __mul__(self, scalar: int) -> "Expansion":
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:  # nor a bool
             return NotImplemented
         if scalar < 0:
             raise ValueError("scalar must be nonnegative")

@@ -87,13 +87,17 @@ rearrangement that an earlier family skipped, is built top-down by
 ``_level_below`` as in a public call, but in those levels and by the clean
 builder.  ``verify`` keeps levels n - 2 to n and stores each root below its
 last degree for the degree above; ``brute_family_fmf`` holds its levels for
-one call and stores no root.  Neither touches a module-level memo.  Either
-way the budget is checked, by ``_passing``, on a clean root below the last
-degree, as a state stored with a profile, and on a root that passes; a
-clean profile has one filling per mask.  A closure level is built whole,
-unchecked, before ``verify`` reads its roots, so that the first root over
-the budget in instance order is the one named; every state it is built
-from has met the budget.
+one call and stores no root.  Neither touches a module-level memo.
+
+``verify`` checks the tableau budget on every instance whose truth it
+reads off a clean or narrow profile, in instance order.  ``_passing``
+checks it on each root read with a profile, off a closure level or a
+sweep's, for ``brute_family_fmf`` too; a clean profile has one filling per
+mask.  A closure level is built whole, unchecked, before its roots are
+read, so that the first root over the budget in instance order is the one
+named.  Every state it is built from is an instance of the degree below,
+which has met the budget, or, for two-part, a one-part composition, which
+has one filling.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -377,30 +381,30 @@ def _closure_step(level: Level, parents: Callable, moves: Moves, build: Build) -
 
 
 def _passing(
-    prof: Profile, read: Read, budget: int | None, stored: bool, source: TableauSource
+    prof: Profile, read: Read, budget: int | None, source: TableauSource
 ) -> object:
     """What ``read`` finds of a root with profile ``prof``, None where the
-    root fails.  The budget is checked as a ``verify`` sweep checks it: on
-    a root that passes, and on a root it ``stored``, which the level above
-    is built from."""
+    root fails.  The root's fillings meet the budget first, whether it
+    passes or not: ``verify`` checks the tableau budget on every instance
+    whose truth it reads off a clean or narrow profile, in instance order."""
     tableaux, found = read(prof)
-    if budget is not None and (found is not None or stored) and tableaux > budget:
+    if budget is not None and tableaux > budget:
         raise BudgetExceededError(_label(source), budget)
     return found
 
 
 def _closure_counts(
-    level: Level, read: Read, stored: bool, budget: int | None
+    level: Level, read: Read, budget: int | None
 ) -> Callable[[TableauSource], object]:
     """The reader of a source off a level of :func:`_closure_step`: what
     ``read`` finds of it, None where the source is not in the level or
-    fails.  The budget is checked by :func:`_passing`, where ``stored`` says
-    whether the level above is built from this one."""
+    fails.  Every source in the level meets the budget, by
+    :func:`_passing`, whether it passes or not."""
 
     def counts(source: TableauSource) -> object:
         state = source.row_intervals() if isinstance(source, SkewShape) else source
         prof = level.get(state)
-        return None if prof is None else _passing(prof, read, budget, stored, source)
+        return None if prof is None else _passing(prof, read, budget, source)
 
     return counts
 
@@ -511,14 +515,15 @@ def _sweep_counts(
     is profiled off level n - 1 by :func:`_clean_profile_of`, up to its
     first marker child or repeated mask; a missing child is built by
     :func:`_level_below`, in ``levels``.  A root of degree n below ``last``
-    is stored in level n, as a marker where it is not clean; it then meets
-    the budget, as does a root that is multiplicity-free.
+    is stored in level n, as a marker where it is not clean; ``last`` says
+    only that.  Every clean root meets the budget, by :func:`_passing`,
+    whether it passes or not.
     """
 
     def counts(source: TableauSource) -> set[int] | None:
         state, n, moves = _state(source)
         if not n:
-            return _passing(_EMPTY_LEVEL[()], _clean_root, budget, False, source)
+            return _passing(_EMPTY_LEVEL[()], _clean_root, budget, source)
         try:
             prof = _clean_profile_of(moves(state), levels[n - 1])
         except KeyError:  # a child, or level n - 1 itself, is missing
@@ -528,9 +533,7 @@ def _sweep_counts(
             prof = _clean_profile_of(root_moves, below)
         if n < last:
             levels.setdefault(n, {})[state] = prof
-        if prof is None:
-            return None
-        return _passing(prof, _clean_root, budget, n < last, source)
+        return None if prof is None else _passing(prof, _clean_root, budget, source)
 
     return counts
 

@@ -59,7 +59,7 @@ class SkewShape:
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "SkewShape":
         """Build a shape from raw cells, translating to basic form."""
         by_row: dict[int, list[int]] = {}
-        for r, c in set(cells):
+        for r, c in set(_instance(cells, Iterable, "an iterable of cells")):
             by_row.setdefault(r, []).append(c)
         intervals = []
         for r in sorted(by_row):

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, Partition, _instance, composition_of
+from .compositions import Composition, DescentSet, Partition, _instance, _places, _row
+from .compositions import composition_of
 from .errors import BudgetExceededError, _budget
 from .expansion import Expansion
 from .shapes import SkewShape
@@ -21,7 +22,7 @@ class SkewTableau:
 
     def __init__(self, shape: SkewShape, rows: Iterable[Iterable[int]]) -> None:
         ivs = _instance(shape, SkewShape, "a skew shape").row_intervals()
-        rows = tuple(tuple(_instance(r, Iterable, "a row of entries")) for r in rows)
+        rows = tuple(map(_row, _instance(rows, Iterable, "an iterable of rows")))
         if len(rows) != len(ivs) or any(
             len(row) != b - a for row, (a, b) in zip(rows, ivs)
         ):
@@ -96,8 +97,11 @@ def is_standard(t: SkewTableau) -> bool:
     """Semistandard with entries exactly 1..n.  Anything but a
     :class:`SkewTableau` raises :class:`ValueError`."""
     rows = _instance(t, SkewTableau, "a skew tableau").rows
-    entries = [v for row in rows for v in row]
-    return sorted(entries) == list(range(1, len(entries) + 1)) and is_semistandard(t)
+    try:
+        _places(rows)
+    except ValueError:  # the entries are not 1..n, each once
+        return False
+    return is_semistandard(t)
 
 
 def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, Rows]]:
@@ -187,15 +191,11 @@ def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
 
 def des_p(t: SkewTableau) -> DescentSet:
     """Entries i such that i+1 sits in a strictly lower row than i.  Anything
-    but a :class:`SkewTableau` raises :class:`ValueError`."""
-    n = _instance(t, SkewTableau, "a skew tableau").shape.size
-    row_of = [0] * (n + 1)
-    for i, row in enumerate(t.rows, start=1):
-        for v in row:
-            if not 1 <= v <= n or row_of[v]:
-                raise ValueError("entries must be 1..n, each once")
-            row_of[v] = i
-    return DescentSet(n, [i for i in range(1, n) if row_of[i + 1] > row_of[i]])
+    but a :class:`SkewTableau`, or entries that are not 1..n, each once,
+    raise :class:`ValueError`."""
+    places = _places(_instance(t, SkewTableau, "a skew tableau").rows)
+    n = len(places) - 1
+    return DescentSet(n, [i for i in range(1, n) if places[i + 1][0] > places[i][0]])
 
 
 def com_p(t: SkewTableau) -> Composition:

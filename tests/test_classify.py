@@ -208,6 +208,19 @@ def test_verify_budget_aborts_loudly():
         verify("schur", 6, max_tableaux=1)
 
 
+def test_verify_budget_holds_at_the_last_degree():
+    # The truth checks the budget on every instance it reads off a clean
+    # profile, at the last degree too, whether or not the instance passes:
+    # 3,3,3/2,1 is (3,2,1) rotated, clean with 16 tableaux, and not
+    # multiplicity-free.  It is the first instance over the budget in both
+    # instance orders, and the only Schur one.
+    message = "tableaux of shape 3,3,3/2,1 exceeded the tableau budget of 15"
+    for theorem in ("schur", "skew"):
+        with pytest.raises(BudgetExceededError, match=message):
+            verify(theorem, 6, max_tableaux=15)
+    assert verify("schur", 6, max_tableaux=16).verified
+
+
 def test_verify_deterministic_across_runs():
     one = verify("schur", 7)
     again = verify("schur", 7)
@@ -666,27 +679,27 @@ def test_pruned_truth_matches_counts_at_acceptance_bounds():
         for lam in enumerate_partitions(n):
             rotated = SkewShape(lam).rotate180()
             assert (pruned(rotated) is not None) == free(rotated)
-            kept = q._closure_counts(level, clean_root, False, None)(rotated)
+            kept = q._closure_counts(level, clean_root, None)(rotated)
             assert (kept is not None) == free(rotated)
     pruned = sweep(9)
     skew_levels = closure(q._skew_parents, q._skew_moves, clean, 9)
     for n, level in zip(range(1, 10), skew_levels):
         for shape in enumerate_skew_shapes(n):
             assert (pruned(shape) is not None) == free(shape)
-            kept = q._closure_counts(level, clean_root, False, None)(shape)
+            kept = q._closure_counts(level, clean_root, None)(shape)
             assert (kept is not None) == free(shape)
     pruned = sweep(14)
     two_part_levels = closure(q._two_part_parents, q._qs_moves, clean, 14)
     for n, level in zip(range(1, 15), two_part_levels):
         for alpha in ((a, n - a) for a in range(1, n)):
             assert (pruned(alpha) is not None) == free(alpha)
-            kept = q._closure_counts(level, clean_root, False, None)(alpha)
+            kept = q._closure_counts(level, clean_root, None)(alpha)
             assert (kept is not None) == free(alpha)
     narrow_levels = closure(covers_up, q._qs_moves, narrow, 9)
     for n, level in zip(range(1, 10), narrow_levels):
         for alpha in enumerate_compositions(n):
             _, by_mask = counts(alpha, None)
-            pruned = q._closure_counts(level, narrow_root, False, None)(alpha)
+            pruned = q._closure_counts(level, narrow_root, None)(alpha)
             assert pruned == (by_mask if len(by_mask) <= 2 else None)
     for n in range(1, 11):
         for lam in enumerate_partitions(n):

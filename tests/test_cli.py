@@ -195,8 +195,9 @@ def test_budget_exit_3():
     assert "tableaux of shape 3,2,1 exceeded the tableau budget of 15" in result.output
     # verify names the first instance over the budget in instance order,
     # although each degree's truth is built before its instances are read.
-    # An instance below the last degree meets the budget when its profile
-    # is kept: 3,3,3/2,1 is (3,2,1) rotated, which is not multiplicity-free.
+    # Every instance whose truth is read off a clean or narrow profile meets
+    # the budget: 3,3,3/2,1 is (3,2,1) rotated, clean but not
+    # multiplicity-free.
     for theorem, max_n, budget, shape in [
         ("skew", 8, 30, "tableaux of shape 4,1,1,1,1/1"),
         ("skew", 8, 10, "tableaux of shape 2,2,1,1,1/1"),

@@ -109,6 +109,12 @@ def test_des_c_worked_examples():
     for rows in (((1,), (4, 2)), ((1,), (2, 2))):
         with pytest.raises(ValueError, match="entries must be 1..n, each once"):
             des_c(CompositionTableau(rows))
+        with pytest.raises(ValueError, match="entries must be 1..n, each once"):
+            is_valid_sct(CompositionTableau(rows))
+    # An entry is a plain int, so True is no 1; rows must be iterable.
+    for rows in ([[True]], [["a"]], [[1.0]], 5, [5]):
+        with pytest.raises(ValueError):
+            CompositionTableau(rows)
 
 
 def test_canonical_filling():

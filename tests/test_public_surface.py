@@ -199,13 +199,13 @@ def _assert_each_raises_value_error(calls, bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [(1, 2), (0,), (2, -1), (2.5,), ("3",), (2.0, 1), (3, 1.5), (True, 2)]
+    "bad", [(1, 2), (0,), (2, -1), (2.5,), ("3",), (2.0, 1), (3, 1.5), (True, 2), 5]
 )
 def test_non_instances_raise_value_error(bad):
     # (1, 2) is a composition, but not a partition or a skew shape; no
     # tuple is a skew shape.  Parts that are not plain ints make no
-    # instance, even 2.0 or True.  The iterators raise at the call, before
-    # their first step.
+    # instance, even 2.0 or True, and neither does a non-iterable.  The
+    # iterators raise at the call, before their first step.
     empty = qschur.SkewShape()
     calls = TAKES_PARTITION + TAKES_SHAPE
     calls += TAKES_COMPOSITION if bad != (1, 2) else []
@@ -215,10 +215,10 @@ def test_non_instances_raise_value_error(bad):
     _assert_each_raises_value_error(calls, bad)
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (0,), (2.5,), (True, 2)])
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (2.5,), (True, 2), 5])
 def test_non_objects_raise_value_error(bad):
-    # No tuple is a tableau, an Expansion or a DescentSet, and no int is a
-    # row of entries.
+    # No tuple or int is a tableau, an Expansion or a DescentSet, and no int
+    # is a row of entries, nor rows of them.
     _assert_each_raises_value_error(TAKES_OBJECT, bad)
 
 
@@ -277,9 +277,9 @@ def test_every_budget_is_checked():
 def test_descent_sets_take_int_members():
     with pytest.raises(ValueError, match=r"descent 1\.5 is not an int in 1\.\.2"):
         qschur.DescentSet(3, [1.5])
-    for member in ("1", True):
+    for members in (["1"], [True], 5):
         with pytest.raises(ValueError):
-            qschur.DescentSet(3, [member])
+            qschur.DescentSet(3, members)
     assert qschur.DescentSet(3, [1, 2]) == qschur.DescentSet(3, (2, 1))
     for degree in (2.5, "3", -1, True):
         with pytest.raises(ValueError, match="degree must be nonnegative, and an int"):
@@ -296,12 +296,27 @@ def test_expansions_take_int_degrees_and_parts():
     with pytest.raises(ValueError, match=r"coefficient of \(3,\) is not an integer"):
         qschur.Expansion("F", 3, {(3,): True})
     assert qschur.Expansion("F", 3, [([2, 1], 1)]).terms == {(2, 1): 1}
+    # A key is iterable, and a scalar multiple is a plain int, not a bool.
+    with pytest.raises(ValueError, match="not a key: 5"):
+        qschur.Expansion("F", 1, {5: 1})
+    e = qschur.Expansion("F", 3, {(3,): 1})
+    with pytest.raises(ValueError, match="not a key: 5"):
+        e.coefficient(5)
+    for scalar in (True, 2.0):
+        with pytest.raises(TypeError):
+            e * scalar
+        with pytest.raises(TypeError):
+            scalar * e
+    assert e * 2 == 2 * e == e + e
 
 
 def test_verify_checks_its_degree():
     for bad in (2.5, "3", 0, None, True):
         with pytest.raises(ValueError, match="max_n must be an int of at least 1"):
             qschur.verify("skew", bad)
+    # A theorem is named by a string; a list is no name, though unhashable.
+    with pytest.raises(ValueError, match=r"not a theorem name: \['schur'\]"):
+        qschur.verify(["schur"], 3)
 
 
 @pytest.mark.parametrize(

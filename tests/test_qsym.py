@@ -664,7 +664,7 @@ def test_closure_levels_match_the_full_engine(parents, moves, keep, states_of, f
             assert all(len(p) <= 2 for s in states for p in parents(s))
         # The states the reader passes too: for a clean level, the
         # multiplicity-free ones.
-        passing = list(filter(q._closure_counts(level, read, False, None), level))
+        passing = list(filter(q._closure_counts(level, read, None), level))
         sizes.append((len(level), len(passing)))
     if parents is q._skew_parents:
         clean = [1, 3, 9, 19, 24, 31, 34, 38, 40, 44]

@@ -62,6 +62,8 @@ def test_containment_is_checked():
         SkewShape.from_cells({(1, 0)})
     with pytest.raises(ValueError, match=r"inner has a part < 1: \(0, -1\)"):
         SkewShape.from_cells({(1, 1), (1, 2), (2, 0), (2, 1)})
+    with pytest.raises(ValueError, match="not an iterable of cells: 5"):
+        SkewShape.from_cells(5)
 
 
 def test_canonicalization_drops_empty_rows_and_columns():

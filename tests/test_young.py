@@ -63,6 +63,11 @@ def test_des_p_worked_example():
     for rows in (((1, 4), (2,)), ((1, 1), (2,))):
         with pytest.raises(ValueError, match="entries must be 1..n, each once"):
             des_p(SkewTableau(SkewShape((2, 1)), rows))
+        assert not is_standard(SkewTableau(SkewShape((2, 1)), rows))
+    # An entry is a plain int, so True is no 1; rows must be iterable.
+    for rows in ([[True]], [["a"]], [[1.0]], 5, [5]):
+        with pytest.raises(ValueError):
+            SkewTableau(SkewShape((1,)), rows)
 
 
 def test_des_p_trivial_shapes():
