@@ -197,10 +197,10 @@ def brute_family_fmf(lam: Partition, max_tableaux: int | None = None) -> bool:
     engine that this call builds and holds for itself.  Those levels store
     only masks, one per tableau, and a rearrangement is multiplicity-free
     iff it is clean and no mask repeats across its entries.
-    ``max_tableaux`` caps the tableaux of each state those levels store
-    with masks and of each rearrangement read with a clean profile, so a
-    rearrangement that is not clean may answer False where
-    :func:`qsym.qs_f` would raise :class:`BudgetExceededError`.  A part
+    ``max_tableaux`` caps the tableaux of each rearrangement read with a
+    clean profile, and nothing else, so a rearrangement that is not clean
+    answers False where :func:`qsym.qs_f` may raise
+    :class:`BudgetExceededError`.  A part
     below 1 or an increasing pair of parts raises :class:`ValueError`; that
     check is the only one, since the engine reads the rearrangements of a
     checked partition unchecked, one at a time, up to the first that is

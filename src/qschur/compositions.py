@@ -33,12 +33,12 @@ class DescentSet:
     def __init__(self, degree: int, members: Iterable[int] = ()) -> None:
         if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
-        members = frozenset(_instance(members, Iterable, "an iterable of descents"))
+        members = tuple(_instance(members, Iterable, "an iterable of descents"))
         for m in members:
             if not (type(m) is int and 1 <= m <= degree - 1):
                 raise ValueError(f"descent {m!r} is not an int in 1..{degree - 1}")
         self.degree = degree
-        self.members = members
+        self.members = frozenset(members)
 
     @classmethod
     def _trusted(cls, degree: int, members: Iterable[int]) -> "DescentSet":
@@ -217,13 +217,22 @@ def _partition(x: Iterable[int], what: str = "partition") -> Partition:
     return parts
 
 
-def _row(x: Iterable[int]) -> tuple[int, ...]:
-    """``x`` as a tuple, checked to be a row of tableau entries: plain ints,
-    of any sign, since a semistandard test reads any filling."""
-    row = x if type(x) is tuple else tuple(_instance(x, Iterable, "a row of entries"))
+def _row(x: Iterable[int], what: str = "a row of entries") -> tuple[int, ...]:
+    """``x`` as a tuple, checked to be plain ints, of any sign: a row of
+    tableau entries, since a semistandard test reads any filling, or the
+    key of a term or a cell, which ``what`` names."""
+    row = x if type(x) is tuple else tuple(_instance(x, Iterable, what))
     if not all(type(v) is int for v in row):
-        raise ValueError(f"a row has an entry that is not an int: {row}")
+        raise ValueError(f"{what} has an entry that is not an int: {row}")
     return row
+
+
+def _cell(x: Iterable[int]) -> tuple[int, int]:
+    """``x`` as a tuple, checked to be a cell: a pair of plain ints."""
+    cell = _row(x, "a cell")
+    if len(cell) != 2:
+        raise ValueError(f"a cell is not a pair: {cell}")
+    return cell
 
 
 def _places(rows: tuple[tuple[int, ...], ...]) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import Composition, _instance
+from .compositions import Composition, _instance, _row
 
 BASES = ("F", "M", "schur")
 _SYMBOL = {"F": "F", "M": "M", "schur": "s"}
@@ -31,6 +31,7 @@ class Expansion:
         if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, and an int: {degree!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
+        items = _instance(items, Iterable, "an iterable of terms")
         clean: dict[Composition, int] = {}
         for key, coeff in items:
             key = tuple(_instance(key, Iterable, "a key"))
@@ -70,7 +71,7 @@ class Expansion:
         return MappingProxyType(self._terms)
 
     def coefficient(self, key: Composition) -> int:
-        return self._terms.get(tuple(_instance(key, Iterable, "a key")), 0)
+        return self._terms.get(_row(key, "a key"), 0)
 
     def total(self) -> int:
         """Sum of all coefficients (the number of underlying tableaux)."""

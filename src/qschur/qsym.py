@@ -23,7 +23,10 @@ and removing a cell leaves a state in the same canonical form.  A public
 call checks its root once, on entry, through the input helpers of
 ``compositions``, and never stores it: ``_counts`` reads the checked root
 through ``_state`` and sums the entries of its children in level n - 1
-into a count per descent bitmask.
+into a count per descent bitmask.  ``_level_below`` first builds the
+states the root lacks below it, in one depth-first walk over a stack of
+its own, each state once its children are; so a one-row shape of 3,000
+cells needs no recursion.
 
 Every public call keeps its levels in one memo, ``_KEPT``, split by size,
 up to a cap set by the kind of its root, and builds the levels above the
@@ -82,22 +85,30 @@ the first that fails.  ``_sweep_counts`` reads a root off those levels by
 repeated mask, and a state that is not clean is stored as None, a marker.
 It reads a root unchecked, through ``_state``: its roots are ``verify``'s
 own instances, or rearrangements of a partition that ``brute_family_fmf``
-has checked.  A child missing from level n - 1, such as a
-rearrangement that an earlier family skipped, is built top-down by
-``_level_below`` as in a public call, but in those levels and by the clean
-builder.  ``verify`` keeps levels n - 2 to n and stores each root below its
-last degree for the degree above; ``brute_family_fmf`` holds its levels for
-one call and stores no root.  Neither touches a module-level memo.
+has checked.  That first read, straight off level n - 1, is its hot path.
+A child missing from level n - 1, such as a rearrangement that an earlier
+family skipped, is built by ``_level_below``'s walk as in a public call,
+but in those levels, by the clean builder and with no budget.  The walk
+builds a state once it meets its first marker child, and nothing below
+the children after it.  So the family of (2,)*14 fails after 80 builds,
+where a walk that found every state below its rearrangement before
+building any built all 32,766 of them.  ``verify`` keeps levels n - 2 to n
+and stores each root below its last degree for the degree above;
+``brute_family_fmf`` holds its levels for one call and stores no root.
+Neither touches a module-level memo.
 
 ``verify`` checks the tableau budget on every instance whose truth it
 reads off a clean or narrow profile, in instance order.  ``_passing``
 checks it on each root read with a profile, off a closure level or a
 sweep's, for ``brute_family_fmf`` too; a clean profile has one filling per
-mask.  A closure level is built whole, unchecked, before its roots are
-read, so that the first root over the budget in instance order is the one
-named.  Every state it is built from is an instance of the degree below,
-which has met the budget, or, for two-part, a one-part composition, which
-has one filling.
+mask.  That is the only budget check of a truth.  Every filling of a state
+below a root extends to one of the root's, so a clean state over the
+budget makes every clean root above it over the budget too, and a root
+that is not clean fails whatever the budget.  A closure level is built
+whole, unchecked, before its roots are read, so that the first root over
+the budget in instance order is the one named.  Every state it is built
+from is an instance of the degree below, which has met the budget, or,
+for two-part, a one-part composition, which has one filling.
 
 The queries on top work on the same bitmasks (bit t set = descent at
 t + 1), through the codec in ``compositions``.  ``f_to_m`` is Gessel's
@@ -265,18 +276,16 @@ def _merged(entries: Sequence[tuple]) -> tuple:
     return acc.keys(), acc.values()
 
 
-def _profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
+def _profile_of(moves: Iterable[Move], below: Level) -> Profile:
     """Profile of a state from its moves and the profiles of the states one
-    cell smaller, or None, a marker, when a child is one.  A child's entry 1
-    is the parent's entry 2, so the child's entries split into those below
-    the threshold and those at or above it; their masks differ in bit 0, so
-    only entries within a group need merging.
+    cell smaller, none of them a marker.  A child's entry 1 is the parent's
+    entry 2, so the child's entries split into those below the threshold
+    and those at or above it; their masks differ in bit 0, so only entries
+    within a group need merging.
     """
     out = []
     for key, child, t in moves:
         entries = below[child]
-        if entries is None:
-            return None
         if len(entries) == 1:  # nothing to merge
             k, ms, cs = entries[0]
             d = k >= t
@@ -334,11 +343,10 @@ def _clean_root(prof: Profile) -> tuple[int, set[int] | None]:
 
 
 def _narrow_profile_of(moves: Iterable[Move], below: Level) -> Profile | None:
-    """The full profile of a state, or None, a marker, where a child is one
-    or its entries hold more than two distinct masks."""
+    """The full profile of a state, or None, a marker, where its entries
+    hold more than two distinct masks."""
     prof = _profile_of(moves, below)
-    wide = prof is None or len(set().union(*[ms for _, ms, _ in prof])) > 2
-    return None if wide else prof
+    return None if len(set().union(*[ms for _, ms, _ in prof])) > 2 else prof
 
 
 def _narrow_root(prof: Profile) -> tuple[int, dict[int, int]]:
@@ -346,16 +354,6 @@ def _narrow_root(prof: Profile) -> tuple[int, dict[int, int]]:
     which are at most two."""
     by_mask = dict(zip(*_merged(prof)))
     return sum(by_mask.values()), by_mask
-
-
-def _tableaux(prof: Profile) -> int:
-    """The fillings of a full profile."""
-    return sum(sum(counts) for _, _, counts in prof)
-
-
-def _mask_count(prof: Profile) -> int:
-    """The fillings of a clean profile, one per mask."""
-    return sum(len(masks) for _, masks in prof)
 
 
 def _evict(memo: dict[int, dict], n: int) -> None:
@@ -417,43 +415,35 @@ def _level_below(
     source: TableauSource,
     memo: dict[int, Level],
     build: Build,
-    tableaux: Callable[[Profile], int],
 ) -> tuple[list[Move], Level]:
     """The moves of ``state``, which has ``n`` >= 1 cells, and the level of
     ``memo`` holding its children, after building the states it still lacks
-    below it: they are found top-down, level by level, then profiled
-    bottom-up by ``build`` and stored.  With a budget, a level with more
-    missing states than the budget aborts the call, and so does a state
-    stored with a profile of more fillings, as ``tableaux`` counts them,
-    than it: every filling of a state left after removing cells extends to
-    one of ``state``.  The error names ``source``.
+    below it in one depth-first walk.  A frame (state, size, moves) of its
+    stack scans its children in move order up to the first that is missing
+    or a marker, and pushes a missing one; otherwise it is popped, and its
+    state is built by ``build`` and stored, once its children are.  So the
+    children after a state's first marker child are not built for it.
+    With a budget, a state stored with a full profile of more fillings than
+    the budget aborts the call: every filling of a state left after
+    removing cells extends to one of ``state``.  The error names
+    ``source``.
     """
-    levels = {0: _EMPTY_LEVEL}
     root_moves = list(moves(state))
-    missing: list[list[tuple[State, list[Move]]]] = []
-    frontier = [(state, root_moves)]
-    for m in range(n - 1, 0, -1):
-        known = levels[m] = memo.setdefault(m, {})
-        children = {
-            child for _, ms in frontier for _, child, _ in ms if child not in known
-        }
-        if not children:
-            break
-        # Distinct states of one level are left by distinct runs of moves,
-        # and each run starts a distinct filling of ``state``; so the budget
-        # also caps the walk at about n * max_tableaux states.
-        if max_tableaux is not None and len(children) > max_tableaux:
-            raise BudgetExceededError(_label(source), max_tableaux)
-        frontier = [(s, list(moves(s))) for s in children]
-        missing.append(frontier)
-    for depth in range(len(missing) - 1, -1, -1):
-        level, below = levels[n - 1 - depth], levels[n - 2 - depth]
-        for s, ms in missing[depth]:
-            prof = level[s] = build(ms, below)
-            if prof is not None and max_tableaux is not None:
-                if tableaux(prof) > max_tableaux:
+    stack = [(state, n, root_moves)]
+    while True:
+        s, m, ms = stack[-1]
+        below = memo.setdefault(m - 1, {}) if m > 1 else _EMPTY_LEVEL
+        child = next((c for _, c, _ in ms if below.get(c) is None), None)
+        if child is not None and child not in below:
+            stack.append((child, m - 1, list(moves(child))))
+        elif len(stack) == 1:
+            return root_moves, below
+        else:
+            stack.pop()
+            prof = memo[m][s] = build(ms, below)
+            if max_tableaux is not None and prof is not None:
+                if sum(sum(counts) for _, _, counts in prof) > max_tableaux:
                     raise BudgetExceededError(_label(source), max_tableaux)
-    return root_moves, levels[n - 1]
 
 
 def _state(source: TableauSource) -> tuple[State, int, Moves]:
@@ -492,7 +482,7 @@ def _counts(
         cap = _KEPT_SKEW_CELLS if skew and state[-1][1] != state[0][1] else _KEPT_CELLS
         memo = {m: _KEPT.setdefault(m, {}) for m in range(1, min(n, cap + 1))}
         root_moves, below = _level_below(
-            state, n, moves, max_tableaux, source, memo, _profile_of, _tableaux
+            state, n, moves, max_tableaux, source, memo, _profile_of
         )
         for _, child, t in root_moves:
             for key, ms, cs in below[child]:
@@ -514,7 +504,7 @@ def _sweep_counts(
     through :func:`_state`; its caller has built or checked it.  A root
     is profiled off level n - 1 by :func:`_clean_profile_of`, up to its
     first marker child or repeated mask; a missing child is built by
-    :func:`_level_below`, in ``levels``.  A root of degree n below ``last``
+    :func:`_level_below`, in ``levels`` and with no budget.  A root of degree n below ``last``
     is stored in level n, as a marker where it is not clean; ``last`` says
     only that.  Every clean root meets the budget, by :func:`_passing`,
     whether it passes or not.
@@ -528,7 +518,7 @@ def _sweep_counts(
             prof = _clean_profile_of(moves(state), levels[n - 1])
         except KeyError:  # a child, or level n - 1 itself, is missing
             root_moves, below = _level_below(
-                state, n, moves, budget, source, levels, _clean_profile_of, _mask_count
+                state, n, moves, None, source, levels, _clean_profile_of
             )
             prof = _clean_profile_of(root_moves, below)
         if n < last:

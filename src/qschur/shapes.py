@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .compositions import Partition, _check_degree, _instance, _partition
+from .compositions import Partition, _cell, _check_degree, _instance, _partition
 
 Intervals = tuple[tuple[int, int], ...]
 _Pairs = list[tuple[tuple[int, ...], Intervals]]  # (ends, rows), as sorted
@@ -57,9 +57,10 @@ class SkewShape:
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "SkewShape":
-        """Build a shape from raw cells, translating to basic form."""
+        """Build a shape from raw cells, each a pair of ints (row, column),
+        translating to basic form."""
         by_row: dict[int, list[int]] = {}
-        for r, c in set(_instance(cells, Iterable, "an iterable of cells")):
+        for r, c in set(map(_cell, _instance(cells, Iterable, "an iterable of cells"))):
             by_row.setdefault(r, []).append(c)
         intervals = []
         for r in sorted(by_row):

@@ -165,6 +165,26 @@ def test_brute_family_fmf():
     assert brute_family_fmf((2, 2, 1))
 
 
+def test_family_walk_stops_below_its_first_marker(monkeypatch):
+    # (2,)*12 has one rearrangement, whose downset holds 8,190 states.  The
+    # walk builds them depth-first and stops each state at its first marker
+    # child, so the family fails after 76 clean builds.  Under 5 ms.
+    built = []
+    clean = qschur.qsym._clean_profile_of
+    monkeypatch.setattr(
+        qschur.qsym, "_clean_profile_of", lambda *a: built.append(1) or clean(*a)
+    )
+    assert not brute_family_fmf((2,) * 12)
+    assert 0 < len(built) < 100
+
+
+def test_family_budget_binds_only_the_rearrangements():
+    # (1, 4, 4), the first rearrangement of (4, 4, 1), is not clean, so it
+    # fails with no budget met; no state below it is held to the budget.
+    # Under 1 ms.
+    assert not brute_family_fmf((4, 4, 1), 1)
+
+
 def test_theorem_refinement_one_and_two():
     # "one" means the expansion is exactly its own F-term; "two" keeps the
     # own term plus one other

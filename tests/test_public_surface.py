@@ -277,7 +277,7 @@ def test_every_budget_is_checked():
 def test_descent_sets_take_int_members():
     with pytest.raises(ValueError, match=r"descent 1\.5 is not an int in 1\.\.2"):
         qschur.DescentSet(3, [1.5])
-    for members in (["1"], [True], 5):
+    for members in (["1"], [True], 5, [[1]]):
         with pytest.raises(ValueError):
             qschur.DescentSet(3, members)
     assert qschur.DescentSet(3, [1, 2]) == qschur.DescentSet(3, (2, 1))
@@ -302,6 +302,10 @@ def test_expansions_take_int_degrees_and_parts():
     e = qschur.Expansion("F", 3, {(3,): 1})
     with pytest.raises(ValueError, match="not a key: 5"):
         e.coefficient(5)
+    with pytest.raises(ValueError, match="a key has an entry that is not an int"):
+        qschur.Expansion("F", 1, {(1,): 1}).coefficient([[1]])
+    with pytest.raises(ValueError, match="not an iterable of terms: 5"):
+        qschur.Expansion("F", 1, 5)
     for scalar in (True, 2.0):
         with pytest.raises(TypeError):
             e * scalar

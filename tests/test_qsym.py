@@ -1033,10 +1033,10 @@ def test_budget_paths():
 def test_qs_f_budget_aborts_early(monkeypatch):
     from qschur import BudgetExceededError
 
-    # 87,516 tableaux from 258 profiles.  Under a budget of 10, one level of
-    # the walk down holds more than 10 missing compositions, so no profile
-    # is built; under 100 the walk ends, and the remaining compositions pass
-    # 100 tableaux before half of the profiles are built.
+    # 87,516 tableaux from 258 profiles.  The walk down builds each state
+    # once its children are, and the first with more tableaux than the
+    # budget aborts it: under 10 after 15 profiles, and under 100 after 42,
+    # before half of them are built.
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(
@@ -1055,7 +1055,8 @@ def test_budget_caps_the_walk_down(monkeypatch):
 
     # Any set of parts of (2,)*25 can drop to 1 and leading 1s can go, so
     # its downset has about 2^26 compositions; the walk down must stop at
-    # the first level with more missing ones than the budget.
+    # the first state it builds with more tableaux than the budget: under
+    # 10 after 72 moves are read, and under 1000 after 544.
     calls = []
     moves = qschur.qsym._qs_moves
 
@@ -1075,10 +1076,10 @@ def test_budget_caps_the_walk_down(monkeypatch):
 def test_skew_budget_aborts_early(monkeypatch):
     from qschur import BudgetExceededError
 
-    # The profile of (20, 19) has 2^38 possible masks.  Under a budget of 10
-    # the walk down stops at a level with more than 10 missing shapes; under
-    # 100 it ends, and the small remaining shapes pass 100 tableaux after a
-    # few profiles.  Either way the full profile is never built.
+    # The profile of (20, 19) has 2^38 possible masks.  The walk down stops
+    # at the first state it builds with more tableaux than the budget: under
+    # 10 after 31 profiles, and under 100 after 53.  Either way the full
+    # profile is never built.
     built = []
     profile_of = qschur.qsym._profile_of
     monkeypatch.setattr(
@@ -1094,6 +1095,13 @@ def test_skew_budget_aborts_early(monkeypatch):
     skew_schur_f(SkewShape((3, 2)))
     with pytest.raises(BudgetExceededError):
         skew_schur_f(SkewShape((3, 2)), max_tableaux=4)
+
+
+def test_walk_down_keeps_its_own_stack():
+    # A one-row shape of 3,000 cells has 2,999 levels below it, past the
+    # default recursion limit, so the walk down must not recurse.  0.03 s.
+    assert schur_f((3000,)) == F(3000, {(3000,): 1})
+    assert qs_f((3000,)) == F(3000, {(3000,): 1})
 
 
 def test_expansion_serialization_roundtrip():

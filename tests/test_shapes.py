@@ -64,6 +64,14 @@ def test_containment_is_checked():
         SkewShape.from_cells({(1, 1), (1, 2), (2, 0), (2, 1)})
     with pytest.raises(ValueError, match="not an iterable of cells: 5"):
         SkewShape.from_cells(5)
+    # A cell is a pair of plain ints, so not a float, a string or a bool.
+    for cell in [(1.5, 1), ("a", 1), (True, 1)]:
+        with pytest.raises(ValueError, match="a cell has an entry that is not an int"):
+            SkewShape.from_cells([cell])
+    with pytest.raises(ValueError, match="not a cell: 5"):
+        SkewShape.from_cells([5])
+    with pytest.raises(ValueError, match=r"a cell is not a pair: \(1, 1, 1\)"):
+        SkewShape.from_cells([(1, 1, 1)])
 
 
 def test_canonicalization_drops_empty_rows_and_columns():
