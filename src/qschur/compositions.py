@@ -13,7 +13,7 @@ descent-set functions here are built on it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
 Composition = tuple[int, ...]
@@ -99,6 +99,70 @@ def _descent_mask(alpha: Composition) -> int:
         total += part
         mask |= 1 << (total - 1)
     return mask
+
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _walk(
+    start, n: int, r: int, moves_of: Callable[..., list], right_to_left: bool
+) -> Iterator[tuple[int, Rows]]:
+    """Depth-first walk over the standard fillings of a shape of ``n`` cells
+    in ``r`` rows, from its state ``start``.  ``moves_of`` lists a state's
+    moves in walk order, each as (row, key, threshold, child): the next
+    entry goes to that row, the child is the state left, and the entry is a
+    descent when the entry after it has a key at least its threshold.
+
+    Yields each filling's descent mask (bit t set = descent at t + 1) and
+    its rows, a tuple of tuples that never changes: an entry joins its row
+    at the end, or at the start when the rows fill ``right_to_left``, and
+    the row is restored on backtrack, so the fillings share their unchanged
+    rows.  Each state's moves are listed once per walk; a state with two
+    cells left stores the one move of each child in place of the child, so
+    the last entry is placed with no state of its own.
+    """
+    if n < 2:
+        yield 0, ((1,),) * n
+        return
+    listed: dict = {}
+
+    def moves(state, left: int) -> list:
+        out = moves_of(state)
+        if left == 2:
+            out = [(i, key, t, moves_of(child)[0]) for i, key, t, child in out]
+        listed[state] = out
+        return out
+
+    rows: list[tuple[int, ...]] = [()] * r
+    # Frame e, for e = 0, ..., n - 2 entries placed: the moves left to try
+    # for entry e + 1, the threshold of entry e, the descent mask of entries
+    # 1..e, and the row of entry e with its value before it (none in frame 0).
+    stack = [(iter(moves(start, n)), 0, 0, 0, ())]
+    while True:
+        it, t, mask, _, _ = stack[-1]
+        e = len(stack) - 1
+        bit = 1 << e >> 1  # a descent at e, bit e - 1
+        for i, key, t_next, child in it:
+            m = mask | bit if key >= t else mask
+            row = rows[i]
+            rows[i] = (e + 1,) + row if right_to_left else row + (e + 1,)
+            if e + 2 == n:
+                # The last entry goes to the one cell left.
+                j, k, _, _ = child
+                last = rows[j]
+                rows[j] = (n,) + last if right_to_left else last + (n,)
+                yield (m | 1 << e if k >= t_next else m), tuple(rows)
+                rows[j] = last
+                rows[i] = row
+                continue
+            child_moves = listed.get(child) or moves(child, n - e - 1)
+            stack.append((iter(child_moves), t_next, m, i, row))
+            break
+        else:
+            if e == 0:
+                return
+            _, _, _, i, row = stack.pop()
+            rows[i] = row
 
 
 def _mask_members(n: int, mask: int) -> list[int]:
@@ -227,12 +291,18 @@ def _row(x: Iterable[int], what: str = "a row of entries") -> tuple[int, ...]:
     return row
 
 
+def _pair(x: Iterable, what: str) -> tuple:
+    """``x`` as a tuple, checked to be a pair, which ``what`` names: a term
+    of an expansion, or a cell."""
+    pair = x if type(x) is tuple else tuple(_instance(x, Iterable, what))
+    if len(pair) != 2:
+        raise ValueError(f"{what} is not a pair: {pair}")
+    return pair
+
+
 def _cell(x: Iterable[int]) -> tuple[int, int]:
     """``x`` as a tuple, checked to be a cell: a pair of plain ints."""
-    cell = _row(x, "a cell")
-    if len(cell) != 2:
-        raise ValueError(f"a cell is not a pair: {cell}")
-    return cell
+    return _row(_pair(x, "a cell"), "a cell")
 
 
 def _places(rows: tuple[tuple[int, ...], ...]) -> list:

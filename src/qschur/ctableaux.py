@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, _composition, _instance, _places
-from .compositions import _row, composition_of
-
-Rows = tuple[tuple[int, ...], ...]
+from .compositions import Composition, DescentSet, Rows, _composition, _instance
+from .compositions import _places, _row, _walk, composition_of
 
 
 class CompositionTableau:
@@ -111,70 +109,28 @@ def covers_down(alpha: Composition) -> list[Composition]:
 
 def _sct_walk(alpha: Composition) -> Iterator[tuple[int, Rows]]:
     """Depth-first walk over the standard composition tableaux of ``alpha``,
-    in the order of :func:`enumerate_sct`.  Yields each tableau's descent
-    mask (bit t set = descent at t + 1) and its rows, a tuple of tuples that
-    never changes: a row fills right to left, so an entry is prepended to
-    its row as it is placed and the row is restored on backtrack, and the
-    tableaux share their unchanged rows.
+    in the order of :func:`enumerate_sct`, through
+    :func:`compositions._walk`: each tableau's descent mask and its rows,
+    which fill right to left.  A state is the composition left, and its
+    moves are :func:`_down_moves`, keyed by the column of the removed cell:
+    entry i is a descent when i + 1 sits in a weakly later column.
 
     Only a leading part can be deleted, so the deleted rows are always a
-    prefix and every row keeps its index in ``alpha``: an entry removed from
-    a row of current length s sits in column s.  Entry i is a descent when
-    i + 1 is placed in a weakly later column.
+    prefix, and a state's row i is row i + r - len(state) of ``alpha``.
+    The moves come in row order, so each move's row is the first after the
+    last move's row whose part is the removed cell's column.
     """
-    n = sum(alpha)
-    if n == 0:
-        yield 0, ()
-        return
     r = len(alpha)
-    rows: list[tuple[int, ...]] = [()] * r
-    sizes = list(alpha)
-    lead = 0  # first row not yet deleted
-    placed: list[int] = []  # row of each entry but the last
-    cols: list[int] = []  # its column
-    masks = [0]  # descent mask of the first k entries
-    j = 0
-    while True:
-        while j < r:
-            s = sizes[j]
-            # Delete the leading part when it is 1, or decrement a part with
-            # no earlier part one smaller: the rule of _down_moves, tested in
-            # place, since building each state's move list costs more than
-            # the few tableaux of a shape repay.
-            if s == 1 and j == lead or s >= 2 and s - 1 not in sizes[lead:j]:
-                break
-            j += 1
-        else:
-            if not placed:
-                return
-            j = placed.pop()
-            cols.pop()
-            masks.pop()
-            rows[j] = rows[j][1:]
-            sizes[j] += 1
-            if sizes[j] == 1:
-                lead = j
-            j += 1
-            continue
-        e = len(placed)  # entries placed so far
-        m = masks[-1]
-        if e and s >= cols[-1]:
-            m |= 1 << (e - 1)
-        row = rows[j]
-        if e + 1 == n:
-            rows[j] = (n,) + row
-            yield m, tuple(rows)
-            rows[j] = row
-            j += 1
-            continue
-        rows[j] = (e + 1,) + row
-        sizes[j] = s - 1
-        if s == 1:
-            lead = j + 1
-        placed.append(j)
-        cols.append(s)
-        masks.append(m)
-        j = lead
+
+    def moves_of(parts: Composition) -> list:
+        out = []
+        i = -1
+        for col, child, t in _down_moves(parts):
+            i = parts.index(col, i + 1)
+            out.append((i + r - len(parts), col, t, child))
+        return out
+
+    return _walk(alpha, sum(alpha), r, moves_of, right_to_left=True)
 
 
 def enumerate_sct(alpha: Composition) -> Iterator[CompositionTableau]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import Composition, _instance, _row
+from .compositions import Composition, _instance, _pair, _row
 
 BASES = ("F", "M", "schur")
 _SYMBOL = {"F": "F", "M": "M", "schur": "s"}
@@ -33,7 +33,8 @@ class Expansion:
         items = terms.items() if isinstance(terms, Mapping) else terms
         items = _instance(items, Iterable, "an iterable of terms")
         clean: dict[Composition, int] = {}
-        for key, coeff in items:
+        for term in items:
+            key, coeff = _pair(term, "a term")
             key = tuple(_instance(key, Iterable, "a key"))
             if type(coeff) is not int:
                 raise ValueError(f"coefficient of {key} is not an integer: {coeff!r}")

@@ -14,12 +14,14 @@ All three run one engine, Stanley's transfer-matrix method (EC1 section
 states left after removing the cell holding 1.  The engine takes a set of
 moves, one for compositions and one for skew shapes.  The moves of a
 composition are one list per state, ``ctableaux._down_moves``, the inverse
-cover moves that ``covers_down`` and ``is_valid_sct`` read too.  The tableau
-walk ``ctableaux._sct_walk`` tests the same rule in place on its row sizes:
-a walk over ``_down_moves`` lists was no faster, since a composition of 11
-has about 35 tableaux and building the lists dominates.  A skew
-shape's state is the tuple of basic-form row intervals the shape stores,
-and removing a cell leaves a state in the same canonical form.  A public
+cover moves that ``covers_down``, ``is_valid_sct`` and the tableau walk
+``ctableaux._sct_walk`` read too.  That walk and ``young._syt_walk``, whose
+states are the next column of each row, run one depth-first walk,
+``compositions._walk``, and both list tableaux in the order of the
+engine's moves: the composition walk by construction, and the Young walk
+as a test pins.  A skew shape's state is the tuple of basic-form row
+intervals the shape stores, and removing a cell leaves a state in the same
+canonical form.  A public
 call checks its root once, on entry, through the input helpers of
 ``compositions``, and never stores it: ``_counts`` reads the checked root
 through ``_state`` and sums the entries of its children in level n - 1
@@ -90,9 +92,8 @@ A child missing from level n - 1, such as a rearrangement that an earlier
 family skipped, is built by ``_level_below``'s walk as in a public call,
 but in those levels, by the clean builder and with no budget.  The walk
 builds a state once it meets its first marker child, and nothing below
-the children after it.  So the family of (2,)*14 fails after 80 builds,
-where a walk that found every state below its rearrangement before
-building any built all 32,766 of them.  ``verify`` keeps levels n - 2 to n
+the children after it.  So the family of (2,)*14 fails after 80 builds.
+``verify`` keeps levels n - 2 to n
 and stores each root below its last degree for the degree above;
 ``brute_family_fmf`` holds its levels for one call and stores no root.
 Neither touches a module-level memo.

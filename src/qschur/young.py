@@ -5,13 +5,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .compositions import Composition, DescentSet, Partition, _instance, _places, _row
-from .compositions import composition_of
+from .compositions import Composition, DescentSet, Partition, Rows, _instance, _places
+from .compositions import _row, _walk, composition_of
 from .errors import BudgetExceededError, _budget
 from .expansion import Expansion
 from .shapes import SkewShape
-
-Rows = tuple[tuple[int, ...], ...]
 
 
 class SkewTableau:
@@ -106,73 +104,31 @@ def is_standard(t: SkewTableau) -> bool:
 
 def _syt_walk(shape: SkewShape) -> Iterator[tuple[int, Rows]]:
     """Depth-first walk over the standard fillings of ``shape``, in the
-    order of :func:`enumerate_syt`.  Yields each filling's descent mask (bit
-    t set = descent at t + 1) and its rows, a tuple of tuples that never
-    changes: a row is extended by one entry as it is filled and restored on
-    backtrack, so the fillings share their unchanged rows.  Entry i is a
-    descent when i + 1 is placed in a lower row.
+    order of :func:`enumerate_syt`, through :func:`compositions._walk`:
+    each filling's descent mask and its rows, which fill left to right.
+    Entry i is a descent when i + 1 is placed in a lower row.
 
-    A state is the column of the next cell of each row.  Its moves, the
-    cells free for the next entry top row first, are built once per walk,
-    as ``(row, child)``; a child with one cell left is stored as that
-    cell's row, and the last entry is placed there with no state of its
-    own.  Row i's next cell is free when it lies in the row, and right of
-    the last cell of the row above or left of that row's next cell; the
-    top row has none above.
+    A state is the column of the next cell of each row.  Its moves are the
+    cells free for the next entry, top row first, keyed by their row.  Row
+    i's next cell is free when it lies in the row, and right of the last
+    cell of the row above or left of that row's next cell; the top row has
+    none above.
     """
     ivs = shape.row_intervals()
-    n = shape.size
-    if n < 2:
-        yield 0, ((1,),) * n
-        return
     r = len(ivs)
     ends = [b for _, b in ivs]
     above = [-1] + ends[:-1]
-    moves: dict[tuple[int, ...], list] = {}
 
-    def moves_of(ptr: tuple[int, ...], left: int) -> list:
+    def moves_of(ptr: tuple[int, ...]) -> list:
         out = []
         for i in range(r):
             p = ptr[i]
             if p <= ends[i] and (p > above[i] or p < ptr[i - 1]):
-                child = ptr[:i] + (p + 1,) + ptr[i + 1 :]
-                if left == 2:
-                    last = next(j for j in range(r) if child[j] <= ends[j])
-                    out.append((i, last))
-                else:
-                    out.append((i, child))
-        moves[ptr] = out
+                out.append((i, i, i + 1, ptr[:i] + (p + 1,) + ptr[i + 1 :]))
         return out
 
-    rows: list[tuple[int, ...]] = [()] * r
-    # Frame e, for e = 0, ..., n - 2 entries placed: the moves left to try
-    # for entry e + 1, the row of entry e (r in frame 0, which no row is
-    # below) and the descent mask of entries 1..e.
-    stack = [(iter(moves_of(tuple(a + 1 for a, _ in ivs), n)), r, 0)]
-    while True:
-        it, prev, mask = stack[-1]
-        e = len(stack) - 1
-        bit = 1 << e >> 1  # a descent at e, bit e - 1
-        for i, child in it:
-            m = mask | bit if i > prev else mask
-            row = rows[i]
-            rows[i] = row + (e + 1,)
-            if e + 2 == n:
-                # The last entry goes to the one cell left, row ``child``.
-                last = rows[child]
-                rows[child] = last + (n,)
-                yield (m | 1 << e if child > i else m), tuple(rows)
-                rows[child] = last
-                rows[i] = row
-                continue
-            child_moves = moves.get(child) or moves_of(child, n - e - 1)
-            stack.append((iter(child_moves), i, m))
-            break
-        else:
-            if e == 0:
-                return
-            stack.pop()
-            rows[prev] = rows[prev][:-1]
+    start = tuple(a + 1 for a, _ in ivs)
+    return _walk(start, shape.size, r, moves_of, right_to_left=False)
 
 
 def enumerate_syt(shape: SkewShape) -> Iterator[SkewTableau]:
@@ -226,9 +182,12 @@ def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion
         a, b = ivs[i - 1]
         return a < j <= b
 
-    def rec(idx: int) -> None:
-        nonlocal seen
-        if idx == len(order):
+    # One frame per cell opened, in order, on a stack of its own, so that a
+    # row of 3,000 cells needs no recursion: the cell and the values left to
+    # try there.  The value in place is in ``vals``.
+    stack: list = []
+    while True:
+        if len(stack) == len(order):
             seen += 1
             if max_fillings is not None and seen > max_fillings:
                 raise BudgetExceededError(
@@ -241,19 +200,25 @@ def lr_expansion(shape: SkewShape, max_fillings: int | None = None) -> Expansion
                 lam.append(counts[v])
             key = tuple(lam)
             result[key] = result.get(key, 0) + 1
-            return
-        i, j = order[idx]
-        hi = i
-        if in_shape(i, j + 1):
-            hi = min(hi, vals[(i, j + 1)])
-        lo = vals[(i - 1, j)] + 1 if in_shape(i - 1, j) else 1
-        for v in range(lo, hi + 1):
-            if v == 1 or counts[v - 1] > counts[v]:
-                vals[(i, j)] = v
-                counts[v] += 1
-                rec(idx + 1)
-                counts[v] -= 1
-        vals.pop((i, j), None)
-
-    rec(0)
-    return Expansion("schur", n, result)
+        else:
+            i, j = cell = order[len(stack)]
+            hi = min(i, vals[(i, j + 1)]) if in_shape(i, j + 1) else i
+            lo = vals[(i - 1, j)] + 1 if in_shape(i - 1, j) else 1
+            stack.append((cell, iter(range(lo, hi + 1))))
+        # Move the last cell opened to its next value that keeps the filling
+        # a lattice word, closing each cell that has none left.
+        while stack:
+            cell, values = stack[-1]
+            if cell in vals:
+                counts[vals.pop(cell)] -= 1
+            for v in values:
+                if v == 1 or counts[v - 1] > counts[v]:
+                    vals[cell] = v
+                    counts[v] += 1
+                    break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return Expansion("schur", n, result)

@@ -306,6 +306,12 @@ def test_expansions_take_int_degrees_and_parts():
         qschur.Expansion("F", 1, {(1,): 1}).coefficient([[1]])
     with pytest.raises(ValueError, match="not an iterable of terms: 5"):
         qschur.Expansion("F", 1, 5)
+    # Each term is a (key, coefficient) pair.
+    with pytest.raises(ValueError, match="not a term: 5"):
+        qschur.Expansion("F", 1, [5])
+    for term in [((1,),), ((1,), 1, 2)]:
+        with pytest.raises(ValueError, match="a term is not a pair"):
+            qschur.Expansion("F", 1, [term])
     for scalar in (True, 2.0):
         with pytest.raises(TypeError):
             e * scalar

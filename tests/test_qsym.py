@@ -915,6 +915,33 @@ def test_walks_track_descent_statistics():
             assert masks == [sum(1 << (i - 1) for i in des_c(t)) for t in tableaux]
 
 
+def test_young_walk_order_is_the_engine_move_order():
+    # Driven by the engine's skew moves instead of its own pointer states,
+    # the shared walk lists every standard filling in the Young walk's order.
+    # A state is the basic-form rows with the row of the shape each one is;
+    # a row that empties leaves the basic form.  The composition walk moves
+    # by the engine's moves itself.  498 shapes, about 0.2 s.
+    from qschur.compositions import _walk
+    from qschur.young import _syt_walk
+
+    def moves_of(state):
+        ivs, rows = state
+        out = []
+        for i, child, t in qschur.qsym._skew_moves(ivs):
+            left = rows if len(child) == len(ivs) else rows[:i] + rows[i + 1 :]
+            out.append((rows[i], i, t, (child, left)))
+        return out
+
+    shapes = [s for n in range(7) for s in enumerate_skew_shapes(n)]
+    shapes += [SkewShape(lam) for n in range(10) for lam in enumerate_partitions(n)]
+    assert len(shapes) == 498
+    for shape in shapes:
+        ivs = shape.row_intervals()
+        start = (ivs, tuple(range(len(ivs))))
+        walk = _walk(start, shape.size, len(ivs), moves_of, right_to_left=False)
+        assert list(walk) == list(_syt_walk(shape))
+
+
 def test_witnesses_match_enumeration_oracle():
     sources = [s for n in range(0, 8) for s in enumerate_skew_shapes(n)]
     sources += [SkewShape(lam) for n in range(0, 11) for lam in enumerate_partitions(n)]

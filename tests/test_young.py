@@ -139,6 +139,15 @@ def test_lr_expansion_basis_and_degree():
         lr_expansion(SkewShape((2, 1), (1,)), 1)
 
 
+def test_lr_expansion_keeps_its_own_stack():
+    # A row of 3,000 cells and a column of 1,500 each have one lattice
+    # filling, one cell deeper each than the last, past the default recursion
+    # limit, so the fill must not recurse.  About 5 ms each.
+    assert dict(lr_expansion(SkewShape((3000,))).terms) == {(3000,): 1}
+    column = (1,) * 1500
+    assert dict(lr_expansion(SkewShape(column)).terms) == {column: 1}
+
+
 def test_lr_counts_match_syt_totals():
     # the Schur expansion refines the tableau count: sum over lam of
     # c_{D lam} * f^lam equals the number of standard tableaux of D
